@@ -24,11 +24,8 @@ from helpers import capped_rank_tuple
 
 def scaled_coords(chart, rng, magnitude):
     coords = rng.standard_normal(chart.operator_basis.dim)
-    Lop = chart.operator_basis.operator(coords)
-    L1 = tg.decompose_laplacian(
-        Lop, chart.level_partitions[0], chart.splits, chart.shape, tol=1e-6
-    )
-    peak = L1.max_norm()
+    parts = chart.operator_basis.parts(coords)
+    peak = max(np.linalg.norm(C) for C in parts.values())
     return coords * (magnitude / peak) if peak > 0 else coords * 0.0
 
 

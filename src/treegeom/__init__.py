@@ -79,6 +79,8 @@ from .operators import (
     split,
 )
 from .tangent import (
+    BlockOperatorBasis,
+    BlockSpace,
     ImmersionReport,
     OperatorSpaceBasis,
     TangentReport,
@@ -89,6 +91,7 @@ from .tangent import (
     parametrization_jacobian,
     tangent_dimension,
     tangent_dimension_oracle,
+    tree_operator_basis,
 )
 from .charts import (
     ChartData,

@@ -10,6 +10,11 @@ that the point's minimal subspace forms over the anchor's.
 For a tree, the operator lives in the intersection of the level operator
 spaces and the core in the level-1 subspace product; the forward and inverse
 maps can be evaluated through any level partition and agree across levels.
+The chart's operator basis is factored over the level-1 blocks
+(:class:`~treegeom.tangent.BlockOperatorBasis`): coordinates map straight
+to level-1 coefficients and leaf-level coefficients straight back to
+coordinates, so neither direction builds an ``N x N`` operator.  Only
+:func:`level_inverse_operator` returns one, as a cross-level check.
 """
 
 from __future__ import annotations
@@ -28,19 +33,9 @@ from .errors import (
     OutsideChartImageError,
 )
 from .formats import _structurally_implied, is_member
-from .operators import (
-    LaplacianLike,
-    assemble_laplacian,
-    decompose_laplacian,
-    lifted_part,
-    split,
-)
+from .operators import LaplacianLike, assemble_laplacian, lifted_part, split
 from .subspaces import DEFAULT_TOL, minimal_subspace
-from .tangent import (
-    OperatorSpaceBasis,
-    intersect_operator_spaces,
-    level_operator_basis,
-)
+from .tangent import BlockOperatorBasis, tree_operator_basis
 from .tensor import apply_mode_operator, check_tensor
 from .trees import level_partition, levels
 
@@ -84,6 +79,22 @@ def _extract_core(w, mats, blocks, shape):
     for M in mats:
         t = np.tensordot(t, M, axes=([0], [0]))
     return t
+
+
+def _pull_back(w, parts, splits, blocks):
+    """Core of ``w`` in the anchor bases: pull the point back through the
+    inverse factors (each part squares to zero, so the inverse of
+    ``I + part`` is ``I - part``), then project onto the bases."""
+    pulled = w
+    for b in blocks:
+        s = splits[b]
+        op = np.eye(s.ambient_dim) - lifted_part(s, parts[b])
+        sub_partition = [b] + [
+            (m,) for m in range(1, w.ndim + 1) if m not in set(b)
+        ]
+        pulled = apply_mode_operator(op, b, sub_partition, pulled)
+    return _extract_core(pulled, [splits[b].u for b in blocks], blocks,
+                         w.shape)
 
 
 def _check_full_core(core, blocks, ranks, tol):
@@ -160,18 +171,7 @@ def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
         G = s.w.T @ sub.basis
         parts[b] = np.linalg.solve(A.T, G.T).T
     L = LaplacianLike(partition=blocks, parts=parts)
-    # pull back through the inverse factors (each part squares to zero, so
-    # the inverse of I + part is I - part), then project onto the bases
-    pulled = w
-    for b in blocks:
-        s = splits[b]
-        op = np.eye(s.ambient_dim) - lifted_part(s, parts[b])
-        sub_partition = [b] + [
-            (m,) for m in range(1, w.ndim + 1) if m not in set(b)
-        ]
-        pulled = apply_mode_operator(op, b, sub_partition, pulled)
-    core = _extract_core(pulled, [splits[b].u for b in blocks], blocks, w.shape)
-    return L, core
+    return L, _pull_back(w, parts, splits, blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,9 +179,10 @@ class ChartData:
     """Everything anchored at one point of a fixed tree-rank set.
 
     ``splits`` covers every non-root tree node; ``operator_basis`` spans the
-    intersection of the level operator spaces; ``core`` holds the anchor's
-    coefficients in the level-1 subspace product.  Reconstructing the anchor
-    from the core through the level-1 bases reproduces it to roundoff.
+    intersection of the level operator spaces, factored over the level-1
+    blocks; ``core`` holds the anchor's coefficients in the level-1 subspace
+    product.  Reconstructing the anchor from the core through the level-1
+    bases reproduces it to roundoff.
     """
 
     anchor: np.ndarray
@@ -189,7 +190,7 @@ class ChartData:
     ranks: object
     splits: dict
     level_partitions: tuple
-    operator_basis: OperatorSpaceBasis
+    operator_basis: BlockOperatorBasis
     core: np.ndarray
     tol: float
 
@@ -227,11 +228,7 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
     splits = {
         node: split(v, node, tol) for node in tree.nodes if node != tree.root
     }
-    bases = [
-        level_operator_basis(p, splits, v.shape, label=f"level-{k + 1}")
-        for k, p in enumerate(partitions)
-    ]
-    operator_basis = intersect_operator_spaces(bases, tol)
+    operator_basis = tree_operator_basis(tree, splits, v.shape, tol)
     core = _extract_core(
         v, [splits[b].u for b in partitions[0]], partitions[0], v.shape
     )
@@ -266,18 +263,15 @@ def _check_core_in_domain(chart, core):
 
 
 def tree_chart_point(chart, operator_coords, core):
-    """Forward tree chart: assemble the operator from its coordinates in the
-    intersection basis, split it at level 1, and push the lifted core through
+    """Forward tree chart: map the coordinates in the intersection basis to
+    the operator's level-1 coefficients, and push the lifted core through
     the blockwise exponential factors.  The result keeps the anchor's rank
     profile."""
     core, _ = _check_core_in_domain(chart, core)
     blocks = chart.level_partitions[0]
-    Lop = chart.operator_basis.operator(operator_coords)
-    L1 = decompose_laplacian(
-        Lop, blocks, chart.splits, chart.shape, tol=max(chart.tol, 1e-9)
-    )
+    parts = chart.operator_basis.parts(operator_coords)
     mats = [
-        chart.splits[b].u + chart.splits[b].w @ L1.parts[b] for b in blocks
+        chart.splits[b].u + chart.splits[b].w @ parts[b] for b in blocks
     ]
     return _apply_block_maps(core, mats, blocks, chart.shape)
 
@@ -304,8 +298,10 @@ def tree_chart_inverse(chart, w, tol=None):
     projected onto the intersection basis, and the projection residual is
     required to be numerical noise; a genuine residual means the point is not
     in this chart's image and the failing level is identified by comparing
-    against each level space.  The core is the pulled-back point in the
-    level-1 bases, checked to be full rank at every level.
+    against each level space.  The recovered operator does not change when
+    the point is scaled and vanishes at the anchor, so the residual is
+    measured against ``max(||operator||, 1)``.  The core is the pulled-back
+    point in the level-1 bases, checked to be full rank at every level.
     """
     tol = chart.tol if tol is None else tol
     w = check_tensor(w, allow_zero=False)
@@ -322,19 +318,16 @@ def tree_chart_inverse(chart, w, tol=None):
     L_leaf, _ = tucker_chart_inverse(
         w, leaf_blocks, chart.splits, ranks, tol
     )
-    Lop = assemble_laplacian(L_leaf, chart.splits, chart.shape)
-    coords, residual = chart.operator_basis.coordinates(Lop)
-    nrm = np.linalg.norm(Lop)
-    if residual > max(1e-8, tol) * max(nrm, 1e-300) and nrm > 0:
+    basis = chart.operator_basis
+    coords, residual, nrm = basis.part_coordinates(L_leaf.parts)
+    limit = max(1e-8, tol) * max(nrm, 1.0)
+    if residual > limit:
         # identify the first level whose operator space misses the operator
         failing = None
         level_resid = residual
         for k in range(1, depth + 1):
-            basis_k = level_operator_basis(
-                chart.level_partitions[k - 1], chart.splits, chart.shape
-            )
-            _, res_k = basis_k.coordinates(Lop)
-            if res_k > max(1e-8, tol) * nrm:
+            res_k = basis.level_residual(L_leaf.parts, k)
+            if res_k > limit:
                 failing = k
                 level_resid = res_k
                 break
@@ -344,20 +337,7 @@ def tree_chart_inverse(chart, w, tol=None):
             level=failing, residual=level_resid,
         )
     blocks = chart.level_partitions[0]
-    L1 = decompose_laplacian(
-        Lop, blocks, chart.splits, chart.shape, tol=max(tol, 1e-8)
-    )
-    pulled = w
-    for b in blocks:
-        s = chart.splits[b]
-        op = np.eye(s.ambient_dim) - lifted_part(s, L1.parts[b])
-        sub_partition = [b] + [
-            (m,) for m in range(1, w.ndim + 1) if m not in set(b)
-        ]
-        pulled = apply_mode_operator(op, b, sub_partition, pulled)
-    core = _extract_core(
-        pulled, [chart.splits[b].u for b in blocks], blocks, chart.shape
-    )
+    core = _pull_back(w, basis.parts(coords), chart.splits, blocks)
     try:
         _check_core_in_domain(chart, core)
     except InvalidCoreError as e:

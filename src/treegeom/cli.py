@@ -31,7 +31,6 @@ from .errors import (
     TreeValidationError,
 )
 from .formats import is_admissible, is_member, is_proper, random_tree_tensor
-from .operators import decompose_laplacian
 from .subspaces import (
     check_chain,
     minimal_subspace,
@@ -42,12 +41,15 @@ from .tangent import tangent_dimension
 from .tensor import load_tensor, save_tensor
 from .trees import (
     balanced_binary_tree,
+    level_partition,
+    levels,
     linear_tree,
     tree_from_json,
     tucker_tree,
 )
 
-OPERATOR_COMMAND_SIZE_LIMIT = 10 ** 6
+# bytes the largest arrays of one chart-check or tangent run may take
+OPERATOR_COMMAND_MEMORY_LIMIT = 2 ** 30
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -135,12 +137,41 @@ def _meta(args):
     }
 
 
-def _guard_size(shape):
-    n = prod(shape)
-    if n > OPERATOR_COMMAND_SIZE_LIMIT:
+def _operator_command_bytes(tree, r, shape, jacobian):
+    """Estimated bytes of the largest arrays an operator-space command
+    allocates: the level residual stacks in the level-1 block spaces,
+    ``(depth - 1) * sum_b n_b^2 * r_b (n_b - r_b)`` doubles (at depth 1 the
+    level-1 bases themselves), plus, with ``jacobian``, the ``N x n_params``
+    finite-difference Jacobian of the tangent oracle."""
+
+    def size(node):
+        return prod(shape[m - 1] for m in node)
+
+    def rank(node):
+        # a rank tuple missing a node is rejected before anything is built
+        return min(r[node], size(node)) if node in r else 1
+
+    entries = max(levels(tree).depth - 1, 1) * sum(
+        size(b) ** 2 * rank(b) * (size(b) - rank(b))
+        for b in level_partition(tree, 1)
+    )
+    if jacobian:
+        params = sum(shape[leaf[0] - 1] * rank(leaf) for leaf in tree.leaves)
+        params += sum(
+            rank(node) * prod(rank(kid) for kid in kids)
+            for node, kids in tree.sons.items()
+        )
+        entries += prod(shape) * params
+    return 8 * entries
+
+
+def _guard_size(tree, r, shape, jacobian=False):
+    estimate = _operator_command_bytes(tree, r, shape, jacobian)
+    if estimate > OPERATOR_COMMAND_MEMORY_LIMIT:
         raise InvalidArgumentError(
-            f"total dimension {n} exceeds the desk-scale limit "
-            f"{OPERATOR_COMMAND_SIZE_LIMIT} for operator-space commands"
+            f"estimated memory {estimate} bytes for shape {tuple(shape)} "
+            f"exceeds the limit of {OPERATOR_COMMAND_MEMORY_LIMIT} bytes "
+            "for operator-space commands"
         )
 
 
@@ -210,9 +241,9 @@ def cmd_generate(args):
 
 def cmd_chart_check(args):
     v = load_tensor(args.tensor)
-    _guard_size(v.shape)
     tree = _load_tree(args.tree, v.ndim)
     r = _load_ranks(args.ranks)
+    _guard_size(tree, r, v.shape)
     chart = tree_chart(v, tree, r, args.tol)
     rng = np.random.default_rng(args.seed)
     magnitudes = [1e-3, 1e-2, 1e-1, 1.0, 10.0]
@@ -268,10 +299,9 @@ def _sample_coords(chart, rng, magnitude):
     if dim == 0:
         return np.zeros(0)
     coords = rng.standard_normal(dim)
-    Lop = chart.operator_basis.operator(coords)
-    blocks = chart.level_partitions[0]
-    L1 = decompose_laplacian(Lop, blocks, chart.splits, chart.shape, tol=1e-6)
-    peak = L1.max_norm()
+    peak = max(
+        np.linalg.norm(C) for C in chart.operator_basis.parts(coords).values()
+    )
     if peak == 0.0:
         return coords * 0.0
     return coords * (magnitude / peak)
@@ -279,9 +309,9 @@ def _sample_coords(chart, rng, magnitude):
 
 def cmd_tangent(args):
     v = load_tensor(args.tensor)
-    _guard_size(v.shape)
     tree = _load_tree(args.tree, v.ndim)
     r = _load_ranks(args.ranks)
+    _guard_size(tree, r, v.shape, jacobian=True)
     membership = is_member(v, tree, r, args.tol)
     if not membership.member:
         doc = {

@@ -8,10 +8,13 @@ per-block term is nilpotent of order two, the terms for different blocks
 commute, and the exponential of the sum factors into the product of
 ``I + term``, which this module exploits as the fast path.
 
-Operators on the full tensor space are materialized as dense ``N x N``
-matrices (``N`` the total dimension); everything here is desk scale by
-design so that the generic matrix exponential stays available as an
-independent cross-check.
+:func:`assemble_laplacian`, :func:`decompose_laplacian` and
+:func:`laplacian_exp` work with dense ``N x N`` matrices on the full tensor
+space (``N`` the total dimension).  They are oracles and cross-checks (the
+generic matrix exponential stays available against them); the chart and
+tangent paths use only the per-block pieces (:func:`split`,
+:func:`lifted_part`) and work in level-1 block spaces, and of the chart
+functions only ``level_inverse_operator`` returns an ``N x N`` operator.
 """
 
 from __future__ import annotations

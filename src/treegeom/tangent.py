@@ -6,6 +6,17 @@ its orthogonal complement, tensored with the identity on the other blocks.
 Operators are flattened to vectors with the Frobenius inner product, which
 fixes the metric used for all bases and projectors here.
 
+Every block of a level k >= 2 lies inside exactly one level-1 block ``b``,
+and operators living on different level-1 blocks are trace-orthogonal.  So
+each level space, and their intersection, splits into one part per level-1
+block, and each part lives in ``b``'s own ``n_b x n_b`` operator space:
+``A -> (A (x) I_rest) / sqrt(n_rest)`` is an isometry onto the full space.
+The library paths (:func:`tree_operator_basis`, :func:`tangent_dimension`,
+:func:`immersion_check`) work in these block spaces; the same functions
+called on the full shape (:func:`level_operator_basis`,
+:func:`intersect_operator_spaces`) give the dense ``N^2``-long form, kept as
+the test oracle.
+
 The intersection of the level spaces over all levels composes, with the
 level-1 core space, the model space of the local charts.  Its dimension is
 compared against two independent numbers: a finite-difference Jacobian rank
@@ -19,24 +30,33 @@ numbers side by side instead of reconciling them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from math import prod
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .formats import is_member
-from .operators import split
+from .operators import LaplacianLike, assemble_laplacian, lifted_part, split
 from .subspaces import DEFAULT_TOL, minimal_subspace
-from .tensor import check_tensor, embed_block_operator, svd
+from .tensor import (
+    block_transpose_permutation,
+    check_tensor,
+    embed_block_operator,
+    svd,
+)
 from .trees import level_partition, levels
 
 __all__ = [
     "OperatorSpaceBasis",
+    "BlockSpace",
+    "BlockOperatorBasis",
     "TangentReport",
     "ImmersionReport",
     "level_operator_basis",
     "intersect_operator_spaces",
+    "tree_operator_basis",
     "network_dimension_formula",
     "parametrization_jacobian",
     "tangent_dimension_oracle",
@@ -47,9 +67,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class OperatorSpaceBasis:
-    """Orthonormal basis of a space of operators on the full tensor space.
+    """Orthonormal basis of a space of operators on a tensor space.
 
-    ``vectors`` has one flattened N*N operator per column.
+    ``vectors`` has one flattened n*n operator per column.
     """
 
     label: str
@@ -88,23 +108,66 @@ def level_operator_basis(partition, splits, shape, label=None):
     N = prod(shape)
     blocks = tuple(sorted((tuple(sorted(b)) for b in partition),
                           key=lambda b: b[0]))
-    columns = []
-    for b in blocks:
+    dims = [splits[b].rank * splits[b].corank for b in blocks]
+    vectors = np.zeros((N * N, sum(dims)))
+    # row-major (N, N, dim) view: entry [x, y, c] of column c's operator
+    ops = vectors.reshape(N, N, -1)
+    start = 0
+    for b, dim in zip(blocks, dims):
         s = splits[b]
+        if s.ambient_dim != prod(shape[m - 1] for m in b):
+            raise InvalidArgumentError(
+                f"split at {b} does not match tensor shape {shape}"
+            )
         n_rest = N // s.ambient_dim
-        scale = 1.0 / np.sqrt(n_rest)
-        for j in range(s.rank):
-            for i in range(s.corank):
-                E = np.outer(s.w[:, i], s.u[:, j])
-                columns.append(
-                    embed_block_operator(E, b, shape).ravel() * scale
-                )
-    vectors = (
-        np.column_stack(columns) if columns else np.zeros((N * N, 0))
-    )
+        # flat index of (block index, rest index) in the tensor's layout
+        flat = block_transpose_permutation(shape, b).reshape(-1, n_rest)
+        # E[x, y, j * corank + i] = w_i[x] u_j[y]: the elementary operators
+        # in the order (j, i), each acting as identity on the other modes
+        E = np.einsum("xi,yj->xyji", s.w, s.u).reshape(
+            s.ambient_dim, s.ambient_dim, dim
+        )
+        ops[flat[:, None, :], flat[None, :, :], start:start + dim] = (
+            E[:, :, None, :] / np.sqrt(n_rest)
+        )
+        start += dim
     return OperatorSpaceBasis(
         label=label or f"level:{blocks}", vectors=vectors
     )
+
+
+def _residual_spectrum(bases):
+    """Singular values and right singular vectors of the first basis's
+    residuals against the complement projectors of the others, stacked.
+
+    A basis object listed ``n`` times stands for ``n`` stacked copies of its
+    residual block (one copy scaled by ``sqrt(n)``); one listed as the first
+    adds only zero rows and is left out."""
+    first = bases[0]
+    counts = Counter(b for b in bases[1:] if b is not first)
+    if first.dim == 0 or not counts:
+        return np.zeros(0), np.eye(first.dim)
+    A = np.vstack([
+        np.sqrt(n) * (
+            first.vectors - other.vectors @ (other.vectors.T @ first.vectors)
+        )
+        for other, n in counts.items()
+    ])
+    _, s, Vt = svd(A, full_matrices=A.shape[0] < A.shape[1])
+    return s, Vt
+
+
+def _null_coefficients(s, Vt, reference, tol):
+    """Right singular vectors whose singular value is at most
+    ``tol * reference`` (all of them when the reference is zero), as
+    columns."""
+    if reference > 0:
+        null_mask = np.concatenate([
+            s <= tol * reference, np.ones(Vt.shape[0] - s.size, dtype=bool)
+        ])
+    else:
+        null_mask = np.ones(Vt.shape[0], dtype=bool)
+    return Vt[null_mask].T
 
 
 def intersect_operator_spaces(bases, tol=DEFAULT_TOL, label="intersection"):
@@ -117,23 +180,220 @@ def intersect_operator_spaces(bases, tol=DEFAULT_TOL, label="intersection"):
     """
     if not bases:
         raise InvalidArgumentError("need at least one operator space")
-    first = bases[0]
-    if len(bases) == 1 or first.dim == 0:
-        return OperatorSpaceBasis(label=label, vectors=first.vectors.copy())
-    stacked = []
-    for other in bases[1:]:
-        proj = other.vectors @ (other.vectors.T @ first.vectors)
-        stacked.append(first.vectors - proj)
-    A = np.vstack(stacked)
-    _, s, Vt = svd(A)
-    if s.size and s[0] > 0:
-        null_mask = np.concatenate([
-            s <= tol * s[0], np.ones(Vt.shape[0] - s.size, dtype=bool)
-        ])
-    else:
-        null_mask = np.ones(Vt.shape[0], dtype=bool)
-    null_basis = Vt[null_mask].T
-    return OperatorSpaceBasis(label=label, vectors=first.vectors @ null_basis)
+    s, Vt = _residual_spectrum(bases)
+    reference = s[0] if s.size else 0.0
+    null = _null_coefficients(s, Vt, reference, tol)
+    return OperatorSpaceBasis(label=label, vectors=bases[0].vectors @ null)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockSpace:
+    """One level-1 block ``b`` seen on its own.
+
+    ``shape`` is ``b``'s sub-shape and ``n_rest`` the dimension of the modes
+    outside it; ``splits`` holds the splits of the tree nodes inside ``b``
+    re-keyed to local modes ``1..len(b)`` (``b`` itself is the local root);
+    ``partitions`` holds every level partition restricted to ``b``, in
+    local modes.
+    """
+
+    block: tuple
+    shape: tuple
+    n_rest: int
+    splits: dict
+    partitions: tuple
+
+    @property
+    def split(self):
+        """The split at ``b`` itself, in local modes."""
+        return self.splits[tuple(range(1, len(self.block) + 1))]
+
+    def level_bases(self):
+        """One :func:`level_operator_basis` per level, in ``b``'s operator
+        space; levels whose restricted partitions coincide share one basis."""
+        built = {}
+        for p in self.partitions:
+            if p not in built:
+                built[p] = level_operator_basis(p, self.splits, self.shape)
+        return [built[p] for p in self.partitions]
+
+    def operator(self, parts):
+        """``b``'s part of the operator with per-block coefficients
+        ``parts`` (keyed by global blocks; those outside ``b`` are skipped),
+        as an ``n_b x n_b`` matrix."""
+        n_b = prod(self.shape)
+        out = np.zeros((n_b, n_b))
+        for alpha, C in parts.items():
+            if set(alpha) <= set(self.block):
+                local = _localize(self.block, alpha)
+                out += embed_block_operator(
+                    lifted_part(self.splits[local], C), local, self.shape
+                )
+        return out
+
+
+def _localize(block, node):
+    """The modes of ``node`` (inside ``block``) renumbered ``1..len(block)``
+    in ``block``'s order."""
+    return tuple(block.index(m) + 1 for m in node)
+
+
+def _block_spaces(tree, splits, shape):
+    """One :class:`BlockSpace` per level-1 block, in level-1 block order."""
+    depth = levels(tree).depth
+    partitions = [level_partition(tree, k) for k in range(1, depth + 1)]
+    spaces = []
+    for b in partitions[0]:
+        n_b = prod(shape[m - 1] for m in b)
+        spaces.append(BlockSpace(
+            block=b,
+            shape=tuple(shape[m - 1] for m in b),
+            n_rest=prod(shape) // n_b,
+            splits={
+                _localize(b, a): replace(s, alpha=_localize(b, a))
+                for a, s in splits.items() if set(a) <= set(b)
+            },
+            partitions=tuple(
+                tuple(_localize(b, a) for a in p if set(a) <= set(b))
+                for p in partitions
+            ),
+        ))
+    return tuple(spaces)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockOperatorBasis:
+    """Orthonormal basis of the intersection of the level operator spaces,
+    factored over the level-1 blocks.
+
+    ``null[i]`` holds, one column per basis vector, the coefficients of
+    block ``spaces[i]``'s part of the intersection in that block's level-1
+    basis (``level_operator_basis`` of the local root).  Coordinates are
+    concatenated block by block.  ``singular_values`` are those of the
+    stacked level residuals (the dense intersection's spectrum), largest
+    first; the null space was decided against the largest of them.
+
+    :meth:`parts` and :meth:`part_coordinates` map between coordinates and
+    per-block coefficients without leaving the block spaces; ``vectors``
+    and :meth:`operator` build the dense ``N x N`` form on demand, for
+    oracles only.
+    """
+
+    shape: tuple
+    spaces: tuple
+    null: tuple
+    singular_values: np.ndarray
+
+    @property
+    def dim(self):
+        return sum(Q.shape[1] for Q in self.null)
+
+    def _slices(self):
+        start = 0
+        for space, Q in zip(self.spaces, self.null):
+            yield space, Q, slice(start, start + Q.shape[1])
+            start += Q.shape[1]
+
+    def parts(self, coords):
+        """Level-1 coefficients ``{b: C_b}`` of the operator with the given
+        coordinates (``C_b`` is ``corank x rank`` in the split at ``b``)."""
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape != (self.dim,):
+            raise InvalidArgumentError(
+                f"expected {self.dim} coordinates, got {coords.shape}"
+            )
+        out = {}
+        for space, Q, sl in self._slices():
+            s = space.split
+            c = Q @ coords[sl] / np.sqrt(space.n_rest)
+            out[space.block] = c.reshape(s.rank, s.corank).T
+        return out
+
+    def part_coordinates(self, parts):
+        """Coordinates of the operator with per-block coefficients ``parts``
+        (over any partition refining level 1, e.g. the leaves), the norm of
+        its residual off the intersection, and the norm of the operator.
+
+        The residual is formed explicitly in each block space, so it is
+        accurate to roundoff relative to the operator."""
+        coords = np.zeros(self.dim)
+        resid_sq = 0.0
+        norm_sq = 0.0
+        for space, Q, sl in self._slices():
+            A = space.operator(parts)
+            s = space.split
+            scale = np.sqrt(space.n_rest)
+            c = (s.w.T @ A @ s.u).T.ravel()
+            coords[sl] = scale * (Q.T @ c)
+            C = (Q @ (Q.T @ c)).reshape(s.rank, s.corank).T
+            resid_sq += space.n_rest * np.linalg.norm(
+                A - lifted_part(s, C)) ** 2
+            norm_sq += space.n_rest * np.linalg.norm(A) ** 2
+        return coords, float(np.sqrt(resid_sq)), float(np.sqrt(norm_sq))
+
+    def level_residual(self, parts, k):
+        """Norm of the residual of the operator with coefficients ``parts``
+        off the level-``k`` operator space."""
+        resid_sq = 0.0
+        for space in self.spaces:
+            basis = level_operator_basis(
+                space.partitions[k - 1], space.splits, space.shape
+            )
+            _, resid = basis.coordinates(space.operator(parts))
+            resid_sq += space.n_rest * resid ** 2
+        return float(np.sqrt(resid_sq))
+
+    @property
+    def vectors(self):
+        """Dense ``N^2 x dim`` orthonormal basis (oracle; built on every
+        access, never cached)."""
+        N = prod(self.shape)
+        columns = []
+        for space, Q, _ in self._slices():
+            s = space.split
+            for c in Q.T:
+                C = c.reshape(s.rank, s.corank).T / np.sqrt(space.n_rest)
+                columns.append(embed_block_operator(
+                    lifted_part(s, C), space.block, self.shape
+                ).ravel())
+        return np.column_stack(columns) if columns else np.zeros((N * N, 0))
+
+    def operator(self, coords):
+        """Dense ``N x N`` operator with the given coordinates (oracle)."""
+        blocks = tuple(space.block for space in self.spaces)
+        splits = {space.block: replace(space.split, alpha=space.block)
+                  for space in self.spaces}
+        L = LaplacianLike(partition=blocks, parts=self.parts(coords))
+        return assemble_laplacian(L, splits, self.shape)
+
+
+def _intersect_blocks(spaces, block_bases, shape, tol):
+    """Intersect the level spaces block by block, deciding every block's
+    null space against the largest residual singular value of all blocks,
+    as one dense SVD of the whole stack would."""
+    spectra = [_residual_spectrum(bases) for bases in block_bases]
+    values = np.sort(np.concatenate([s for s, _ in spectra]))[::-1]
+    reference = values[0] if values.size else 0.0
+    return BlockOperatorBasis(
+        shape=tuple(shape), spaces=spaces,
+        null=tuple(_null_coefficients(s, Vt, reference, tol)
+                   for s, Vt in spectra),
+        singular_values=values,
+    )
+
+
+def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
+    """Intersection of all level operator spaces of ``tree``, factored over
+    the level-1 blocks.
+
+    Calls :func:`level_operator_basis` on each level-1 block's sub-shape
+    and intersects there; the dimension and the nonzero singular values are
+    those of :func:`intersect_operator_spaces` on the full level bases.
+    """
+    spaces = _block_spaces(tree, splits, shape)
+    return _intersect_blocks(
+        spaces, [space.level_bases() for space in spaces], shape, tol
+    )
 
 
 def _tree_splits(v, tree, tol):
@@ -300,19 +560,12 @@ def tangent_dimension(v, tree, r, tol=DEFAULT_TOL, step=1e-6):
             f"tensor does not have the prescribed rank profile; failing "
             f"levels {report.failing_levels()}"
         )
-    shape = v.shape
-    depth = levels(tree).depth
     splits = _tree_splits(v, tree, tol)
-    bases = [
-        level_operator_basis(level_partition(tree, k), splits, shape,
-                             label=f"level-{k}")
-        for k in range(1, depth + 1)
-    ]
-    inter = intersect_operator_spaces(bases, tol)
+    inter = tree_operator_basis(tree, splits, v.shape, tol)
     dim_core = prod(r[b] for b in level_partition(tree, 1))
     dim_total = inter.dim + dim_core
     oracle = tangent_dimension_oracle(v, tree, r, step=step, tol=tol)
-    formula = network_dimension_formula(tree, r, shape)
+    formula = network_dimension_formula(tree, r, v.shape)
     return TangentReport(
         dim_e=inter.dim,
         dim_core=dim_core,
@@ -354,42 +607,47 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL, operator_basis=None):
     Verifies that every intersection basis vector lies in the level-k space
     (projector residual), that the induced coordinate map has full column
     rank (condition number reported), and that the model dimension at the
-    intersection does not exceed the level-k model dimension.  A basis may
-    be supplied explicitly, e.g. to confirm that a corrupted vector is
-    flagged.
+    intersection does not exceed the level-k model dimension.  All of it is
+    computed per level-1 block; the coordinate map is block diagonal, so its
+    singular values are those of the blocks together.  A
+    :class:`BlockOperatorBasis` may be supplied explicitly, e.g. to confirm
+    that a corrupted vector is flagged.
     """
     v = check_tensor(v, allow_zero=False)
     tree.ensure_valid()
-    shape = v.shape
     depth = levels(tree).depth
     if not 1 <= k <= depth:
         raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
     splits = _tree_splits(v, tree, tol)
-    bases = [
-        level_operator_basis(level_partition(tree, j), splits, shape,
-                             label=f"level-{j}")
-        for j in range(1, depth + 1)
-    ]
+    spaces = _block_spaces(tree, splits, v.shape)
+    block_bases = [space.level_bases() for space in spaces]
     inter = operator_basis
     if inter is None:
-        inter = intersect_operator_spaces(bases, tol)
-    bk = bases[k - 1]
-    if inter.dim == 0:
-        max_resid = 0.0
-        cond = 1.0
-        injective = True
-    else:
-        proj = bk.vectors @ (bk.vectors.T @ inter.vectors)
-        max_resid = float(
-            np.max(np.linalg.norm(inter.vectors - proj, axis=0))
-        )
-        coords = bk.vectors.T @ inter.vectors
+        inter = _intersect_blocks(spaces, block_bases, v.shape, tol)
+    dim_k = sum(bases[k - 1].dim for bases in block_bases)
+    max_resid = 0.0
+    sv = []
+    for bases, Q in zip(block_bases, inter.null):
+        if Q.shape[1] == 0:
+            continue
+        vecs = bases[0].vectors @ Q
+        bk = bases[k - 1].vectors
+        coords = bk.T @ vecs
+        max_resid = max(max_resid, float(
+            np.max(np.linalg.norm(vecs - bk @ coords, axis=0))
+        ))
         s = np.linalg.svd(coords, compute_uv=False)
-        injective = bool(s.size and s[-1] > tol)
-        cond = float(s[0] / s[-1]) if injective else float("inf")
+        sv.append(np.concatenate([s, np.zeros(Q.shape[1] - s.size)]))
+    if sv:
+        s = np.concatenate(sv)
+        injective = bool(s.min() > tol)
+        cond = float(s.max() / s.min()) if injective else float("inf")
+    else:
+        injective = True
+        cond = 1.0
     core_inter = prod(r[b] for b in level_partition(tree, 1))
     core_k = prod(r[b] for b in level_partition(tree, k))
-    dim_ok = inter.dim + core_inter <= bk.dim + core_k
+    dim_ok = inter.dim + core_inter <= dim_k + core_k
     return ImmersionReport(
         level=k,
         max_inclusion_residual=max_resid,

@@ -71,11 +71,8 @@ def scaled_coords(chart, seed, magnitude):
     gen = np.random.default_rng(seed)
     dim = chart.operator_basis.dim
     coords = gen.standard_normal(dim)
-    Lop = chart.operator_basis.operator(coords)
-    L1 = tg.decompose_laplacian(
-        Lop, chart.level_partitions[0], chart.splits, chart.shape, tol=1e-6
-    )
-    peak = L1.max_norm()
+    parts = chart.operator_basis.parts(coords)
+    peak = max(np.linalg.norm(C) for C in parts.values())
     if peak == 0.0:
         return np.zeros(dim)
     return coords * (magnitude / peak)

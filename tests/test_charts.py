@@ -260,5 +260,56 @@ class TestTreeChart:
             tg.tree_chart_inverse(chart, w)
 
 
+ANCHOR_CASES = [
+    ("deep", (3, 3, 3, 3)),
+    ("linear", (3, 3, 3, 3)),
+    ("binary", (3, 3, 3, 3)),
+    ("binary", (2, 3, 3, 2)),
+]
+
+
+def anchor_case_tree(kind):
+    return {
+        "deep": tg.tree_from_nested([[[1], [[2], [3]]], [4]]),
+        "linear": tg.linear_tree(4),
+        "binary": tg.balanced_binary_tree(4),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind,shape", ANCHOR_CASES)
+class TestAnchorNeighbourhood:
+    """Shapes where every mode has corank > 0: the recovered operator at
+    the anchor is pure roundoff, and on binary d=4 the intersection is
+    0-dimensional, so every point of the chart has zero coordinates."""
+
+    def test_anchor_inverse(self, kind, shape):
+        v, r, chart = make_chart(anchor_case_tree(kind), shape, seed=21)
+        coords, core = tg.tree_chart_inverse(chart, v)
+        assert coords.shape == (chart.operator_basis.dim,)
+        assert np.linalg.norm(coords) <= 1e-10
+        np.testing.assert_allclose(core, chart.core, atol=1e-10)
+        # the operator does not change when the point is scaled
+        coords, core = tg.tree_chart_inverse(chart, 1e-6 * v)
+        assert np.linalg.norm(coords) <= 1e-10
+        np.testing.assert_allclose(core, 1e-6 * chart.core, atol=1e-16)
+
+    def test_near_anchor_roundtrips(self, kind, shape):
+        v, r, chart = make_chart(anchor_case_tree(kind), shape, seed=22)
+        gen = np.random.default_rng(23)
+        for magnitude in (1e-3, 1e-2, 1e-1):
+            coords = gen.standard_normal(chart.operator_basis.dim)
+            if coords.size:
+                coords *= magnitude / np.linalg.norm(coords)
+            core = chart.core * (
+                1 + 0.01 * gen.standard_normal(chart.core.shape)
+            )
+            w = tg.tree_chart_point(chart, coords, core)
+            rec_coords, rec_core = tg.tree_chart_inverse(chart, w)
+            denom = max(np.linalg.norm(coords), np.linalg.norm(core))
+            err = (np.linalg.norm(rec_coords - coords)
+                   + np.linalg.norm(rec_core - core)) / denom
+            assert err <= 1e-8, (magnitude, err)
+
+
 def test_sorted_blocks_helper():
     assert _sorted_blocks([(3, 2), (1,)]) == ((1,), (2, 3))

@@ -281,15 +281,25 @@ class TestMisc:
         doc = json.loads(out.read_text())
         assert doc["member"]
 
-    def test_size_guardrail(self, tmp_path, capsys):
-        # a 101x101x101 tensor would pass 1e6 entries; fake it via header
-        # only: build a small tensor but monkeypatch is overkill, so check
-        # the guard through a direct shape
-        from treegeom.cli import _guard_size
+    def test_size_guardrail(self):
+        # the guard estimates what the command allocates instead of capping
+        # the total dimension: a Tucker chart at N = 101^3 lives in 101x101
+        # block spaces and passes, its Jacobian oracle does not
+        from treegeom.cli import OPERATOR_COMMAND_MEMORY_LIMIT, _guard_size
         from treegeom.errors import InvalidArgumentError
 
-        with pytest.raises(InvalidArgumentError):
-            _guard_size((101, 101, 101))
+        tree = tg.tucker_tree(3)
+        r = TreeRank({(1,): 2, (2,): 2, (3,): 2, (1, 2, 3): 1})
+        _guard_size(tree, r, (101, 101, 101))
+        with pytest.raises(InvalidArgumentError) as err:
+            _guard_size(tree, r, (101, 101, 101), jacobian=True)
+        assert str(OPERATOR_COMMAND_MEMORY_LIMIT) in str(err.value)
+        # deep tree: the {1,2,3} block space grows as n_b^2 * dim_b
+        deep = tg.tree_from_nested([[[1], [[2], [3]]], [4]])
+        ranks = capped_rank_tuple(deep, (20, 20, 20, 2))
+        with pytest.raises(InvalidArgumentError, match="estimated memory"):
+            _guard_size(deep, ranks, (20, 20, 20, 2))
+        _guard_size(deep, ranks, (4, 4, 4, 5))
 
     def test_tree_keyword_mismatch_with_tensor(self, workspace, capsys):
         # linear tree over 4 modes is fine; a tree file over the wrong d is not

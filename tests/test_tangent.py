@@ -1,16 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import treegeom as tg
 from treegeom.subspaces import TreeRank
 from treegeom.tangent import (
-    OperatorSpaceBasis,
+    _residual_spectrum,
     _tree_splits,
     network_dimension_formula,
     parametrization_jacobian,
 )
 
-from helpers import capped_rank_tuple, intersection_dim_bruteforce
+from helpers import (
+    capped_rank_tuple,
+    intersection_dim_bruteforce,
+    principal_angle_residual,
+)
 
 
 def anchored(tree, shape, seed=0, cap=2):
@@ -75,6 +81,27 @@ class TestLevelOperatorBasis:
         )
         G = basis.vectors.T @ basis.vectors
         np.testing.assert_allclose(G, np.eye(basis.dim), atol=1e-12)
+
+    def test_matches_elementary_embedding_loop(self, mixed_tree_d6):
+        # reference: one embedded elementary operator per column
+        shape = (2, 3, 2, 2, 3, 2)
+        v, r, splits = anchored(mixed_tree_d6, shape, seed=5)
+        N = int(np.prod(shape))
+        for k in range(1, tg.levels(mixed_tree_d6).depth + 1):
+            blocks = tg.level_partition(mixed_tree_d6, k)
+            cols = []
+            for b in blocks:
+                s = splits[b]
+                n_rest = N // s.ambient_dim
+                for j in range(s.rank):
+                    for i in range(s.corank):
+                        E = np.outer(s.w[:, i], s.u[:, j])
+                        cols.append(tg.embed_block_operator(E, b, shape)
+                                    .ravel() / np.sqrt(n_rest))
+            basis = tg.level_operator_basis(blocks, splits, shape)
+            np.testing.assert_allclose(
+                basis.vectors, np.column_stack(cols), rtol=0, atol=1e-15
+            )
 
     def test_cross_block_summands_are_orthogonal(self, deep_tree_d4):
         shape = (2, 3, 2, 3)
@@ -285,25 +312,139 @@ class TestImmersionCheck:
     def test_corrupted_vector_is_flagged(self, deep_tree_d4):
         shape = (2, 2, 2, 3)
         v, r, splits = anchored(deep_tree_d4, shape, seed=18)
-        bases = level_bases(deep_tree_d4, v, splits)
-        inter = tg.intersect_operator_spaces(bases)
+        inter = tg.tree_operator_basis(deep_tree_d4, splits, shape)
         assert inter.dim > 0
-        # push a component outside the level-2 space into the first vector
-        outside = np.eye(int(np.prod(shape))).ravel()
-        outside /= np.linalg.norm(outside)
-        bad = inter.vectors.copy()
-        bad[:, 0] = (bad[:, 0] + 0.5 * outside) / np.linalg.norm(
-            bad[:, 0] + 0.5 * outside
-        )
-        corrupted = OperatorSpaceBasis(label="corrupted", vectors=bad)
+        # claim that a level-1 direction of the {1,2,3} block, which the
+        # level-2 space does not contain, lies in the intersection
+        assert inter.spaces[0].block == (1, 2, 3)
+        dim1 = inter.null[0].shape[0]
+        outside = np.eye(dim1)[:, :1]
+        corrupted = replace(inter, null=(outside,) + inter.null[1:])
         report = tg.immersion_check(
             v, deep_tree_d4, r, 2, operator_basis=corrupted
         )
         assert not report.included
         assert not report.passed
+        assert tg.immersion_check(
+            v, deep_tree_d4, r, 1, operator_basis=corrupted
+        ).included
 
     def test_level_out_of_range(self, deep_tree_d4):
         shape = (2, 2, 2, 2)
         v, r, _ = anchored(deep_tree_d4, shape, seed=19)
         with pytest.raises(tg.InvalidArgumentError):
             tg.immersion_check(v, deep_tree_d4, r, 9)
+
+
+BLOCK_CASES = [
+    ("deep", (3, 3, 3, 3)),
+    ("linear", (3, 3, 3, 3)),
+    ("binary", (3, 3, 3, 3)),
+    ("mixed", (2,) * 6),
+    ("tucker", (3, 3, 3, 3)),
+]
+
+
+def block_case(kind, shape, seed):
+    tree = {
+        "deep": tg.tree_from_nested([[[1], [[2], [3]]], [4]]),
+        "linear": tg.linear_tree(4),
+        "binary": tg.balanced_binary_tree(4),
+        "mixed": tg.tree_from_nested([[[1], [[2], [3]]], [[4], [5]], [6]]),
+        "tucker": tg.tucker_tree(4),
+    }[kind]
+    v, r, splits = anchored(tree, shape, seed=seed)
+    return tree, v, r, splits
+
+
+@pytest.mark.parametrize("kind,shape", BLOCK_CASES)
+class TestBlockSpacesMatchDenseOracle:
+    """The per-level-1-block intersection against the same functions called
+    on the full shape."""
+
+    def test_dimension_and_spectrum(self, kind, shape):
+        tree, v, r, splits = block_case(kind, shape, seed=30)
+        bases = level_bases(tree, v, splits)
+        dense = tg.intersect_operator_spaces(bases)
+        block = tg.tree_operator_basis(tree, splits, shape)
+        assert block.dim == dense.dim
+        s, _ = _residual_spectrum(bases)
+        nonzero = s[s > 1e-10 * s[0]] if s.size else s
+        ours = block.singular_values
+        ours = ours[ours > 1e-10 * ours[0]] if ours.size else ours
+        np.testing.assert_allclose(ours, nonzero, rtol=0, atol=1e-12)
+        vecs = block.vectors
+        np.testing.assert_allclose(
+            vecs.T @ vecs, np.eye(block.dim), atol=1e-12
+        )
+        assert principal_angle_residual(vecs, dense.vectors) <= 1e-10
+
+    def test_immersion_matches_dense(self, kind, shape):
+        tree, v, r, splits = block_case(kind, shape, seed=31)
+        bases = level_bases(tree, v, splits)
+        dense = tg.intersect_operator_spaces(bases)
+        for k, bk in enumerate(bases, start=1):
+            report = tg.immersion_check(v, tree, r, k)
+            assert report.passed
+            if dense.dim == 0:
+                assert report.coordinate_condition == 1.0
+                continue
+            proj = bk.vectors @ (bk.vectors.T @ dense.vectors)
+            resid = np.max(np.linalg.norm(dense.vectors - proj, axis=0))
+            assert max(resid, report.max_inclusion_residual) <= 1e-12
+            sv = np.linalg.svd(bk.vectors.T @ dense.vectors,
+                               compute_uv=False)
+            assert report.coordinate_condition == pytest.approx(
+                sv[0] / sv[-1], rel=1e-10
+            )
+
+    def test_coordinates_to_parts_match_decomposition(self, kind, shape):
+        tree, v, r, splits = block_case(kind, shape, seed=32)
+        block = tg.tree_operator_basis(tree, splits, shape)
+        gen = np.random.default_rng(33)
+        coords = gen.standard_normal(block.dim)
+        N = int(np.prod(shape))
+        Lop = (block.vectors @ coords).reshape(N, N)
+        level1 = tg.level_partition(tree, 1)
+        dec = tg.decompose_laplacian(Lop, level1, splits, shape)
+        parts = block.parts(coords)
+        assert set(parts) == set(level1)
+        for b in level1:
+            np.testing.assert_allclose(parts[b], dec.parts[b], atol=1e-12)
+
+    def test_leaf_parts_to_coordinates_match_dense(self, kind, shape):
+        tree, v, r, splits = block_case(kind, shape, seed=34)
+        bases = level_bases(tree, v, splits)
+        dense = tg.intersect_operator_spaces(bases)
+        block = tg.tree_operator_basis(tree, splits, shape)
+        leaves = tg.level_partition(tree, len(bases))
+        gen = np.random.default_rng(35)
+        # a member of the intersection: recovered exactly, no residual
+        if dense.dim:
+            Lop = dense.operator(gen.standard_normal(dense.dim))
+            leaf = tg.decompose_laplacian(Lop, leaves, splits, shape)
+            coords, resid, nrm = block.part_coordinates(leaf.parts)
+            assert resid <= 1e-12 * nrm
+            assert nrm == pytest.approx(np.linalg.norm(Lop), rel=1e-12)
+            np.testing.assert_allclose(
+                block.vectors @ coords, Lop.ravel(), atol=1e-12
+            )
+        # a generic leaf-level operator: residuals off the intersection and
+        # off every level space equal the dense projections'
+        parts = {
+            b: gen.standard_normal((splits[b].corank, splits[b].rank))
+            for b in leaves
+        }
+        Lop = tg.assemble_laplacian(
+            tg.LaplacianLike(partition=leaves, parts=parts), splits, shape
+        )
+        coords, resid, _ = block.part_coordinates(parts)
+        dense_coords, dense_resid = dense.coordinates(Lop)
+        assert resid == pytest.approx(dense_resid, rel=1e-10, abs=1e-12)
+        np.testing.assert_allclose(
+            block.vectors @ coords, dense.vectors @ dense_coords, atol=1e-10
+        )
+        for k, bk in enumerate(bases, start=1):
+            assert block.level_residual(parts, k) == pytest.approx(
+                bk.coordinates(Lop)[1], rel=1e-10, abs=1e-12
+            )
