@@ -80,7 +80,6 @@ from .operators import (
 )
 from .tangent import (
     BlockOperatorBasis,
-    BlockSpace,
     ImmersionReport,
     OperatorSpaceBasis,
     TangentReport,

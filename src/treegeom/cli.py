@@ -48,7 +48,8 @@ from .trees import (
     tucker_tree,
 )
 
-# bytes the largest arrays of one chart-check or tangent run may take
+# bytes one chart-check or tangent run may take, as estimated by
+# _operator_command_bytes
 OPERATOR_COMMAND_MEMORY_LIMIT = 2 ** 30
 
 EXIT_OK = 0
@@ -138,11 +139,22 @@ def _meta(args):
 
 
 def _operator_command_bytes(tree, r, shape, jacobian):
-    """Estimated bytes of the largest arrays an operator-space command
-    allocates: the level residual stacks in the level-1 block spaces,
-    ``(depth - 1) * sum_b n_b^2 * r_b (n_b - r_b)`` doubles (at depth 1 the
-    level-1 bases themselves), plus, with ``jacobian``, the ``N x n_params``
-    finite-difference Jacobian of the tangent oracle."""
+    """Estimated peak bytes of a ``chart-check`` or ``tangent`` run, read
+    off the shape and the rank profile: 16 MiB for the buffers of the BLAS
+    and the interpreter, whatever the shape, plus, in doubles,
+
+    - ``8 * N`` for the tensor, its unfoldings with their thin SVD factors,
+      and the chart points of a round trip;
+    - ``2 * n_a^2`` per non-root node ``a``: its kept split ``[u | w]`` and
+      the full SVD factor of ``u`` that ``w`` is read from;
+    - for the level-1 block ``b`` that costs most (blocks are handled one at
+      a time): its distinct level bases, ``n_b^2 * dim`` each, three times
+      over for the temporaries they are built with, plus the level residual
+      stack, ``n_b^2 * dim_1`` per distinct deeper level, four times over
+      (pieces, stack, and the two copies its QR factorization works on);
+    - with ``jacobian``, three ``N x n_params`` arrays: the finite-difference
+      columns, the Jacobian, and the copy its SVD works on.
+    """
 
     def size(node):
         return prod(shape[m - 1] for m in node)
@@ -151,18 +163,30 @@ def _operator_command_bytes(tree, r, shape, jacobian):
         # a rank tuple missing a node is rejected before anything is built
         return min(r[node], size(node)) if node in r else 1
 
-    entries = max(levels(tree).depth - 1, 1) * sum(
-        size(b) ** 2 * rank(b) * (size(b) - rank(b))
-        for b in level_partition(tree, 1)
-    )
+    def dim(nodes):
+        return sum(rank(a) * (size(a) - rank(a)) for a in nodes)
+
+    depth = levels(tree).depth
+    partitions = [level_partition(tree, k) for k in range(1, depth + 1)]
+    block_cost = []
+    for b in partitions[0]:
+        inside = {
+            frozenset(a for a in p if set(a) <= set(b)) for p in partitions
+        }
+        deeper = len(inside) - 1
+        block_cost.append(size(b) ** 2 * (
+            3 * sum(dim(p) for p in inside) + 4 * deeper * dim([b])
+        ))
+    entries = 8 * prod(shape) + max(block_cost)
+    entries += 2 * sum(size(a) ** 2 for a in tree.nodes if a != tree.root)
     if jacobian:
         params = sum(shape[leaf[0] - 1] * rank(leaf) for leaf in tree.leaves)
         params += sum(
             rank(node) * prod(rank(kid) for kid in kids)
             for node, kids in tree.sons.items()
         )
-        entries += prod(shape) * params
-    return 8 * entries
+        entries += 3 * prod(shape) * params
+    return 2 ** 24 + 8 * entries
 
 
 def _guard_size(tree, r, shape, jacobian=False):

@@ -30,7 +30,6 @@ from .tensor import (
     block_transpose_permutation,
     check_tensor,
     embed_block_operator,
-    matricize,
     normalize_modes,
     svd,
 )
@@ -114,13 +113,14 @@ class LaplacianLike:
 def split(v, alpha, tol=DEFAULT_TOL):
     """Minimal subspace at ``alpha`` and its orthogonal complement.
 
-    The complement is read off the full SVD of the unfolding, so ``[u | w]``
-    is orthogonal by construction.
+    The complement is read off the full SVD of the ``n_alpha x rank`` basis,
+    so ``[u | w]`` is orthogonal by construction and no array larger than
+    ``n_alpha x n_alpha`` is formed besides the unfolding's thin SVD.
     """
     v = check_tensor(v, allow_zero=False)
     alpha = normalize_modes(alpha, v.ndim)
     sub = minimal_subspace(v, alpha, tol)
-    U_full, _, _ = svd(matricize(v, alpha), full_matrices=True)
+    U_full, _, _ = svd(sub.basis, full_matrices=True)
     return SplitSpace(alpha=alpha, u=sub.basis, w=U_full[:, sub.rank:])
 
 

@@ -50,7 +50,6 @@ from .trees import level_partition, levels
 
 __all__ = [
     "OperatorSpaceBasis",
-    "BlockSpace",
     "BlockOperatorBasis",
     "TangentReport",
     "ImmersionReport",
@@ -153,7 +152,9 @@ def _residual_spectrum(bases):
         )
         for other, n in counts.items()
     ])
-    _, s, Vt = svd(A, full_matrices=A.shape[0] < A.shape[1])
+    # the R factor has A's singular values and right singular vectors;
+    # A's left factor, as tall as A, is never formed
+    _, s, Vt = svd(np.linalg.qr(A, mode="r"))
     return s, Vt
 
 
@@ -187,7 +188,7 @@ def intersect_operator_spaces(bases, tol=DEFAULT_TOL, label="intersection"):
 
 
 @dataclass(frozen=True, eq=False)
-class BlockSpace:
+class _BlockSpace:
     """One level-1 block ``b`` seen on its own.
 
     ``shape`` is ``b``'s sub-shape and ``n_rest`` the dimension of the modes
@@ -239,13 +240,13 @@ def _localize(block, node):
 
 
 def _block_spaces(tree, splits, shape):
-    """One :class:`BlockSpace` per level-1 block, in level-1 block order."""
+    """One :class:`_BlockSpace` per level-1 block, in level-1 block order."""
     depth = levels(tree).depth
     partitions = [level_partition(tree, k) for k in range(1, depth + 1)]
     spaces = []
     for b in partitions[0]:
         n_b = prod(shape[m - 1] for m in b)
-        spaces.append(BlockSpace(
+        spaces.append(_BlockSpace(
             block=b,
             shape=tuple(shape[m - 1] for m in b),
             n_rest=prod(shape) // n_b,
@@ -367,11 +368,11 @@ class BlockOperatorBasis:
         return assemble_laplacian(L, splits, self.shape)
 
 
-def _intersect_blocks(spaces, block_bases, shape, tol):
-    """Intersect the level spaces block by block, deciding every block's
-    null space against the largest residual singular value of all blocks,
-    as one dense SVD of the whole stack would."""
-    spectra = [_residual_spectrum(bases) for bases in block_bases]
+def _intersect_blocks(spaces, spectra, shape, tol):
+    """Intersect the level spaces block by block from each block's
+    :func:`_residual_spectrum`, deciding every block's null space against
+    the largest residual singular value of all blocks, as one dense SVD of
+    the whole stack would."""
     values = np.sort(np.concatenate([s for s, _ in spectra]))[::-1]
     reference = values[0] if values.size else 0.0
     return BlockOperatorBasis(
@@ -391,9 +392,9 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     those of :func:`intersect_operator_spaces` on the full level bases.
     """
     spaces = _block_spaces(tree, splits, shape)
-    return _intersect_blocks(
-        spaces, [space.level_bases() for space in spaces], shape, tol
-    )
+    # one block's level bases at a time: only the spectra are kept
+    spectra = [_residual_spectrum(space.level_bases()) for space in spaces]
+    return _intersect_blocks(spaces, spectra, shape, tol)
 
 
 def _tree_splits(v, tree, tol):
@@ -576,6 +577,34 @@ def tangent_dimension(v, tree, r, tol=DEFAULT_TOL, step=1e-6):
     )
 
 
+def _check_operator_basis(basis, spaces, shape):
+    """``basis`` if it is factored over ``spaces`` (same shape, level-1
+    blocks and level-1 splits, one coefficient row per level-1 basis
+    vector); raises otherwise."""
+    if not isinstance(basis, BlockOperatorBasis):
+        raise InvalidArgumentError(
+            "operator_basis must be a BlockOperatorBasis, got "
+            f"{type(basis).__name__}"
+        )
+    if tuple(basis.shape) != tuple(shape) or len(basis.spaces) != len(spaces):
+        raise InvalidArgumentError(
+            "operator_basis does not match the tensor shape or the level-1 "
+            "blocks"
+        )
+    for ours, theirs, Q in zip(spaces, basis.spaces, basis.null):
+        s, t = ours.split, theirs.split
+        if (ours.block != theirs.block or s.u.shape != t.u.shape
+                or s.w.shape != t.w.shape
+                or not np.allclose(s.u, t.u, atol=1e-10)
+                or not np.allclose(s.w, t.w, atol=1e-10)
+                or Q.shape[0] != s.rank * s.corank):
+            raise InvalidArgumentError(
+                f"operator_basis block {ours.block} does not match the "
+                "tensor's level-1 split there"
+            )
+    return basis
+
+
 @dataclass(frozen=True)
 class ImmersionReport:
     level: int
@@ -611,7 +640,8 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL, operator_basis=None):
     computed per level-1 block; the coordinate map is block diagonal, so its
     singular values are those of the blocks together.  A
     :class:`BlockOperatorBasis` may be supplied explicitly, e.g. to confirm
-    that a corrupted vector is flagged.
+    that a corrupted vector is flagged; it must be factored over the same
+    level-1 blocks and splits as the one computed here.
     """
     v = check_tensor(v, allow_zero=False)
     tree.ensure_valid()
@@ -621,9 +651,13 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL, operator_basis=None):
     splits = _tree_splits(v, tree, tol)
     spaces = _block_spaces(tree, splits, v.shape)
     block_bases = [space.level_bases() for space in spaces]
-    inter = operator_basis
-    if inter is None:
-        inter = _intersect_blocks(spaces, block_bases, v.shape, tol)
+    if operator_basis is None:
+        inter = _intersect_blocks(
+            spaces, [_residual_spectrum(bases) for bases in block_bases],
+            v.shape, tol,
+        )
+    else:
+        inter = _check_operator_basis(operator_basis, spaces, v.shape)
     dim_k = sum(bases[k - 1].dim for bases in block_bases)
     max_resid = 0.0
     sv = []

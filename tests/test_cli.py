@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -283,23 +286,77 @@ class TestMisc:
 
     def test_size_guardrail(self):
         # the guard estimates what the command allocates instead of capping
-        # the total dimension: a Tucker chart at N = 101^3 lives in 101x101
-        # block spaces and passes, its Jacobian oracle does not
+        # the total dimension: Tucker charts live in n x n block spaces and
+        # their splits in n x n factors, so a chart at N = 200^3 passes;
+        # its Jacobian oracle does not
         from treegeom.cli import OPERATOR_COMMAND_MEMORY_LIMIT, _guard_size
         from treegeom.errors import InvalidArgumentError
 
         tree = tg.tucker_tree(3)
         r = TreeRank({(1,): 2, (2,): 2, (3,): 2, (1, 2, 3): 1})
         _guard_size(tree, r, (101, 101, 101))
+        _guard_size(tree, r, (200, 200, 200))
         with pytest.raises(InvalidArgumentError) as err:
             _guard_size(tree, r, (101, 101, 101), jacobian=True)
         assert str(OPERATOR_COMMAND_MEMORY_LIMIT) in str(err.value)
+        # each leaf's level basis alone takes n^2 * r (n - r) doubles
+        with pytest.raises(InvalidArgumentError, match="estimated memory"):
+            _guard_size(tree, r, (250, 250, 250))
         # deep tree: the {1,2,3} block space grows as n_b^2 * dim_b
         deep = tg.tree_from_nested([[[1], [[2], [3]]], [4]])
         ranks = capped_rank_tuple(deep, (20, 20, 20, 2))
         with pytest.raises(InvalidArgumentError, match="estimated memory"):
             _guard_size(deep, ranks, (20, 20, 20, 2))
         _guard_size(deep, ranks, (4, 4, 4, 5))
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads the peak resident set from /proc")
+    @pytest.mark.parametrize("kind, shape, command", [
+        ("tucker", (60, 60, 60), "chart-check"),
+        ("linear", (4, 4, 4, 4), "chart-check"),
+        ("linear", (4, 4, 4, 4), "tangent"),
+    ])
+    def test_size_estimate_covers_measured_peak(self, tmp_path, kind,
+                                                shape, command):
+        # a fresh interpreter runs the command; the growth of its peak
+        # resident set during the run must stay below the guard's estimate
+        from treegeom.cli import _load_tree, _operator_command_bytes
+
+        tree = _load_tree(kind, len(shape))
+        r = capped_rank_tuple(tree, shape)
+        tensor_path = tmp_path / "v.bin"
+        tg.save_tensor(tensor_path, tg.random_tree_tensor(
+            tree, r, shape, seed=4))
+        ranks_path = tmp_path / "ranks.json"
+        ranks_path.write_text(ranks_to_json(r))
+        # VmHWM is the peak of this process image; ru_maxrss would start
+        # from the forking test process's size
+        script = (
+            "import sys, warnings\n"
+            "from treegeom.cli import main\n"
+            "def kib(key):\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith(key):\n"
+            "            return int(line.split()[1])\n"
+            "warnings.simplefilter('ignore')\n"
+            "before = kib('VmRSS')\n"
+            "main(sys.argv[1:])\n"
+            "print(1024 * (kib('VmHWM') - before))\n"
+        )
+        args = [
+            command, "--tensor", str(tensor_path), "--tree", kind,
+            "--ranks", str(ranks_path), "--trials", "1",
+            "--out", str(tmp_path / "report.json"),
+        ]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True,
+            text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        grown = int(done.stdout.split()[-1])
+        estimate = _operator_command_bytes(
+            tree, r, shape, command == "tangent")
+        assert 0 < grown <= estimate
 
     def test_tree_keyword_mismatch_with_tensor(self, workspace, capsys):
         # linear tree over 4 modes is fine; a tree file over the wrong d is not

@@ -329,6 +329,19 @@ class TestImmersionCheck:
             v, deep_tree_d4, r, 1, operator_basis=corrupted
         ).included
 
+    def test_mismatched_operator_basis_is_rejected(self, deep_tree_d4):
+        shape = (2, 2, 2, 3)
+        v, r, splits = anchored(deep_tree_d4, shape, seed=18)
+        dense = tg.intersect_operator_spaces(
+            level_bases(deep_tree_d4, v, splits)
+        )
+        _, _, other_splits = anchored(deep_tree_d4, shape, seed=5)
+        foreign = tg.tree_operator_basis(deep_tree_d4, other_splits, shape)
+        for basis in (dense, foreign):
+            with pytest.raises(tg.InvalidArgumentError):
+                tg.immersion_check(v, deep_tree_d4, r, 2,
+                                   operator_basis=basis)
+
     def test_level_out_of_range(self, deep_tree_d4):
         shape = (2, 2, 2, 2)
         v, r, _ = anchored(deep_tree_d4, shape, seed=19)
