@@ -268,8 +268,14 @@ def tree_chart_point(chart, operator_coords, core):
     the blockwise exponential factors.  The result keeps the anchor's rank
     profile."""
     core, _ = _check_core_in_domain(chart, core)
+    return _push_forward(chart, chart.operator_basis.parts(operator_coords),
+                         core)
+
+
+def _push_forward(chart, parts, core):
+    """Lift a core already checked by :func:`_check_core_in_domain` through
+    the blockwise exponential factors of the level-1 ``parts``."""
     blocks = chart.level_partitions[0]
-    parts = chart.operator_basis.parts(operator_coords)
     mats = [
         chart.splits[b].u + chart.splits[b].w @ parts[b] for b in blocks
     ]
@@ -336,17 +342,17 @@ def tree_chart_inverse(chart, w, tol=None):
             + (f"; level {failing} rejects it" if failing else ""),
             level=failing, residual=level_resid,
         )
-    blocks = chart.level_partitions[0]
-    core = _pull_back(w, basis.parts(coords), chart.splits, blocks)
+    parts = basis.parts(coords)
+    core = _pull_back(w, parts, chart.splits, chart.level_partitions[0])
     try:
-        _check_core_in_domain(chart, core)
+        core, _ = _check_core_in_domain(chart, core)
     except InvalidCoreError as e:
         raise OutsideChartImageError(
             f"pulled-back core is outside the chart's core set: {e}",
         ) from e
     # the chart image need not cover a whole rank-profile neighborhood, so
     # the recovered pair is verified to actually reproduce the point
-    w_rec = tree_chart_point(chart, coords, core)
+    w_rec = _push_forward(chart, parts, core)
     rec_err = float(np.linalg.norm(w_rec - w))
     if rec_err > max(tol, 1e-8) * np.linalg.norm(w):
         raise OutsideChartImageError(

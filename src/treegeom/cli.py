@@ -35,7 +35,6 @@ from .subspaces import (
     check_chain,
     minimal_subspace,
     ranks_from_json,
-    tree_rank,
 )
 from .tangent import tangent_dimension
 from .tensor import load_tensor, save_tensor
@@ -202,20 +201,18 @@ def _guard_size(tree, r, shape, jacobian=False):
 def cmd_analyze(args):
     v = load_tensor(args.tensor)
     tree = _load_tree(args.tree, v.ndim)
-    ranks = tree_rank(v, tree, args.tol)
-    tails = {}
-    for node in sorted(tree.nodes, key=lambda b: (len(b), b)):
-        sub = minimal_subspace(v, node, args.tol)
-        tails[str(list(node))] = [float(s) for s in sub.singular_values]
+    nodes = sorted(tree.nodes, key=lambda b: (len(b), b))
+    subs = [minimal_subspace(v, node, args.tol) for node in nodes]
     residuals = check_chain(v, tree, args.tol)
     report = {
         **_meta(args),
         "command": "analyze",
         "shape": list(v.shape),
-        "ranks": [
-            {"block": list(node), "r": val} for node, val in ranks.items()
-        ],
-        "singular_values": tails,
+        "ranks": [{"block": list(sub.alpha), "r": sub.rank} for sub in subs],
+        "singular_values": {
+            str(list(sub.alpha)): [float(s) for s in sub.singular_values]
+            for sub in subs
+        },
         "chain_residuals": {str(k): float(r) for k, r in residuals.items()},
     }
     _emit(report, args)

@@ -4,7 +4,10 @@ The set of tensors with a prescribed tree-based rank is the intersection of
 the level-wise Tucker sets of the tree.  Membership is therefore decided by
 checking, at every level partition, that every block's minimal subspace has
 the prescribed dimension; the report records each level so the equivalence
-with the direct all-node rank check is observable.
+with the direct all-node rank check is observable.  A block that appears in
+several level partitions (a leaf above the deepest level) is one tree node,
+so the rank profile is computed once, one singular-value-only SVD per node,
+and every level reads its blocks off it.
 
 Admissibility (is some tensor realizing the tuple?) is decided by a list of
 necessary conditions followed by randomized realization attempts; properness
@@ -26,7 +29,7 @@ from .errors import (
     GenerationFailureError,
     InvalidArgumentError,
 )
-from .subspaces import DEFAULT_TOL, minimal_subspace, tree_rank
+from .subspaces import DEFAULT_TOL, _ranks, tree_rank
 from .tensor import check_tensor, complement_modes, normalize_modes
 from .trees import level_partition, levels
 
@@ -115,13 +118,25 @@ class PropernessReport:
         }
 
 
-def _block_ranks(r, blocks):
-    missing = [b for b in blocks if b not in r]
+def _check_covers(tree, r):
+    missing = tree.nodes - r.nodes()
     if missing:
         raise InvalidArgumentError(
-            f"rank tuple is missing blocks {[set(b) for b in missing]}"
+            f"rank tuple is missing tree nodes {[set(b) for b in sorted(missing)]}"
         )
-    return tuple(r[b] for b in blocks)
+
+
+def _node_ranks(v, tree, r, tol):
+    """Validate a tensor against a tree and a rank tuple covering it, and
+    return the tensor's rank at every tree node."""
+    v = check_tensor(v, allow_zero=False)
+    tree.ensure_valid()
+    _check_covers(tree, r)
+    if tree.ndim != v.ndim:
+        raise InvalidArgumentError(
+            f"tree has {tree.ndim} modes, tensor has {v.ndim}"
+        )
+    return _ranks(v, tree.nodes, tol)
 
 
 def tucker_membership(v, partition, ranks, tol=DEFAULT_TOL):
@@ -136,7 +151,8 @@ def tucker_membership(v, partition, ranks, tol=DEFAULT_TOL):
     expected = tuple(int(ranks[b]) for b in blocks)
     if any(e < 1 for e in expected):
         raise InvalidArgumentError("expected ranks must be positive")
-    computed = tuple(minimal_subspace(v, b, tol).rank for b in blocks)
+    found = _ranks(v, blocks, tol)
+    computed = tuple(found[b] for b in blocks)
     return computed == expected, computed
 
 
@@ -146,26 +162,19 @@ def is_member(v, tree, r, tol=DEFAULT_TOL):
     Runs the Tucker membership test at every level partition; the member flag
     is the conjunction of the per-level passes together with the (trivial)
     root condition.  Equivalent to checking the minimal subspace dimension at
-    every tree node directly.
+    every tree node directly: every level reads its blocks off one rank
+    profile of ``v``, one SVD per tree node.
     """
-    v = check_tensor(v, allow_zero=False)
-    tree.ensure_valid()
-    missing = tree.nodes - r.nodes()
-    if missing:
-        raise InvalidArgumentError(
-            f"rank tuple is missing tree nodes {[set(b) for b in sorted(missing)]}"
-        )
-    depth = levels(tree).depth
+    computed = _node_ranks(v, tree, r, tol)
+    if any(r[b] < 1 for b in tree.nodes if b != tree.root):
+        raise InvalidArgumentError("expected ranks must be positive")
     per_level = {}
-    ok = True
-    for k in range(1, depth + 1):
+    for k in range(1, levels(tree).depth + 1):
         blocks = level_partition(tree, k)
-        expected = _block_ranks(r, blocks)
-        passed, computed = tucker_membership(
-            v, blocks, {b: e for b, e in zip(blocks, expected)}, tol
-        )
-        per_level[k] = LevelCheck(blocks, expected, computed, passed)
-        ok = ok and passed
+        expected = tuple(r[b] for b in blocks)
+        got = tuple(computed[b] for b in blocks)
+        per_level[k] = LevelCheck(blocks, expected, got, got == expected)
+    ok = all(chk.passed for chk in per_level.values())
     root_ok = r[tree.root] == 1  # a nonzero tensor always spans a line
     return MembershipReport(
         member=ok and root_ok, root_ok=root_ok, per_level=per_level, tol=tol
@@ -174,14 +183,7 @@ def is_member(v, tree, r, tol=DEFAULT_TOL):
 
 def bounded_rank_member(v, tree, r, tol=DEFAULT_TOL):
     """True iff every node's minimal subspace dimension is at most its bound."""
-    v = check_tensor(v, allow_zero=False)
-    tree.ensure_valid()
-    missing = tree.nodes - r.nodes()
-    if missing:
-        raise InvalidArgumentError(
-            f"rank tuple is missing tree nodes {[set(b) for b in sorted(missing)]}"
-        )
-    computed = tree_rank(v, tree, tol)
+    computed = _node_ranks(v, tree, r, tol)
     return all(computed[node] <= r[node] for node in tree.nodes)
 
 
@@ -199,11 +201,7 @@ def necessary_rank_conditions(tree, r, shape):
     tree.ensure_valid()
     if len(shape) != tree.ndim:
         raise InvalidArgumentError("shape does not match tree")
-    missing = tree.nodes - r.nodes()
-    if missing:
-        raise InvalidArgumentError(
-            f"rank tuple is missing tree nodes {[set(b) for b in sorted(missing)]}"
-        )
+    _check_covers(tree, r)
     violations = []
     if r[tree.root] != 1:
         violations.append(f"root rank must be 1, got {r[tree.root]}")
@@ -295,6 +293,11 @@ def random_tree_tensor(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
     reported as a generation failure (evidence that the tuple may not be
     realizable over this shape).
     """
+    return generation_attempts(tree, r, shape, seed, max_retries, tol)[0]
+
+
+def generation_attempts(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
+    """Like :func:`random_tree_tensor` but also reports the attempt count."""
     violations = necessary_rank_conditions(tree, r, shape)
     if violations:
         raise InvalidArgumentError(
@@ -306,27 +309,10 @@ def random_tree_tensor(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
         v = _sample_network(tree, r, shape, rng)
         last = tree_rank(v, tree, tol)
         if last == r:
-            return v
+            return v, attempt + 1
     raise GenerationFailureError(
         f"could not realize the requested ranks in {max_retries} attempts; "
         f"last profile {last}"
-    )
-
-
-def generation_attempts(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
-    """Like :func:`random_tree_tensor` but also reports the attempt count."""
-    violations = necessary_rank_conditions(tree, r, shape)
-    if violations:
-        raise InvalidArgumentError(
-            "rank tuple violates necessary conditions: " + "; ".join(violations)
-        )
-    for attempt in range(max_retries):
-        rng = np.random.default_rng(seed + attempt)
-        v = _sample_network(tree, r, shape, rng)
-        if tree_rank(v, tree, tol) == r:
-            return v, attempt + 1
-    raise GenerationFailureError(
-        f"could not realize the requested ranks in {max_retries} attempts"
     )
 
 

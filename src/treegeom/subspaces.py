@@ -10,6 +10,14 @@ Rank decisions are approximate by nature in floating point: every function
 takes a relative tolerance (default ``1e-10``) applied to the largest
 singular value.  The zero tensor is rejected rather than assigned rank zero,
 since rank tuples are required to be positive.
+
+A decision that needs only a rank reads it off the singular values alone,
+one SVD without factors per distinct node (:func:`tree_rank`, and the
+membership tests of :mod:`treegeom.formats`); the thresholded values are
+the ones :func:`minimal_subspace` thresholds.  The singular values are
+taken from the unfolding itself, not from the eigenvalues of its Gram
+matrix, whose squaring would push the default tolerance below machine
+precision.  Bases are computed only where a caller needs one.
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
 from .tensor import (
+    _unfold,
     apply_mode_operator,
     check_tensor,
-    matricize,
     normalize_modes,
     svd,
 )
@@ -112,7 +120,7 @@ def minimal_subspace(v, alpha, tol=DEFAULT_TOL):
     if tol <= 0:
         raise InvalidArgumentError("rank tolerance must be positive")
     alpha = normalize_modes(alpha, v.ndim)
-    U, s, _ = svd(matricize(v, alpha))
+    U, s, _ = svd(_unfold(v, alpha))
     r = int(np.sum(s > tol * s[0]))
     return SubspaceBasis(
         alpha=alpha, basis=U[:, :r], singular_values=s[:r], tol=tol
@@ -127,10 +135,24 @@ def tree_rank(v, tree, tol=DEFAULT_TOL):
         raise InvalidArgumentError(
             f"tree has {tree.ndim} modes, tensor has {v.ndim}"
         )
+    return TreeRank(_ranks(v, tree.nodes, tol))
+
+
+def _ranks(v, blocks, tol):
+    """Minimal subspace dimension of ``v`` at each distinct block.
+
+    ``v`` must have passed :func:`check_tensor` with ``allow_zero=False``
+    and the blocks must be normalized.  Each block costs one SVD without
+    factors, thresholded as in :func:`minimal_subspace`.
+    """
+    if tol <= 0:
+        raise InvalidArgumentError("rank tolerance must be positive")
     ranks = {}
-    for node in tree.nodes:
-        ranks[node] = minimal_subspace(v, node, tol).rank
-    return TreeRank(ranks)
+    for b in blocks:
+        if b not in ranks:
+            s = np.linalg.svd(_unfold(v, b), compute_uv=False)
+            ranks[b] = int(np.sum(s > tol * s[0]))
+    return ranks
 
 
 def bundle_projection(v, partition, tol=DEFAULT_TOL):
@@ -203,15 +225,14 @@ def check_chain(v, tree, tol=DEFAULT_TOL):
     v = check_tensor(v, allow_zero=False)
     tree.ensure_valid()
     depth = levels(tree).depth
+    bases = {}
     residuals = {}
     for k in range(1, depth + 1):
-        blocks = level_partition(tree, k)
         proj = v
-        for b in blocks:
-            basis = minimal_subspace(v, b, tol).basis
-            proj = _project_block_tensor(
-                proj, b, basis
-            )
+        for b in level_partition(tree, k):
+            if b not in bases:
+                bases[b] = minimal_subspace(v, b, tol).basis
+            proj = _project_block_tensor(proj, b, bases[b])
         residuals[k] = float(np.linalg.norm(v - proj))
     return residuals
 

@@ -82,7 +82,12 @@ def matricize(v, alpha):
     Frobenius norm is preserved.
     """
     v = check_tensor(v)
-    alpha = normalize_modes(alpha, v.ndim)
+    return _unfold(v, normalize_modes(alpha, v.ndim))
+
+
+def _unfold(v, alpha):
+    """:func:`matricize` of a float array already passed through
+    :func:`check_tensor`, at a mode subset already normalized."""
     row_axes = [a - 1 for a in alpha]
     col_axes = [m - 1 for m in complement_modes(alpha, v.ndim)]
     rows = prod(v.shape[i] for i in row_axes)
@@ -122,7 +127,7 @@ def apply_mode_operator(A, alpha, partition, v):
     blocks = _check_partition(partition, v.ndim)
     if alpha not in blocks:
         raise InvalidArgumentError(f"partition does not contain block {alpha}")
-    M = matricize(v, alpha)
+    M = _unfold(v, alpha)
     if A.shape[1] != M.shape[0]:
         raise InvalidArgumentError(
             f"operator has {A.shape[1]} columns, block {alpha} has size {M.shape[0]}"

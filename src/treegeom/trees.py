@@ -9,12 +9,17 @@ Nodes are stored as sorted tuples of mode labels; equality of nodes is set
 equality.  Sons are kept in a deterministic order (ascending by smallest
 element), which fixes iteration order everywhere without imposing structure
 the format itself does not have.
+
+A tree is immutable, so it remembers what it has derived: a successful
+validation, its levels and its level partitions are computed once per tree.
+A failed validation is not remembered and raises again on every call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import InvalidArgumentError, ParseError, TreeValidationError
 
@@ -50,7 +55,8 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class LevelInfo:
-    """Vertex levels (root at 0) and the depth of the tree."""
+    """Vertex levels (root at 0, a read-only mapping) and the depth of the
+    tree."""
 
     level: dict
     depth: int
@@ -65,7 +71,8 @@ class DimensionTree:
         Number of modes; the root is ``(1, ..., ndim)``.
     sons : mapping
         Maps each non-leaf node (any iterable of modes) to an iterable of its
-        sons.  Structure is validated lazily via :func:`validate`.
+        sons.  Structure is validated lazily via :func:`validate`.  The
+        ``sons`` attribute is a read-only view of the canonical form.
     """
 
     def __init__(self, ndim, sons):
@@ -73,7 +80,12 @@ class DimensionTree:
             raise InvalidArgumentError("tree needs at least one mode")
         self.ndim = int(ndim)
         self.root = tuple(range(1, self.ndim + 1))
-        self.sons = {_canon(k): _sort_blocks(v) for k, v in sons.items()}
+        self.sons = MappingProxyType(
+            {_canon(k): _sort_blocks(v) for k, v in sons.items()}
+        )
+        self._valid = False
+        self._levels = None
+        self._partitions = None
         nodes = {self.root} | set(self.sons)
         for kids in self.sons.values():
             nodes.update(kids)
@@ -107,10 +119,18 @@ class DimensionTree:
     def __repr__(self):
         return f"DimensionTree(ndim={self.ndim}, nodes={len(self.nodes)})"
 
+    def __reduce__(self):
+        # the read-only view of the sons cannot be pickled or copied itself
+        return DimensionTree, (self.ndim, dict(self.sons))
+
     def ensure_valid(self):
-        report = validate(self)
-        if not report.ok:
-            raise TreeValidationError(report.violations)
+        """Raise :class:`TreeValidationError` unless the axioms hold; a pass
+        is remembered, a failure is checked again on the next call."""
+        if not self._valid:
+            report = validate(self)
+            if not report.ok:
+                raise TreeValidationError(report.violations)
+            self._valid = True
         return self
 
 
@@ -193,16 +213,20 @@ def validate(tree):
 def levels(tree):
     """Breadth-first level assignment from the root; depth is the maximum."""
     tree.ensure_valid()
-    level = {tree.root: 0}
-    frontier = [tree.root]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for kid in tree.sons_of(node):
-                level[kid] = level[node] + 1
-                nxt.append(kid)
-        frontier = nxt
-    return LevelInfo(level=level, depth=max(level.values()))
+    if tree._levels is None:
+        level = {tree.root: 0}
+        frontier = [tree.root]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for kid in tree.sons_of(node):
+                    level[kid] = level[node] + 1
+                    nxt.append(kid)
+            frontier = nxt
+        tree._levels = LevelInfo(
+            level=MappingProxyType(level), depth=max(level.values())
+        )
+    return tree._levels
 
 
 def level_partition(tree, k):
@@ -217,11 +241,15 @@ def level_partition(tree, k):
         raise InvalidArgumentError(
             f"level {k} out of range 1..{info.depth}"
         )
-    blocks = [n for n, l in info.level.items() if l == k]
-    blocks += [
-        n for n in tree.leaves if info.level[n] < k
-    ]
-    return _sort_blocks(blocks)
+    if tree._partitions is None:
+        tree._partitions = tuple(
+            _sort_blocks(
+                [n for n, l in info.level.items() if l == j]
+                + [n for n in tree.leaves if info.level[n] < j]
+            )
+            for j in range(1, info.depth + 1)
+        )
+    return tree._partitions[k - 1]
 
 
 def tucker_tree(d):
@@ -317,11 +345,7 @@ def tree_from_nested(obj):
         raise ParseError(
             f"root block must be 1..d, got {list(root)}"
         )
-    tree = DimensionTree(len(root), sons)
-    report = validate(tree)
-    if not report.ok:
-        raise TreeValidationError(report.violations)
-    return tree
+    return DimensionTree(len(root), sons).ensure_valid()
 
 
 def tree_from_json(text):

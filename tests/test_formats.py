@@ -107,6 +107,29 @@ class TestIsMember:
         with pytest.raises(InvalidArgumentError):
             tg.is_member(v, deep_tree_d4, incomplete)
 
+    def test_tensor_order_must_match_the_tree(self, deep_tree_d4, rng):
+        r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
+        with pytest.raises(InvalidArgumentError, match="tree has 4 modes"):
+            tg.is_member(rng.standard_normal((2,) * 5), deep_tree_d4, r)
+
+    def test_one_singular_value_solve_per_node(self, monkeypatch):
+        # a leaf of the linear tree sits in every level partition below its
+        # own, so deciding the levels one by one factors it again each time
+        tree = tg.linear_tree(5)
+        shape = (2, 3, 2, 3, 2)
+        r = capped_rank_tuple(tree, shape)
+        v = tg.random_tree_tensor(tree, r, shape, seed=0)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert tg.is_member(v, tree, r).member
+        assert calls == [False] * len(tree.nodes)
+
 
 class TestBoundedRank:
     def test_max_bounds_always_pass(self, deep_tree_d4, rng):
@@ -218,6 +241,34 @@ class TestProperness:
         report = tg.is_proper(tree, r, (2, 2, 2))
         assert not report.proper
         assert "depth-1" in report.reason
+
+    @pytest.mark.parametrize("name, expected", [
+        ("linear", {
+            "proper": True,
+            "reason": "every level produced sampled witnesses outside the "
+                      "tree constraints (Monte-Carlo verdict)",
+            "structural": False,
+            "samples_per_level": {"1": 50, "2": 50, "3": 50},
+            "escapes_per_level": {"1": 50, "2": 50, "3": 50},
+        }),
+        ("deep", {
+            "proper": False,
+            "reason": "all 50 sampled members of the level-2 Tucker set "
+                      "satisfied every tree constraint (sampling-based)",
+            "structural": False,
+            "samples_per_level": {"1": 50, "2": 50},
+            "escapes_per_level": {"1": 50, "2": 0},
+        }),
+    ])
+    def test_sampled_verdict_is_pinned(self, name, expected, deep_tree_d4):
+        # recorded from the level-by-level membership test that decided each
+        # level block with its own factorization
+        tree, shape = {
+            "linear": (tg.linear_tree(4), (3, 3, 3, 3)),
+            "deep": (deep_tree_d4, (2, 2, 2, 3)),
+        }[name]
+        r = capped_rank_tuple(tree, shape)
+        assert tg.is_proper(tree, r, shape, seed=1000).to_dict() == expected
 
     def test_inadmissible_rejected(self, deep_tree_d4):
         r = bump(capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2)), (1, 2, 3, 4))

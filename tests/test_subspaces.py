@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import treegeom as tg
 from treegeom.errors import DegenerateInputError, InvalidArgumentError
-from treegeom.subspaces import TreeRank, ranks_from_json, ranks_to_json
+from treegeom.subspaces import TreeRank, _ranks, ranks_from_json, ranks_to_json
 
 from helpers import capped_rank_tuple, gauss_rank_float
 
@@ -105,6 +105,52 @@ class TestTreeRank:
     def test_shape_mismatch(self, deep_tree_d4, rng):
         with pytest.raises(InvalidArgumentError):
             tg.tree_rank(rng.standard_normal((2, 2)), deep_tree_d4)
+
+
+def _with_tail(shape, alpha, ratio, rng):
+    """Tensor whose unfolding at ``alpha`` has the singular values 1 and
+    ``ratio``."""
+    rest = [m for m in range(1, len(shape) + 1) if m not in alpha]
+    n_in = int(np.prod([shape[m - 1] for m in alpha]))
+    n_out = int(np.prod(shape)) // n_in
+    U = np.linalg.qr(rng.standard_normal((n_in, 2)))[0]
+    V = np.linalg.qr(rng.standard_normal((n_out, 2)))[0]
+    M = (U * [1.0, ratio]) @ V.T
+    dims = [shape[m - 1] for m in alpha] + [shape[m - 1] for m in rest]
+    axes = [m - 1 for m in alpha] + [m - 1 for m in rest]
+    return np.transpose(M.reshape(dims), np.argsort(axes))
+
+
+class TestRankProfile:
+    """The singular-value-only rank profile decides every node exactly as
+    the thresholded basis of :func:`minimal_subspace` does."""
+
+    @pytest.mark.parametrize("name", ["deep", "linear", "binary", "mixed",
+                                      "tucker"])
+    def test_matches_minimal_subspace_near_the_threshold(
+        self, name, deep_tree_d4, mixed_tree_d6, rng
+    ):
+        tree, shape = {
+            "deep": (deep_tree_d4, (3, 3, 3, 3)),
+            "linear": (tg.linear_tree(4), (3, 3, 3, 3)),
+            "binary": (tg.balanced_binary_tree(4), (3, 3, 3, 3)),
+            "mixed": (mixed_tree_d6, (2, 3, 2, 3, 2, 2)),
+            "tucker": (tg.tucker_tree(4), (3, 3, 3, 3)),
+        }[name]
+        tol = tg.DEFAULT_TOL
+        for alpha in sorted(tree.nodes - {tree.root}):
+            for ratio, extra in ((1e2 * tol, 1), (1e-2 * tol, 0)):
+                v = _with_tail(shape, alpha, ratio, rng)
+                profile = tg.tree_rank(v, tree, tol)
+                assert profile[alpha] == 1 + extra
+                assert _ranks(v, tree.nodes, tol) == profile.ranks
+                for node in tree.nodes:
+                    assert profile[node] == tg.minimal_subspace(
+                        v, node, tol).rank
+
+    def test_nonpositive_tolerance_rejected(self, deep_tree_d4, rng):
+        with pytest.raises(InvalidArgumentError):
+            tg.tree_rank(rng.standard_normal((2, 2, 2, 2)), deep_tree_d4, 0.0)
 
 
 class TestBundleProjection:

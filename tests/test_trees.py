@@ -1,4 +1,6 @@
 import json
+import pickle
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -233,6 +235,29 @@ class TestJson:
         text = json.dumps({"block": [1, 2, 3], "sons": [[1], [2]]})
         with pytest.raises(ParseError):
             tree_from_json(text)
+
+
+class TestImmutability:
+    def test_invalid_tree_raises_on_every_levels_call(self):
+        tree = DimensionTree(3, {(1, 2, 3): [(1,), (2, 3)]})
+        for _ in range(3):
+            with pytest.raises(TreeValidationError):
+                levels(tree)
+            with pytest.raises(TreeValidationError):
+                level_partition(tree, 1)
+
+    def test_sons_are_read_only(self, deep_tree_d4):
+        with pytest.raises(TypeError):
+            deep_tree_d4.sons[(2, 3)] = ((2,), (3,))
+        with pytest.raises(TypeError):
+            del deep_tree_d4.sons[(2, 3)]
+        assert level_partition(deep_tree_d4, 2) == ((1,), (2, 3), (4,))
+
+    def test_copies_are_equal_and_valid(self, deep_tree_d4):
+        for copy in (pickle.loads(pickle.dumps(deep_tree_d4)),
+                     deepcopy(deep_tree_d4)):
+            assert copy == deep_tree_d4
+            assert levels(copy).depth == 3
 
 
 def test_equality_is_structural(deep_tree_d4):
