@@ -25,7 +25,6 @@ from .tensor import (
     embed_block_operator,
     load_tensor,
     matricize,
-    matrix_exp,
     save_tensor,
     svd,
     svd_rank,
@@ -47,7 +46,6 @@ from .subspaces import (
     DEFAULT_TOL,
     SubspaceBasis,
     TreeRank,
-    bundle_projection,
     check_chain,
     check_nestedness,
     minimal_subspace,
@@ -75,7 +73,6 @@ from .operators import (
     decompose_laplacian,
     laplacian_exp,
     lifted_part,
-    oblique_projector,
     split,
 )
 from .tangent import (

@@ -32,11 +32,16 @@ from .errors import (
     OutsideChartDomainError,
     OutsideChartImageError,
 )
-from .formats import _structurally_implied, is_member
-from .operators import LaplacianLike, assemble_laplacian, lifted_part, split
+from .formats import _structurally_implied, is_member, require_member
+from .operators import (
+    LaplacianLike,
+    assemble_laplacian,
+    lifted_part,
+    tree_splits,
+)
 from .subspaces import DEFAULT_TOL, minimal_subspace
 from .tangent import BlockOperatorBasis, tree_operator_basis
-from .tensor import apply_mode_operator, check_tensor
+from .tensor import apply_mode_operator, check_tensor, sorted_blocks, svd_rank
 from .trees import level_partition, levels
 
 __all__ = [
@@ -50,11 +55,6 @@ __all__ = [
 ]
 
 GRAPH_CONDITION_LIMIT = 1e8
-
-
-def _sorted_blocks(partition):
-    return tuple(sorted((tuple(sorted(b)) for b in partition),
-                        key=lambda b: b[0]))
 
 
 def _apply_block_maps(t_core, mats, blocks, shape):
@@ -109,8 +109,7 @@ def _check_full_core(core, blocks, ranks, tol):
         raise InvalidCoreError("core is identically zero")
     for i, b in enumerate(blocks):
         M = np.moveaxis(core, i, 0).reshape(core.shape[i], -1)
-        s = np.linalg.svd(M, compute_uv=False)
-        r = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+        r = svd_rank(np.linalg.svd(M, compute_uv=False), tol)
         if r != ranks[i]:
             raise InvalidCoreError(
                 f"core is rank-deficient on block {set(b)}: "
@@ -130,9 +129,13 @@ def tucker_chart_point(L, core, splits, shape, tol=DEFAULT_TOL):
     blocks = L.partition
     ranks = [splits[b].rank for b in blocks]
     core = _check_full_core(core, blocks, ranks, tol)
-    mats = [
-        splits[b].u + splits[b].w @ L.parts[b] for b in blocks
-    ]
+    return _push_forward(core, L.parts, splits, blocks, shape)
+
+
+def _push_forward(core, parts, splits, blocks, shape):
+    """Lift a checked core through the blockwise exponential factors
+    ``u + w C`` of the per-block coefficients ``parts``."""
+    mats = [splits[b].u + splits[b].w @ parts[b] for b in blocks]
     return _apply_block_maps(core, mats, blocks, shape)
 
 
@@ -150,7 +153,7 @@ def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
     point is outside this chart's domain).
     """
     w = check_tensor(w, allow_zero=False)
-    blocks = _sorted_blocks(partition)
+    blocks = sorted_blocks(partition)
     parts = {}
     for b in blocks:
         s = splits[b]
@@ -208,14 +211,7 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
     """
     if tol is None or tol <= 0:
         raise InvalidArgumentError("chart tolerance must be positive")
-    v = check_tensor(v, allow_zero=False)
-    tree.ensure_valid()
-    report = is_member(v, tree, r, tol)
-    if not report.member:
-        raise NotOnManifoldError(
-            f"anchor does not have the prescribed rank profile; failing "
-            f"levels {report.failing_levels()}"
-        )
+    v = require_member(v, tree, r, tol)
     depth = levels(tree).depth
     partitions = tuple(level_partition(tree, k) for k in range(1, depth + 1))
     if depth == 1 or any(
@@ -225,9 +221,7 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
             "fixed-rank set is not proper: some level set already equals it",
             stacklevel=2,
         )
-    splits = {
-        node: split(v, node, tol) for node in tree.nodes if node != tree.root
-    }
+    splits = tree_splits(v, tree, tol)
     operator_basis = tree_operator_basis(tree, splits, v.shape, tol)
     core = _extract_core(
         v, [splits[b].u for b in partitions[0]], partitions[0], v.shape
@@ -239,27 +233,22 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
     )
 
 
-def _lift_level1(chart, core):
-    blocks = chart.level_partitions[0]
-    return _apply_block_maps(
-        core, [chart.splits[b].u for b in blocks], blocks, chart.shape
-    )
-
-
 def _check_core_in_domain(chart, core):
     """The core must keep full rank at every level when lifted through the
     anchor subspaces; otherwise the image leaves the fixed-rank set."""
     blocks = chart.level_partitions[0]
     ranks = [chart.splits[b].rank for b in blocks]
     core = _check_full_core(core, blocks, ranks, chart.tol)
-    lifted = _lift_level1(chart, core)
+    lifted = _apply_block_maps(
+        core, [chart.splits[b].u for b in blocks], blocks, chart.shape
+    )
     report = is_member(lifted, chart.tree, chart.ranks, chart.tol)
     if not report.member:
         raise InvalidCoreError(
             "core loses rank at levels "
             f"{report.failing_levels()} when lifted through the anchor bases"
         )
-    return core, lifted
+    return core
 
 
 def tree_chart_point(chart, operator_coords, core):
@@ -267,19 +256,9 @@ def tree_chart_point(chart, operator_coords, core):
     the operator's level-1 coefficients, and push the lifted core through
     the blockwise exponential factors.  The result keeps the anchor's rank
     profile."""
-    core, _ = _check_core_in_domain(chart, core)
-    return _push_forward(chart, chart.operator_basis.parts(operator_coords),
-                         core)
-
-
-def _push_forward(chart, parts, core):
-    """Lift a core already checked by :func:`_check_core_in_domain` through
-    the blockwise exponential factors of the level-1 ``parts``."""
-    blocks = chart.level_partitions[0]
-    mats = [
-        chart.splits[b].u + chart.splits[b].w @ parts[b] for b in blocks
-    ]
-    return _apply_block_maps(core, mats, blocks, chart.shape)
+    core = _check_core_in_domain(chart, core)
+    return _push_forward(core, chart.operator_basis.parts(operator_coords),
+                         chart.splits, chart.level_partitions[0], chart.shape)
 
 
 def level_inverse_operator(chart, w, k, tol=None):
@@ -345,14 +324,15 @@ def tree_chart_inverse(chart, w, tol=None):
     parts = basis.parts(coords)
     core = _pull_back(w, parts, chart.splits, chart.level_partitions[0])
     try:
-        core, _ = _check_core_in_domain(chart, core)
+        core = _check_core_in_domain(chart, core)
     except InvalidCoreError as e:
         raise OutsideChartImageError(
             f"pulled-back core is outside the chart's core set: {e}",
         ) from e
     # the chart image need not cover a whole rank-profile neighborhood, so
     # the recovered pair is verified to actually reproduce the point
-    w_rec = _push_forward(chart, parts, core)
+    w_rec = _push_forward(core, parts, chart.splits,
+                          chart.level_partitions[0], chart.shape)
     rec_err = float(np.linalg.norm(w_rec - w))
     if rec_err > max(tol, 1e-8) * np.linalg.norm(w):
         raise OutsideChartImageError(

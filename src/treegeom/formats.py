@@ -9,6 +9,11 @@ several level partitions (a leaf above the deepest level) is one tree node,
 so the rank profile is computed once, one singular-value-only SVD per node,
 and every level reads its blocks off it.
 
+This module owns the tree network (:func:`contract_network`, shared by the
+sampler and the Jacobian oracle of :mod:`treegeom.tangent`) and the
+membership precondition of everything anchored at a point
+(:func:`require_member`).
+
 Admissibility (is some tensor realizing the tuple?) is decided by a list of
 necessary conditions followed by randomized realization attempts; properness
 (does the fixed-rank set differ from every single-level Tucker set?) is
@@ -28,9 +33,15 @@ from .errors import (
     DegenerateInputError,
     GenerationFailureError,
     InvalidArgumentError,
+    NotOnManifoldError,
 )
 from .subspaces import DEFAULT_TOL, _ranks, tree_rank
-from .tensor import check_tensor, complement_modes, normalize_modes
+from .tensor import (
+    check_tensor,
+    complement_modes,
+    normalize_modes,
+    sorted_blocks,
+)
 from .trees import level_partition, levels
 
 __all__ = [
@@ -40,10 +51,12 @@ __all__ = [
     "PropernessReport",
     "tucker_membership",
     "is_member",
+    "require_member",
     "bounded_rank_member",
     "necessary_rank_conditions",
     "is_admissible",
     "is_proper",
+    "contract_network",
     "random_tree_tensor",
     "random_tucker_tensor",
 ]
@@ -146,8 +159,7 @@ def tucker_membership(v, partition, ranks, tol=DEFAULT_TOL):
     boolean verdict and the computed dimensions, in block order.
     """
     v = check_tensor(v, allow_zero=False)
-    blocks = tuple(sorted((normalize_modes(b, v.ndim) for b in partition),
-                          key=lambda b: b[0]))
+    blocks = sorted_blocks(normalize_modes(b, v.ndim) for b in partition)
     expected = tuple(int(ranks[b]) for b in blocks)
     if any(e < 1 for e in expected):
         raise InvalidArgumentError("expected ranks must be positive")
@@ -179,6 +191,19 @@ def is_member(v, tree, r, tol=DEFAULT_TOL):
     return MembershipReport(
         member=ok and root_ok, root_ok=root_ok, per_level=per_level, tol=tol
     )
+
+
+def require_member(v, tree, r, tol=DEFAULT_TOL):
+    """The validated ``v``; raises :class:`NotOnManifoldError`, naming the
+    failing levels, unless it has the rank profile ``r``."""
+    v = check_tensor(v, allow_zero=False)
+    report = is_member(v, tree, r, tol)
+    if not report.member:
+        raise NotOnManifoldError(
+            f"tensor does not have the prescribed rank profile; failing "
+            f"levels {report.failing_levels()}"
+        )
+    return v
 
 
 def bounded_rank_member(v, tree, r, tol=DEFAULT_TOL):
@@ -256,28 +281,45 @@ def _son_lift(tree, node, bases, shape):
     return G[rowperm]
 
 
-def _sample_network(tree, r, shape, rng):
-    """Contract a random tree network with representation ranks ``r``:
-    orthonormal leaf factors, generic interior transfer coefficients."""
-    bases = {}
+def contract_network(tree, shape, leaf_factors, transfers):
+    """The tensor of a tree network: each interior node's basis is its
+    sons' lifted bases times ``transfers[node]`` (rows over the sons' rank
+    coordinates, row-major in son order), contracted bottom-up from
+    ``leaf_factors``; the root's transfer is a coefficient vector."""
+    bases = dict(leaf_factors)
 
     def build(node):
-        if len(node) == 1:
-            bases[node] = _orthonormal_columns(
+        for kid in tree.sons_of(node):
+            if kid in tree.sons:
+                bases[kid] = build(kid)
+        return _son_lift(tree, node, bases, shape) @ transfers[node]
+
+    return build(tree.root).reshape(shape)
+
+
+def _sample_network(tree, r, shape, rng):
+    """Random tree network with representation ranks ``r``, normalized:
+    orthonormal leaf factors, generic transfer coefficients, each node drawn
+    after its sons."""
+    leaf_factors = {}
+    transfers = {}
+
+    def draw(node):
+        kids = tree.sons_of(node)
+        for kid in kids:
+            draw(kid)
+        if not kids:
+            leaf_factors[node] = _orthonormal_columns(
                 rng, shape[node[0] - 1], r[node]
             )
             return
-        for kid in tree.sons_of(node):
-            build(kid)
-        G = _son_lift(tree, node, bases, shape)
-        T = rng.standard_normal((G.shape[1], r[node]))
-        bases[node] = G @ T
+        rows = prod(r[kid] for kid in kids)
+        transfers[node] = rng.standard_normal(
+            rows if node == tree.root else (rows, r[node])
+        )
 
-    for kid in tree.sons_of(tree.root):
-        build(kid)
-    G = _son_lift(tree, tree.root, bases, shape)
-    c = rng.standard_normal(G.shape[1])
-    v = (G @ c).reshape(shape)
+    draw(tree.root)
+    v = contract_network(tree, shape, leaf_factors, transfers)
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         raise DegenerateInputError("sampled network collapsed to zero")
@@ -320,8 +362,7 @@ def random_tucker_tensor(partition, ranks, shape, seed=0, max_retries=20,
                          tol=DEFAULT_TOL):
     """Random tensor in a single-level Tucker set: a generic full-rank core
     expressed in random orthonormal block subspaces, verified blockwise."""
-    blocks = tuple(sorted((normalize_modes(b, len(shape)) for b in partition),
-                          key=lambda b: b[0]))
+    blocks = sorted_blocks(normalize_modes(b, len(shape)) for b in partition)
     rank_map = {b: int(ranks[b]) for b in blocks}
     for b in blocks:
         n_in = prod(shape[m - 1] for m in b)

@@ -10,11 +10,11 @@ commute, and the exponential of the sum factors into the product of
 
 :func:`assemble_laplacian`, :func:`decompose_laplacian` and
 :func:`laplacian_exp` work with dense ``N x N`` matrices on the full tensor
-space (``N`` the total dimension).  They are oracles and cross-checks (the
-generic matrix exponential stays available against them); the chart and
-tangent paths use only the per-block pieces (:func:`split`,
-:func:`lifted_part`) and work in level-1 block spaces, and of the chart
-functions only ``level_inverse_operator`` returns an ``N x N`` operator.
+space (``N`` the total dimension).  They are oracles and cross-checks; the
+chart and tangent paths use only the per-block pieces (:func:`split`,
+:func:`tree_splits`, :func:`lifted_part`) and work in level-1 block spaces,
+and of the chart functions only ``level_inverse_operator`` returns an
+``N x N`` operator.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .tensor import (
     check_tensor,
     embed_block_operator,
     normalize_modes,
+    sorted_blocks,
     svd,
 )
 
@@ -38,7 +39,7 @@ __all__ = [
     "SplitSpace",
     "LaplacianLike",
     "split",
-    "oblique_projector",
+    "tree_splits",
     "lifted_part",
     "assemble_laplacian",
     "decompose_laplacian",
@@ -85,20 +86,13 @@ class LaplacianLike:
             tuple(sorted(k)): np.asarray(v, dtype=float)
             for k, v in self.parts.items()
         }
-        blocks = tuple(sorted((tuple(sorted(b)) for b in self.partition),
-                              key=lambda b: b[0]))
+        blocks = sorted_blocks(self.partition)
         if set(part_map) != set(blocks):
             raise InvalidArgumentError(
                 "coefficient blocks do not match the partition"
             )
         object.__setattr__(self, "partition", blocks)
         object.__setattr__(self, "parts", part_map)
-
-    def norms(self):
-        return {b: float(np.linalg.norm(C)) for b, C in self.parts.items()}
-
-    def max_norm(self):
-        return max(self.norms().values(), default=0.0)
 
     @classmethod
     def zeros(cls, splits, partition):
@@ -124,14 +118,10 @@ def split(v, alpha, tol=DEFAULT_TOL):
     return SplitSpace(alpha=alpha, u=sub.basis, w=U_full[:, sub.rank:])
 
 
-def oblique_projector(s):
-    """Projector pair of a split: onto ``u`` along ``w`` and its complement.
-
-    With an orthogonal complement both projections are orthogonal; they are
-    idempotent and sum to the identity.
-    """
-    P = s.u @ s.u.T
-    return P, np.eye(s.ambient_dim) - P
+def tree_splits(v, tree, tol=DEFAULT_TOL):
+    """:func:`split` at every non-root node of ``tree``, keyed by node."""
+    return {node: split(v, node, tol) for node in tree.nodes
+            if node != tree.root}
 
 
 def lifted_part(s, C):
@@ -200,8 +190,7 @@ def decompose_laplacian(Lop, partition, splits, shape, tol=DEFAULT_TOL):
     N = prod(shape)
     if Lop.shape != (N, N):
         raise InvalidArgumentError(f"operator must be {N}x{N}")
-    blocks = tuple(sorted((tuple(sorted(b)) for b in partition),
-                          key=lambda b: b[0]))
+    blocks = sorted_blocks(partition)
     parts = {}
     for b in blocks:
         s = splits[b]

@@ -33,8 +33,11 @@ from .tensor import (
     apply_mode_operator,
     check_tensor,
     normalize_modes,
+    sorted_blocks,
     svd,
+    svd_rank,
 )
+from .trees import level_partition, levels
 
 __all__ = [
     "DEFAULT_TOL",
@@ -42,7 +45,6 @@ __all__ = [
     "TreeRank",
     "minimal_subspace",
     "tree_rank",
-    "bundle_projection",
     "check_nestedness",
     "check_chain",
     "ranks_to_json",
@@ -121,7 +123,7 @@ def minimal_subspace(v, alpha, tol=DEFAULT_TOL):
         raise InvalidArgumentError("rank tolerance must be positive")
     alpha = normalize_modes(alpha, v.ndim)
     U, s, _ = svd(_unfold(v, alpha))
-    r = int(np.sum(s > tol * s[0]))
+    r = svd_rank(s, tol)
     return SubspaceBasis(
         alpha=alpha, basis=U[:, :r], singular_values=s[:r], tol=tol
     )
@@ -150,21 +152,10 @@ def _ranks(v, blocks, tol):
     ranks = {}
     for b in blocks:
         if b not in ranks:
-            s = np.linalg.svd(_unfold(v, b), compute_uv=False)
-            ranks[b] = int(np.sum(s > tol * s[0]))
+            ranks[b] = svd_rank(
+                np.linalg.svd(_unfold(v, b), compute_uv=False), tol
+            )
     return ranks
-
-
-def bundle_projection(v, partition, tol=DEFAULT_TOL):
-    """Minimal subspaces at every block of a partition, in block order."""
-    v = check_tensor(v, allow_zero=False)
-    blocks = sorted(
-        (normalize_modes(b, v.ndim) for b in partition), key=lambda b: b[0]
-    )
-    covered = [m for b in blocks for m in b]
-    if sorted(covered) != list(range(1, v.ndim + 1)):
-        raise InvalidArgumentError(f"{blocks} is not a partition of the modes")
-    return [minimal_subspace(v, b, tol) for b in blocks]
 
 
 def _project_block_tensor(t, positions, basis):
@@ -187,13 +178,11 @@ def check_nestedness(v, alpha, sub_partition, tol=DEFAULT_TOL):
     """
     v = check_tensor(v, allow_zero=False)
     alpha = normalize_modes(alpha, v.ndim)
-    blocks = sorted(
-        (normalize_modes(b, v.ndim) for b in sub_partition), key=lambda b: b[0]
-    )
+    blocks = sorted_blocks(normalize_modes(b, v.ndim) for b in sub_partition)
     covered = [m for b in blocks for m in b]
     if sorted(covered) != list(alpha):
         raise InvalidArgumentError(
-            f"{blocks} is not a partition of {alpha}"
+            f"{list(blocks)} is not a partition of {alpha}"
         )
     big = minimal_subspace(v, alpha, tol)
     alpha_dims = tuple(v.shape[a - 1] for a in alpha)
@@ -220,8 +209,6 @@ def check_chain(v, tree, tol=DEFAULT_TOL):
     residuals are numerical noise: the chain of inclusions holds for every
     tensor.
     """
-    from .trees import level_partition, levels
-
     v = check_tensor(v, allow_zero=False)
     tree.ensure_valid()
     depth = levels(tree).depth

@@ -26,6 +26,12 @@ intersection is strictly smaller than the network dimension (interior
 subspace motions are not expressible as level-wise complement maps that
 vanish on every deeper complement), and the report surfaces the three
 numbers side by side instead of reconciling them.
+
+The Jacobian oracle factors the tensor into network parameters on its own
+and evaluates them through the tree-network contraction of
+:mod:`treegeom.formats`, which owns the tree network.  Every entry point
+anchored at a tensor starts with the membership precondition
+:func:`~treegeom.formats.require_member`.
 """
 
 from __future__ import annotations
@@ -37,14 +43,20 @@ from math import prod
 import numpy as np
 
 from .errors import InvalidArgumentError, NotOnManifoldError
-from .formats import is_member
-from .operators import LaplacianLike, assemble_laplacian, lifted_part, split
+from .formats import _son_lift, contract_network, require_member
+from .operators import (
+    LaplacianLike,
+    assemble_laplacian,
+    lifted_part,
+    tree_splits,
+)
 from .subspaces import DEFAULT_TOL, minimal_subspace
 from .tensor import (
     block_transpose_permutation,
-    check_tensor,
     embed_block_operator,
+    sorted_blocks,
     svd,
+    svd_rank,
 )
 from .trees import level_partition, levels
 
@@ -105,8 +117,7 @@ def level_operator_basis(partition, splits, shape, label=None):
     dimension is the sum over blocks of rank times corank.
     """
     N = prod(shape)
-    blocks = tuple(sorted((tuple(sorted(b)) for b in partition),
-                          key=lambda b: b[0]))
+    blocks = sorted_blocks(partition)
     dims = [splits[b].rank * splits[b].corank for b in blocks]
     vectors = np.zeros((N * N, sum(dims)))
     # row-major (N, N, dim) view: entry [x, y, c] of column c's operator
@@ -397,11 +408,6 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     return _intersect_blocks(spaces, spectra, shape, tol)
 
 
-def _tree_splits(v, tree, tol):
-    return {node: split(v, node, tol) for node in tree.nodes
-            if node != tree.root}
-
-
 def network_dimension_formula(tree, r, shape):
     """Closed-form parameter count of the tree network modulo per-node gauge:
     root coefficient block, plus one transfer block per interior node, plus
@@ -421,8 +427,6 @@ def network_dimension_formula(tree, r, shape):
 def _network_parameters(v, tree, tol):
     """Recover a tree-network parameter point reproducing ``v`` exactly:
     per-node orthonormal bases, interior transfer coefficients, root block."""
-    from .formats import _son_lift
-
     shape = v.shape
     bases = {
         node: minimal_subspace(v, node, tol).basis
@@ -440,26 +444,6 @@ def _network_parameters(v, tree, tol):
     return leaf_factors, transfers
 
 
-def _contract_network(tree, shape, leaf_factors, transfers):
-    from .formats import _son_lift
-
-    bases = dict(leaf_factors)
-
-    def build(node):
-        if len(node) == 1:
-            return
-        for kid in tree.sons_of(node):
-            build(kid)
-        if node != tree.root:
-            G = _son_lift(tree, node, bases, shape)
-            bases[node] = G @ transfers[node]
-
-    for kid in tree.sons_of(tree.root):
-        build(kid)
-    G = _son_lift(tree, tree.root, bases, shape)
-    return (G @ transfers[tree.root]).reshape(shape)
-
-
 def parametrization_jacobian(v, tree, r, step=1e-6, tol=DEFAULT_TOL):
     """Jacobian of the tree-network parameters-to-tensor map at ``v``.
 
@@ -469,18 +453,11 @@ def parametrization_jacobian(v, tree, r, step=1e-6, tol=DEFAULT_TOL):
     column per parameter entry (leaf factors, interior transfers, root
     block); rows run over the flattened tensor.
     """
-    v = check_tensor(v, allow_zero=False)
-    tree.ensure_valid()
-    report = is_member(v, tree, r, tol)
-    if not report.member:
-        raise NotOnManifoldError(
-            f"tensor does not have the prescribed rank profile; failing "
-            f"levels {report.failing_levels()}"
-        )
+    v = require_member(v, tree, r, tol)
     v = v / np.linalg.norm(v)
     shape = v.shape
     leaf_factors, transfers = _network_parameters(v, tree, tol)
-    v_rec = _contract_network(tree, shape, leaf_factors, transfers)
+    v_rec = contract_network(tree, shape, leaf_factors, transfers)
     rec_err = np.linalg.norm(v_rec - v)
     if rec_err > 1e-8:
         raise NotOnManifoldError(
@@ -491,7 +468,7 @@ def parametrization_jacobian(v, tree, r, step=1e-6, tol=DEFAULT_TOL):
     blocks += [("transfer", node) for node in sorted(transfers)]
 
     def evaluate():
-        return _contract_network(tree, shape, leaf_factors, transfers).ravel()
+        return contract_network(tree, shape, leaf_factors, transfers).ravel()
 
     columns = []
     for kind, node in blocks:
@@ -516,10 +493,7 @@ def tangent_dimension_oracle(v, tree, r, step=1e-6, tol=DEFAULT_TOL):
     Jacobian, with a rank threshold scaled by the step.  Re-run with
     ``step / 10`` to confirm stability."""
     J = parametrization_jacobian(v, tree, r, step=step, tol=tol)
-    s = np.linalg.svd(J, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > step * s[0]))
+    return svd_rank(np.linalg.svd(J, compute_uv=False), step)
 
 
 @dataclass(frozen=True)
@@ -553,15 +527,8 @@ class TangentReport:
 
 def tangent_dimension(v, tree, r, tol=DEFAULT_TOL, step=1e-6):
     """Tangent report at a tensor with the prescribed rank profile."""
-    v = check_tensor(v, allow_zero=False)
-    tree.ensure_valid()
-    report = is_member(v, tree, r, tol)
-    if not report.member:
-        raise NotOnManifoldError(
-            f"tensor does not have the prescribed rank profile; failing "
-            f"levels {report.failing_levels()}"
-        )
-    splits = _tree_splits(v, tree, tol)
+    v = require_member(v, tree, r, tol)
+    splits = tree_splits(v, tree, tol)
     inter = tree_operator_basis(tree, splits, v.shape, tol)
     dim_core = prod(r[b] for b in level_partition(tree, 1))
     dim_total = inter.dim + dim_core
@@ -633,6 +600,9 @@ class ImmersionReport:
 def immersion_check(v, tree, r, k, tol=DEFAULT_TOL, operator_basis=None):
     """Inclusion of the intersected operator space into the level-k space.
 
+    Requires membership: like :func:`tangent_dimension` and
+    :func:`~treegeom.charts.tree_chart`, it raises
+    :class:`NotOnManifoldError` unless ``v`` has the rank profile ``r``.
     Verifies that every intersection basis vector lies in the level-k space
     (projector residual), that the induced coordinate map has full column
     rank (condition number reported), and that the model dimension at the
@@ -643,12 +613,11 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL, operator_basis=None):
     that a corrupted vector is flagged; it must be factored over the same
     level-1 blocks and splits as the one computed here.
     """
-    v = check_tensor(v, allow_zero=False)
-    tree.ensure_valid()
+    v = require_member(v, tree, r, tol)
     depth = levels(tree).depth
     if not 1 <= k <= depth:
         raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
-    splits = _tree_splits(v, tree, tol)
+    splits = tree_splits(v, tree, tol)
     spaces = _block_spaces(tree, splits, v.shape)
     block_bases = [space.level_bases() for space in spaces]
     if operator_basis is None:

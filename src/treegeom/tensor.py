@@ -1,4 +1,4 @@
-"""Dense tensor primitives: matricization, mode operators, SVD, matrix exponential.
+"""Dense tensor primitives: matricization, mode operators, SVD, block order.
 
 Conventions used throughout the package:
 
@@ -32,7 +32,6 @@ __all__ = [
     "tensor_product",
     "svd",
     "svd_rank",
-    "matrix_exp",
     "embed_block_operator",
     "block_transpose_permutation",
     "check_tensor",
@@ -73,6 +72,12 @@ def complement_modes(alpha, ndim):
     return rest
 
 
+def sorted_blocks(blocks):
+    """Mode blocks as sorted tuples, in canonical order: ascending by the
+    smallest mode (blocks of a partition never tie on it)."""
+    return tuple(sorted(tuple(sorted(int(m) for m in b)) for b in blocks))
+
+
 def matricize(v, alpha):
     """Unfold ``v`` into a matrix with the modes of ``alpha`` as row index.
 
@@ -105,7 +110,7 @@ def _check_partition(partition, ndim):
         raise InvalidArgumentError(
             f"partition {blocks} does not cover modes 1..{ndim}"
         )
-    return tuple(sorted(blocks, key=lambda b: b[0]))
+    return sorted_blocks(blocks)
 
 
 def apply_mode_operator(A, alpha, partition, v):
@@ -205,35 +210,6 @@ def svd_rank(s, tol=None, shape=None):
             raise InvalidArgumentError("svd_rank needs a tolerance or a shape")
         tol = max(shape) * np.finfo(float).eps
     return int(np.sum(s > tol * s[0]))
-
-
-def matrix_exp(A, terms=24):
-    """Matrix exponential by scaling and squaring of a truncated series.
-
-    The argument is halved until its Frobenius norm is at most 1/2, the
-    exponential of the scaled matrix is summed as a Taylor series, and the
-    result is repeatedly squared.  Accuracy is well below 1e-12 relative for
-    norms up to ~10, which is the regime this package operates in.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError("matrix_exp expects a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise InvalidArgumentError("matrix_exp input has non-finite entries")
-    n = A.shape[0]
-    nrm = np.linalg.norm(A)
-    squarings = 0
-    if nrm > 0.5:
-        squarings = int(np.ceil(np.log2(nrm / 0.5)))
-    B = A / (2.0 ** squarings)
-    E = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, terms + 1):
-        term = term @ B / k
-        E = E + term
-    for _ in range(squarings):
-        E = E @ E
-    return E
 
 
 def block_transpose_permutation(shape, alpha):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import InvalidArgumentError, ParseError, TreeValidationError
+from .tensor import sorted_blocks
 
 __all__ = [
     "DimensionTree",
@@ -41,10 +42,6 @@ __all__ = [
 
 def _canon(block):
     return tuple(sorted(int(m) for m in block))
-
-
-def _sort_blocks(blocks):
-    return tuple(sorted((_canon(b) for b in blocks), key=lambda b: (b[0], b)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,7 @@ class DimensionTree:
         self.ndim = int(ndim)
         self.root = tuple(range(1, self.ndim + 1))
         self.sons = MappingProxyType(
-            {_canon(k): _sort_blocks(v) for k, v in sons.items()}
+            {_canon(k): sorted_blocks(v) for k, v in sons.items()}
         )
         self._valid = False
         self._levels = None
@@ -103,10 +100,6 @@ class DimensionTree:
             if node in kids:
                 return parent
         return None
-
-    def interior_nodes(self):
-        """Non-leaf nodes, root included, in deterministic order."""
-        return tuple(sorted(self.sons, key=lambda b: (len(b), b), reverse=True))
 
     def __eq__(self, other):
         if not isinstance(other, DimensionTree):
@@ -243,7 +236,7 @@ def level_partition(tree, k):
         )
     if tree._partitions is None:
         tree._partitions = tuple(
-            _sort_blocks(
+            sorted_blocks(
                 [n for n, l in info.level.items() if l == j]
                 + [n for n in tree.leaves if info.level[n] < j]
             )

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import treegeom as tg
-from treegeom.errors import InvalidArgumentError
+from treegeom.errors import GenerationFailureError, InvalidArgumentError
 from treegeom.formats import (
     generation_attempts,
     necessary_rank_conditions,
@@ -321,6 +323,74 @@ class TestRandomTreeTensor:
             )
             first += attempts == 1
         assert first >= 29
+
+
+DEEP = [[[1], [[2], [3]]], [4]]
+MIXED = [[[1], [[2], [3]]], [[4], [5]], [6]]
+
+# (tree, shape, rank cap, keyword arguments) per case; the tight tolerance
+# of the last case makes some seeds retry and some fail
+GENERATION_CASES = {
+    "deep-3333": (lambda: tg.tree_from_nested(DEEP), (3, 3, 3, 3), 2, {}),
+    "deep-2342": (lambda: tg.tree_from_nested(DEEP), (2, 3, 4, 2), 3, {}),
+    "linear-3232": (lambda: tg.linear_tree(4), (3, 2, 3, 2), 2, {}),
+    "linear-23232": (lambda: tg.linear_tree(5), (2, 3, 2, 3, 2), 3, {}),
+    "binary-3333": (lambda: tg.balanced_binary_tree(4), (3, 3, 3, 3), 2, {}),
+    "binary-2332": (lambda: tg.balanced_binary_tree(4), (2, 3, 3, 2), 3, {}),
+    "mixed-2^6": (lambda: tg.tree_from_nested(MIXED), (2,) * 6, 2, {}),
+    "tucker-333": (lambda: tg.tucker_tree(3), (3, 3, 3), 2, {}),
+    "tucker-2323": (lambda: tg.tucker_tree(4), (2, 3, 2, 3), 3, {}),
+    "deep-3333-tight": (lambda: tg.tree_from_nested(DEEP), (3, 3, 3, 3), 3,
+                        {"tol": 0.1, "max_retries": 3}),
+}
+
+GENERATION_SHA256 = {
+    "binary-2332":
+        "b8aa80c72539bee23de7bd37ca2a07c25fe7a7a60e37ecb3f9d87e586325d7a8",
+    "binary-3333":
+        "fbeb65da8ed3b1dc45cc57ac66d0c97e250c169f6c37bd4e95101928232704c5",
+    "deep-2342":
+        "5a70d915c1d3d81a9e03978761ff3b4f0c0b303e82ace2dee34322a141a219b8",
+    "deep-3333":
+        "60ff2cc8f9ee8fbf2d2b19af9fa0ee3b7357571ecd704a93128f761b2c136b0b",
+    "deep-3333-tight":
+        "6a9b23a2a40401e4ce1656879e3debc3c45d5bb790986e6e5249787aa885b9cf",
+    "linear-23232":
+        "afc6d865fe5bc689e0e59dbb161e6415803f16f04173f5f2cb852826163183b7",
+    "linear-3232":
+        "9da81466a4cc332651eb1c28d54107dfa9a3e107470989f1dbfba469cdc17640",
+    "mixed-2^6":
+        "d1b9bc6bd000b8f8ca63df924b1096e74a84f54cf07c956222ff52eeab31a43d",
+    "tucker-2323":
+        "7388224e7503abf3a19442a398b2b724d0b44cb1457db4492818411b01cab7b6",
+    "tucker-333":
+        "49741289f5fa38e63986650dd6539d93acd7ae04e05a0d41f2114f15f09cad22",
+}
+
+
+class TestGenerationPinned:
+    """The generated tensors and attempt counts of 12 seeds per case, hashed
+    and recorded from an earlier version: any change to the sampler's random
+    draw order or to the arithmetic of the network contraction shows here.
+    The hashes are bitwise, so they pin one numpy and LAPACK build."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATION_CASES))
+    def test_outputs_and_attempts_are_pinned(self, name):
+        make, shape, cap, kwargs = GENERATION_CASES[name]
+        tree = make()
+        r = capped_rank_tuple(tree, shape, cap=cap)
+        h = hashlib.sha256()
+        for seed in range(12):
+            try:
+                v, attempts = generation_attempts(
+                    tree, r, shape, seed=seed, **kwargs
+                )
+            except GenerationFailureError:
+                h.update(b"failed")
+                continue
+            h.update(np.ascontiguousarray(v).tobytes())
+            h.update(str(attempts).encode())
+        assert h.hexdigest() == GENERATION_SHA256[name]
 
 
 class TestNecessaryConditions:

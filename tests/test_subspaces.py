@@ -153,37 +153,6 @@ class TestRankProfile:
             tg.tree_rank(rng.standard_normal((2, 2, 2, 2)), deep_tree_d4, 0.0)
 
 
-class TestBundleProjection:
-    def test_singleton_partition_gives_mode_subspaces(self, rng):
-        v = rng.standard_normal((2, 3, 4))
-        subs = tg.bundle_projection(v, [(1,), (2,), (3,)])
-        assert [s.alpha for s in subs] == [(1,), (2,), (3,)]
-        for s in subs:
-            ref = tg.minimal_subspace(v, s.alpha)
-            assert np.array_equal(s.basis, ref.basis)
-
-    def test_level_partition_input(self, deep_tree_d4, rng):
-        v = rng.standard_normal((2, 2, 2, 2))
-        blocks = tg.level_partition(deep_tree_d4, 2)
-        subs = tg.bundle_projection(v, blocks)
-        assert [s.alpha for s in subs] == [(1,), (2, 3), (4,)]
-
-    def test_elementary_factors_recovered(self, rng):
-        x, y = rng.standard_normal(3), rng.standard_normal(2)
-        v = tg.tensor_product([x, y])
-        subs = tg.bundle_projection(v, [(1,), (2,)])
-        xn = x / np.linalg.norm(x)
-        assert min(
-            np.linalg.norm(subs[0].basis[:, 0] - xn),
-            np.linalg.norm(subs[0].basis[:, 0] + xn),
-        ) < 1e-12
-
-    def test_incomplete_partition_rejected(self, rng):
-        v = rng.standard_normal((2, 2, 2))
-        with pytest.raises(InvalidArgumentError):
-            tg.bundle_projection(v, [(1,), (2,)])
-
-
 class TestNestedness:
     def test_elementary_residual_vanishes(self):
         v = elementary((2, 2, 2), seed=1)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import treegeom as tg
+from treegeom.operators import tree_splits
 from treegeom.subspaces import TreeRank
 from treegeom.tangent import (
     _residual_spectrum,
-    _tree_splits,
     network_dimension_formula,
     parametrization_jacobian,
 )
@@ -22,7 +22,7 @@ from helpers import (
 def anchored(tree, shape, seed=0, cap=2):
     r = capped_rank_tuple(tree, shape, cap=cap)
     v = tg.random_tree_tensor(tree, r, shape, seed=seed)
-    splits = _tree_splits(v, tree, tol=1e-10)
+    splits = tree_splits(v, tree, tol=1e-10)
     return v, r, splits
 
 
@@ -49,7 +49,7 @@ def tucker_instance(shape, leaf_ranks, seed=0):
 class TestLevelOperatorBasis:
     def test_matrix_case_dimension(self):
         tree, r, v = tucker_instance((2, 2), (1, 1))
-        splits = _tree_splits(v, tree, 1e-10)
+        splits = tree_splits(v, tree, 1e-10)
         basis = tg.level_operator_basis(((1,), (2,)), splits, v.shape)
         assert basis.dim == 2  # 1*(2-1) per mode
 
@@ -146,7 +146,7 @@ class TestIntersection:
 
     def test_depth_one_intersection_is_the_level_space(self):
         tree, r, v = tucker_instance((3, 3, 3), (2, 2, 2))
-        splits = _tree_splits(v, tree, 1e-10)
+        splits = tree_splits(v, tree, 1e-10)
         bases = level_bases(tree, v, splits)
         inter = tg.intersect_operator_spaces(bases)
         assert inter.dim == bases[0].dim
@@ -157,7 +157,7 @@ class TestIntersection:
         shape = (2, 2, 2)
         r = capped_rank_tuple(tree, shape, cap=1)
         v = tg.random_tree_tensor(tree, r, shape, seed=6)
-        splits = _tree_splits(v, tree, 1e-10)
+        splits = tree_splits(v, tree, 1e-10)
         bases = level_bases(tree, v, splits)
         inter = tg.intersect_operator_spaces(bases)
         assert inter.dim == intersection_dim_bruteforce(bases)
@@ -328,6 +328,18 @@ class TestImmersionCheck:
         assert tg.immersion_check(
             v, deep_tree_d4, r, 1, operator_basis=corrupted
         ).included
+
+    def test_non_member_is_rejected_at_every_level(self):
+        # rank 2 at every non-root node checked against the all-ones tuple:
+        # every level fails membership, although the operator spaces built
+        # from the tensor's own splits pass the inclusion test at every k
+        tree = tg.tree_from_nested([[[1], [2], [3]], [4]])
+        twos = TreeRank({n: 1 if n == tree.root else 2 for n in tree.nodes})
+        ones = TreeRank({n: 1 for n in tree.nodes})
+        v = tg.random_tree_tensor(tree, twos, (2, 2, 2, 3), seed=3)
+        for k in range(1, tg.levels(tree).depth + 1):
+            with pytest.raises(tg.NotOnManifoldError, match=r"levels \[1, 2\]"):
+                tg.immersion_check(v, tree, ones, k)
 
     def test_mismatched_operator_basis_is_rejected(self, deep_tree_d4):
         shape = (2, 2, 2, 3)

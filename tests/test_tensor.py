@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import treegeom as tg
@@ -209,39 +208,6 @@ class TestSvd:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidArgumentError):
             tg.svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-class TestMatrixExp:
-    def test_zero_is_identity(self):
-        np.testing.assert_allclose(tg.matrix_exp(np.zeros((3, 3))), np.eye(3))
-
-    def test_nilpotent_truncates_exactly(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert A @ A == pytest.approx(np.zeros((2, 2)))
-        np.testing.assert_allclose(tg.matrix_exp(A), np.eye(2) + A, atol=1e-14)
-
-    def test_diagonal_matches_scalar_exponential(self):
-        E = tg.matrix_exp(np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(
-            E, np.diag([np.e, np.e ** 2]), rtol=1e-12
-        )
-
-    def test_matches_scipy_on_random_matrices(self, rng):
-        for _ in range(20):
-            A = rng.standard_normal((5, 5))
-            E1 = tg.matrix_exp(A)
-            E2 = scipy.linalg.expm(A)
-            assert np.linalg.norm(E1 - E2) <= 1e-11 * np.linalg.norm(E2)
-
-    def test_norm_ten_regime(self, rng):
-        A = rng.standard_normal((6, 6))
-        A *= 10.0 / np.linalg.norm(A)
-        E2 = scipy.linalg.expm(A)
-        assert np.linalg.norm(tg.matrix_exp(A) - E2) <= 1e-11 * np.linalg.norm(E2)
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            tg.matrix_exp(np.ones((2, 3)))
 
 
 class TestEmbedBlockOperator:
