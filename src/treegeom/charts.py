@@ -33,12 +33,7 @@ from .errors import (
     OutsideChartImageError,
 )
 from .formats import _structurally_implied, is_member, require_member
-from .operators import (
-    LaplacianLike,
-    assemble_laplacian,
-    lifted_part,
-    tree_splits,
-)
+from .operators import LaplacianLike, assemble_laplacian, lifted_part
 from .subspaces import DEFAULT_TOL, minimal_subspace
 from .tangent import BlockOperatorBasis, tree_operator_basis
 from .tensor import apply_mode_operator, check_tensor, sorted_blocks, svd_rank
@@ -211,7 +206,7 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
     """
     if tol is None or tol <= 0:
         raise InvalidArgumentError("chart tolerance must be positive")
-    v = require_member(v, tree, r, tol)
+    v, splits = require_member(v, tree, r, tol)
     depth = levels(tree).depth
     partitions = tuple(level_partition(tree, k) for k in range(1, depth + 1))
     if depth == 1 or any(
@@ -221,7 +216,6 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
             "fixed-rank set is not proper: some level set already equals it",
             stacklevel=2,
         )
-    splits = tree_splits(v, tree, tol)
     operator_basis = tree_operator_basis(tree, splits, v.shape, tol)
     core = _extract_core(
         v, [splits[b].u for b in partitions[0]], partitions[0], v.shape

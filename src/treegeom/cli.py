@@ -30,7 +30,7 @@ from .errors import (
     TreegeomError,
     TreeValidationError,
 )
-from .formats import is_admissible, is_member, is_proper, random_tree_tensor
+from .formats import is_admissible, is_member, is_proper
 from .subspaces import (
     check_chain,
     minimal_subspace,
@@ -151,7 +151,7 @@ def _operator_command_bytes(tree, r, shape, jacobian):
       over for the temporaries they are built with, plus the level residual
       stack, ``n_b^2 * dim_1`` per distinct deeper level, four times over
       (pieces, stack, and the two copies its QR factorization works on);
-    - with ``jacobian``, three ``N x n_params`` arrays: the finite-difference
+    - with ``jacobian``, three ``N x n_params`` arrays: the Jacobian's
       columns, the Jacobian, and the copy its SVD works on.
     """
 
@@ -237,27 +237,22 @@ def cmd_generate(args):
     r = _load_ranks(args.ranks)
     verdict = is_admissible(tree, r, shape, trials=args.trials, seed=args.seed,
                             tol=args.tol)
-    if verdict.verdict == "inadmissible":
-        doc = {**_meta(args), "command": "generate", **verdict.to_dict()}
-        _emit(doc, args)
-        return EXIT_GENERATION
-    v = random_tree_tensor(tree, r, shape, seed=args.seed,
-                           max_retries=args.trials, tol=args.tol)
-    # written output is re-verified before it reaches disk
-    if not is_member(v, tree, r, args.tol).member:
-        raise GenerationFailureError("generated tensor failed re-verification")
-    out = args.out or "generated_tensor.json"
-    save_tensor(out, v)
-    doc = {
-        **_meta(args),
-        "command": "generate",
-        "written": str(out),
-        "shape": list(shape),
-        "verified": True,
-    }
-    text = _render_human(doc) if args.human else json.dumps(doc, indent=2)
-    print(text)
-    return EXIT_OK
+    doc = {**_meta(args), "command": "generate"}
+    if verdict.witness is None:
+        doc.update(verdict.to_dict())
+        code = EXIT_GENERATION
+    else:
+        # written output is re-verified before it reaches disk
+        if not is_member(verdict.witness, tree, r, args.tol).member:
+            raise GenerationFailureError(
+                "generated tensor failed re-verification")
+        out = args.out or "generated_tensor.json"
+        save_tensor(out, verdict.witness)
+        doc.update(written=str(out), shape=list(shape), verified=True)
+        code = EXIT_OK
+    # --out names the tensor file, so the report always goes to stdout
+    print(_render_human(doc) if args.human else json.dumps(doc, indent=2))
+    return code
 
 
 def cmd_chart_check(args):
@@ -333,18 +328,20 @@ def cmd_tangent(args):
     tree = _load_tree(args.tree, v.ndim)
     r = _load_ranks(args.ranks)
     _guard_size(tree, r, v.shape, jacobian=True)
-    membership = is_member(v, tree, r, args.tol)
-    if not membership.member:
+    try:
+        report = tangent_dimension(v, tree, r, tol=args.tol)
+    except NotOnManifoldError as e:
+        if e.levels is None:
+            raise
         doc = {
             **_meta(args),
             "command": "tangent",
             "member": False,
-            "failing_levels": membership.failing_levels(),
+            "failing_levels": e.levels,
             "agree": False,
         }
         _emit(doc, args)
         return EXIT_NEGATIVE
-    report = tangent_dimension(v, tree, r, tol=args.tol, step=args.step)
     doc = {
         **_meta(args),
         "command": "tangent",
@@ -416,8 +413,6 @@ def build_parser():
 
     p = sub.add_parser("tangent", help="tangent dimension report")
     common(p, ranks=True)
-    p.add_argument("--step", type=float, default=1e-6,
-                   help="finite difference step for the Jacobian oracle")
     p.set_defaults(func=cmd_tangent)
 
     p = sub.add_parser("proper", help="properness verdict for a rank tuple")

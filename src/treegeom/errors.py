@@ -31,7 +31,12 @@ class ParseError(TreegeomError, ValueError):
 
 
 class NotOnManifoldError(TreegeomError):
-    """A tensor does not have the prescribed rank profile."""
+    """A tensor does not have the prescribed rank profile; ``levels`` holds
+    the failing levels measured, ``None`` where no level applies."""
+
+    def __init__(self, message, levels=None):
+        self.levels = levels
+        super().__init__(message)
 
 
 class OutsideChartDomainError(TreegeomError):

@@ -35,6 +35,7 @@ from .errors import (
     InvalidArgumentError,
     NotOnManifoldError,
 )
+from .operators import tree_splits
 from .subspaces import DEFAULT_TOL, _ranks, tree_rank
 from .tensor import (
     check_tensor,
@@ -139,9 +140,9 @@ def _check_covers(tree, r):
         )
 
 
-def _node_ranks(v, tree, r, tol):
-    """Validate a tensor against a tree and a rank tuple covering it, and
-    return the tensor's rank at every tree node."""
+def _check_member_args(v, tree, r):
+    """The validated tensor, checked against a tree and a rank tuple
+    covering it."""
     v = check_tensor(v, allow_zero=False)
     tree.ensure_valid()
     _check_covers(tree, r)
@@ -149,7 +150,7 @@ def _node_ranks(v, tree, r, tol):
         raise InvalidArgumentError(
             f"tree has {tree.ndim} modes, tensor has {v.ndim}"
         )
-    return _ranks(v, tree.nodes, tol)
+    return v
 
 
 def tucker_membership(v, partition, ranks, tol=DEFAULT_TOL):
@@ -177,7 +178,13 @@ def is_member(v, tree, r, tol=DEFAULT_TOL):
     every tree node directly: every level reads its blocks off one rank
     profile of ``v``, one SVD per tree node.
     """
-    computed = _node_ranks(v, tree, r, tol)
+    v = _check_member_args(v, tree, r)
+    return _membership_report(_ranks(v, tree.nodes, tol), tree, r, tol)
+
+
+def _membership_report(computed, tree, r, tol):
+    """The level-by-level verdict on the ranks ``computed`` at (at least)
+    every non-root node."""
     if any(r[b] < 1 for b in tree.nodes if b != tree.root):
         raise InvalidArgumentError("expected ranks must be positive")
     per_level = {}
@@ -194,21 +201,27 @@ def is_member(v, tree, r, tol=DEFAULT_TOL):
 
 
 def require_member(v, tree, r, tol=DEFAULT_TOL):
-    """The validated ``v``; raises :class:`NotOnManifoldError`, naming the
-    failing levels, unless it has the rank profile ``r``."""
-    v = check_tensor(v, allow_zero=False)
-    report = is_member(v, tree, r, tol)
+    """The validated ``v`` and its splits at every non-root node (one
+    factorization each, none at the root); raises :class:`NotOnManifoldError`,
+    carrying the failing levels, unless the splits' ranks are ``r``."""
+    v = _check_member_args(v, tree, r)
+    splits = tree_splits(v, tree, tol)
+    report = _membership_report(
+        {node: s.rank for node, s in splits.items()}, tree, r, tol
+    )
     if not report.member:
         raise NotOnManifoldError(
             f"tensor does not have the prescribed rank profile; failing "
-            f"levels {report.failing_levels()}"
+            f"levels {report.failing_levels()}",
+            levels=report.failing_levels(),
         )
-    return v
+    return v, splits
 
 
 def bounded_rank_member(v, tree, r, tol=DEFAULT_TOL):
     """True iff every node's minimal subspace dimension is at most its bound."""
-    computed = _node_ranks(v, tree, r, tol)
+    v = _check_member_args(v, tree, r)
+    computed = _ranks(v, tree.nodes, tol)
     return all(computed[node] <= r[node] for node in tree.nodes)
 
 

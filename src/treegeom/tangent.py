@@ -19,19 +19,19 @@ the test oracle.
 
 The intersection of the level spaces over all levels composes, with the
 level-1 core space, the model space of the local charts.  Its dimension is
-compared against two independent numbers: a finite-difference Jacobian rank
-of the full tree-network parametrization, and a closed-form parameter count.
+compared against two independent numbers: the rank of the exact Jacobian of
+the full tree-network parametrization, and a closed-form parameter count.
 For depth-1 trees all three agree.  For deeper trees the operator-space
 intersection is strictly smaller than the network dimension (interior
 subspace motions are not expressible as level-wise complement maps that
 vanish on every deeper complement), and the report surfaces the three
 numbers side by side instead of reconciling them.
 
-The Jacobian oracle factors the tensor into network parameters on its own
+Every entry point anchored at a tensor starts with the membership
+precondition :func:`~treegeom.formats.require_member` and builds on the
+splits it returns; the Jacobian oracle reads its network parameters off them
 and evaluates them through the tree-network contraction of
-:mod:`treegeom.formats`, which owns the tree network.  Every entry point
-anchored at a tensor starts with the membership precondition
-:func:`~treegeom.formats.require_member`.
+:mod:`treegeom.formats`, which owns the tree network.
 """
 
 from __future__ import annotations
@@ -44,13 +44,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .formats import _son_lift, contract_network, require_member
-from .operators import (
-    LaplacianLike,
-    assemble_laplacian,
-    lifted_part,
-    tree_splits,
-)
-from .subspaces import DEFAULT_TOL, minimal_subspace
+from .operators import LaplacianLike, assemble_laplacian, lifted_part
+from .subspaces import DEFAULT_TOL
 from .tensor import (
     block_transpose_permutation,
     embed_block_operator,
@@ -424,15 +419,12 @@ def network_dimension_formula(tree, r, shape):
     return core + interior + leaf - gauge
 
 
-def _network_parameters(v, tree, tol):
-    """Recover a tree-network parameter point reproducing ``v`` exactly:
-    per-node orthonormal bases, interior transfer coefficients, root block."""
+def _network_parameters(v, tree, splits):
+    """A tree-network parameter point reproducing ``v``: the bases of
+    ``splits`` at every non-root node, interior transfer coefficients, root
+    block."""
     shape = v.shape
-    bases = {
-        node: minimal_subspace(v, node, tol).basis
-        for node in tree.nodes
-        if node != tree.root
-    }
+    bases = {node: s.u for node, s in splits.items()}
     transfers = {}
     for node in tree.sons:
         G = _son_lift(tree, node, bases, shape)
@@ -444,56 +436,52 @@ def _network_parameters(v, tree, tol):
     return leaf_factors, transfers
 
 
-def parametrization_jacobian(v, tree, r, step=1e-6, tol=DEFAULT_TOL):
-    """Jacobian of the tree-network parameters-to-tensor map at ``v``.
-
-    The tensor is reproduced exactly by a tree-network parameter point; the
-    Jacobian is formed by central finite differences, which are exact up to
-    roundoff because the map is multilinear in the parameter blocks.  One
-    column per parameter entry (leaf factors, interior transfers, root
-    block); rows run over the flattened tensor.
-    """
-    v = require_member(v, tree, r, tol)
+def _jacobian(v, tree, splits):
+    """:func:`parametrization_jacobian` at a member ``v`` with its
+    ``splits``."""
     v = v / np.linalg.norm(v)
     shape = v.shape
-    leaf_factors, transfers = _network_parameters(v, tree, tol)
+    leaf_factors, transfers = _network_parameters(v, tree, splits)
     v_rec = contract_network(tree, shape, leaf_factors, transfers)
     rec_err = np.linalg.norm(v_rec - v)
     if rec_err > 1e-8:
         raise NotOnManifoldError(
             f"network parametrization recovery failed (error {rec_err:.3e})"
         )
-
-    blocks = [("leaf", node) for node in sorted(leaf_factors)]
-    blocks += [("transfer", node) for node in sorted(transfers)]
-
-    def evaluate():
-        return contract_network(tree, shape, leaf_factors, transfers).ravel()
-
     columns = []
-    for kind, node in blocks:
-        store = leaf_factors if kind == "leaf" else transfers
-        base = store[node]
-        flat = base.ravel()
-        for i in range(flat.size):
-            bumped = flat.copy()
-            bumped[i] += step
-            store[node] = bumped.reshape(base.shape)
-            f_plus = evaluate()
-            bumped[i] -= 2 * step
-            store[node] = bumped.reshape(base.shape)
-            f_minus = evaluate()
+    for store in (leaf_factors, transfers):
+        for node in sorted(store):
+            base = store[node]
+            unit = store[node] = np.zeros_like(base)
+            for i in range(unit.size):
+                unit.flat[i] = 1.0
+                v_i = contract_network(tree, shape, leaf_factors, transfers)
+                columns.append(v_i.ravel())
+                unit.flat[i] = 0.0
             store[node] = base
-            columns.append((f_plus - f_minus) / (2 * step))
     return np.column_stack(columns)
 
 
-def tangent_dimension_oracle(v, tree, r, step=1e-6, tol=DEFAULT_TOL):
+def parametrization_jacobian(v, tree, r, tol=DEFAULT_TOL):
+    """Jacobian of the tree-network parameters-to-tensor map at ``v``.
+
+    The normalized tensor is reproduced exactly by a tree-network parameter
+    point; the map is linear in each parameter block, so the column of an
+    entry is the network with that entry set to one and the rest of its
+    block to zero, exact to roundoff.  One column per parameter entry (leaf
+    factors, interior transfers, root block); rows run over the flattened
+    tensor.
+    """
+    v, splits = require_member(v, tree, r, tol)
+    return _jacobian(v, tree, splits)
+
+
+def tangent_dimension_oracle(v, tree, r, tol=DEFAULT_TOL):
     """Manifold dimension as the numerical rank of the parametrization
-    Jacobian, with a rank threshold scaled by the step.  Re-run with
-    ``step / 10`` to confirm stability."""
-    J = parametrization_jacobian(v, tree, r, step=step, tol=tol)
-    return svd_rank(np.linalg.svd(J, compute_uv=False), step)
+    Jacobian, at the threshold ``max(J.shape) * eps`` relative to its
+    largest singular value."""
+    J = parametrization_jacobian(v, tree, r, tol)
+    return svd_rank(np.linalg.svd(J, compute_uv=False), shape=J.shape)
 
 
 @dataclass(frozen=True)
@@ -525,14 +513,14 @@ class TangentReport:
         }
 
 
-def tangent_dimension(v, tree, r, tol=DEFAULT_TOL, step=1e-6):
+def tangent_dimension(v, tree, r, tol=DEFAULT_TOL):
     """Tangent report at a tensor with the prescribed rank profile."""
-    v = require_member(v, tree, r, tol)
-    splits = tree_splits(v, tree, tol)
+    v, splits = require_member(v, tree, r, tol)
     inter = tree_operator_basis(tree, splits, v.shape, tol)
     dim_core = prod(r[b] for b in level_partition(tree, 1))
     dim_total = inter.dim + dim_core
-    oracle = tangent_dimension_oracle(v, tree, r, step=step, tol=tol)
+    J = _jacobian(v, tree, splits)
+    oracle = svd_rank(np.linalg.svd(J, compute_uv=False), shape=J.shape)
     formula = network_dimension_formula(tree, r, v.shape)
     return TangentReport(
         dim_e=inter.dim,
@@ -613,11 +601,10 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL, operator_basis=None):
     that a corrupted vector is flagged; it must be factored over the same
     level-1 blocks and splits as the one computed here.
     """
-    v = require_member(v, tree, r, tol)
+    v, splits = require_member(v, tree, r, tol)
     depth = levels(tree).depth
     if not 1 <= k <= depth:
         raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
-    splits = tree_splits(v, tree, tol)
     spaces = _block_spaces(tree, splits, v.shape)
     block_bases = [space.level_bases() for space in spaces]
     if operator_basis is None:

@@ -139,6 +139,45 @@ class TestGenerate:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_generates_once(self, workspace, capsys, monkeypatch):
+        # the admissibility witness is the written tensor; it is not
+        # generated a second time from the same seed
+        from treegeom import formats
+
+        calls = []
+        attempts = formats.generation_attempts
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return attempts(*args, **kwargs)
+
+        monkeypatch.setattr(formats, "generation_attempts", counted)
+        out = workspace["dir"] / "gen.bin"
+        code = run([
+            "generate", "--tree", workspace["tree"],
+            "--ranks", workspace["ranks"], "--shape", "2,2,2,3",
+            "--seed", "5", "--out", str(out),
+        ])
+        assert code == 0 and len(calls) == 1
+        assert np.array_equal(tg.load_tensor(out), tg.random_tree_tensor(
+            tg.tree_from_json(open(workspace["tree"]).read()),
+            workspace["r"], (2, 2, 2, 3), seed=5))
+
+    def test_unknown_verdict_exits_three(self, workspace, capsys):
+        # at tol 0.9 only singular values within 10% of the largest count,
+        # so no sample reaches rank 2 and admissibility stays unknown
+        out = workspace["dir"] / "gen.json"
+        code = run([
+            "generate", "--tree", workspace["tree"],
+            "--ranks", workspace["ranks"], "--shape", "2,2,2,3",
+            "--tol", "0.9", "--trials", "3", "--out", str(out),
+        ])
+        doc = read_json(capsys)
+        assert code == 3
+        assert doc["verdict"] == "unknown" and doc["attempts"] == 3
+        # --out names the tensor file: no tensor, no file
+        assert not out.exists()
+
     def test_inadmissible_exits_three_with_reason(self, workspace, capsys):
         bad = dict(workspace["r"].ranks)
         bad[(1, 2, 3, 4)] = 2
@@ -205,6 +244,34 @@ class TestTangent:
         ])
         doc = read_json(capsys)
         assert code == 1 and not doc["agree"]
+
+    def test_non_member_report_from_one_membership_check(
+        self, workspace, capsys, monkeypatch
+    ):
+        from treegeom import formats
+
+        bumped = dict(workspace["r"].ranks)
+        bumped[(2, 3)] += 1
+        path = workspace["dir"] / "wrong.json"
+        path.write_text(ranks_to_json(TreeRank(bumped)))
+        tree = tg.tree_from_json(open(workspace["tree"]).read())
+        expected = tg.is_member(workspace["v"], tree, TreeRank(bumped))
+        decisions = []
+        report = formats._membership_report
+
+        def counted(*args):
+            decisions.append(args)
+            return report(*args)
+
+        monkeypatch.setattr(formats, "_membership_report", counted)
+        code = run([
+            "tangent", "--tensor", workspace["tensor"],
+            "--tree", workspace["tree"], "--ranks", str(path),
+        ])
+        doc = read_json(capsys)
+        assert code == 1 and len(decisions) == 1
+        assert doc["member"] is False and doc["agree"] is False
+        assert doc["failing_levels"] == expected.failing_levels() == [2]
 
     def test_deep_tree_gap_reported_with_nonzero_exit(
         self, workspace, capsys

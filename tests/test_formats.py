@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 import treegeom as tg
-from treegeom.errors import GenerationFailureError, InvalidArgumentError
+from treegeom.errors import (
+    GenerationFailureError,
+    InvalidArgumentError,
+    NotOnManifoldError,
+)
 from treegeom.formats import (
     generation_attempts,
     necessary_rank_conditions,
     random_tucker_tensor,
+    require_member,
 )
 from treegeom.subspaces import TreeRank
 
@@ -113,6 +118,21 @@ class TestIsMember:
         r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
         with pytest.raises(InvalidArgumentError, match="tree has 4 modes"):
             tg.is_member(rng.standard_normal((2,) * 5), deep_tree_d4, r)
+
+    def test_require_member_decides_on_its_splits(self, mixed_tree_d6):
+        shape = (2,) * 6
+        r = capped_rank_tuple(mixed_tree_d6, shape)
+        v = tg.random_tree_tensor(mixed_tree_d6, r, shape, seed=0)
+        v_checked, splits = require_member(v, mixed_tree_d6, r)
+        assert np.array_equal(v_checked, v)
+        assert set(splits) == mixed_tree_d6.nodes - {mixed_tree_d6.root}
+        assert all(splits[n].rank == r[n] for n in splits)
+        r_bad = bump(r, (2, 3))
+        with pytest.raises(NotOnManifoldError,
+                           match=r"failing levels \[2\]") as err:
+            require_member(v, mixed_tree_d6, r_bad)
+        assert err.value.levels == \
+            tg.is_member(v, mixed_tree_d6, r_bad).failing_levels()
 
     def test_one_singular_value_solve_per_node(self, monkeypatch):
         # a leaf of the linear tree sits in every level partition below its

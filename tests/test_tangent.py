@@ -1,12 +1,16 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import treegeom as tg
+from treegeom import subspaces
+from treegeom.formats import contract_network
 from treegeom.operators import tree_splits
 from treegeom.subspaces import TreeRank
 from treegeom.tangent import (
+    _network_parameters,
     _residual_spectrum,
     network_dimension_formula,
     parametrization_jacobian,
@@ -213,13 +217,6 @@ class TestOracle:
     def test_elementary_three_mode(self):
         tree, r, v = tucker_instance((2, 2, 2), (1, 1, 1), seed=2)
         assert tg.tangent_dimension_oracle(v, tree, r) == 4
-
-    def test_step_halving_stability(self, deep_tree_d4):
-        shape = (2, 2, 2, 3)
-        v, r, _ = anchored(deep_tree_d4, shape, seed=11)
-        d1 = tg.tangent_dimension_oracle(v, deep_tree_d4, r, step=1e-6)
-        d2 = tg.tangent_dimension_oracle(v, deep_tree_d4, r, step=1e-7)
-        assert d1 == d2
 
     def test_non_member_rejected(self, deep_tree_d4, rng):
         ones = TreeRank({n: 1 for n in deep_tree_d4.nodes})
@@ -473,3 +470,87 @@ class TestBlockSpacesMatchDenseOracle:
             assert block.level_residual(parts, k) == pytest.approx(
                 bk.coordinates(Lop)[1], rel=1e-10, abs=1e-12
             )
+
+
+def central_difference_jacobian(v, tree, splits, step=1e-6):
+    """Reference Jacobian: central differences, two contractions per
+    parameter entry, at the parameter point and in the column order of
+    :func:`parametrization_jacobian`."""
+    v = v / np.linalg.norm(v)
+    leaf_factors, transfers = _network_parameters(v, tree, splits)
+    columns = []
+    for store in (leaf_factors, transfers):
+        for node in sorted(store):
+            base = store[node]
+            flat = base.ravel()
+            for i in range(flat.size):
+                bumped = flat.copy()
+                bumped[i] += step
+                store[node] = bumped.reshape(base.shape)
+                f_plus = contract_network(tree, v.shape, leaf_factors,
+                                          transfers).ravel()
+                bumped[i] -= 2 * step
+                store[node] = bumped.reshape(base.shape)
+                f_minus = contract_network(tree, v.shape, leaf_factors,
+                                           transfers).ravel()
+                store[node] = base
+                columns.append((f_plus - f_minus) / (2 * step))
+    return np.column_stack(columns)
+
+
+JACOBIAN_CASES = BLOCK_CASES + [("deep", (2, 2, 2, 3))]
+
+
+@pytest.mark.parametrize("kind,shape", JACOBIAN_CASES)
+class TestExactJacobian:
+    def test_matches_central_differences(self, kind, shape):
+        tree, v, r, splits = block_case(kind, shape, seed=36)
+        J = parametrization_jacobian(v, tree, r)
+        reference = central_difference_jacobian(v, tree, splits)
+        assert J.shape == reference.shape
+        assert np.max(np.abs(J - reference)) <= 1e-8 * np.max(np.abs(J))
+
+    def test_spectrum_has_a_gap(self, kind, shape):
+        # the rank threshold max(J.shape) * eps is safe only if no singular
+        # value sits anywhere near it: gauge directions are roundoff, every
+        # other one is well above 1e-6 of the largest
+        tree, v, r, _ = block_case(kind, shape, seed=11)
+        J = parametrization_jacobian(v, tree, r)
+        s = np.linalg.svd(J, compute_uv=False)
+        s = s / s[0]
+        floor = max(J.shape) * np.finfo(float).eps
+        assert not np.any((s > floor) & (s <= 1e-6)), s
+        assert tg.tangent_dimension_oracle(v, tree, r) == \
+            network_dimension_formula(tree, r, shape)
+
+
+UNFOLD_CASES = [
+    (tg.linear_tree(5), (2, 3, 2, 3, 2)),
+    (tg.tree_from_nested([[[1], [[2], [3]]], [4]]), (3, 3, 3, 3)),
+    (tg.balanced_binary_tree(4), (3, 3, 3, 3)),
+]
+
+
+@pytest.mark.filterwarnings("ignore:fixed-rank set is not proper")
+@pytest.mark.parametrize("tree,shape", UNFOLD_CASES,
+                         ids=["linear-23232", "deep-3333", "binary-3333"])
+@pytest.mark.parametrize("call", [
+    lambda v, tree, r: tg.tree_chart(v, tree, r),
+    lambda v, tree, r: tg.tangent_dimension(v, tree, r),
+    lambda v, tree, r: tg.immersion_check(v, tree, r, 1),
+], ids=["tree_chart", "tangent_dimension", "immersion_check"])
+def test_anchor_is_factored_once_per_node(tree, shape, call, monkeypatch):
+    # membership, the operator spaces and the Jacobian share one split per
+    # non-root node; the root unfolding carries no information
+    r = capped_rank_tuple(tree, shape)
+    v = tg.random_tree_tensor(tree, r, shape, seed=2)
+    unfolded = Counter()
+    unfold = subspaces._unfold
+
+    def counted(v, alpha):
+        unfolded[alpha] += 1
+        return unfold(v, alpha)
+
+    monkeypatch.setattr(subspaces, "_unfold", counted)
+    call(v, tree, r)
+    assert unfolded == Counter(n for n in tree.nodes if n != tree.root)
