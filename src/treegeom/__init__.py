@@ -62,8 +62,8 @@ from .formats import (
     is_member,
     is_proper,
     necessary_rank_conditions,
+    network_dimension_formula,
     random_tree_tensor,
-    random_tucker_tensor,
     tucker_membership,
 )
 from .operators import (
@@ -83,7 +83,6 @@ from .tangent import (
     immersion_check,
     intersect_operator_spaces,
     level_operator_basis,
-    network_dimension_formula,
     parametrization_jacobian,
     tangent_dimension,
     tangent_dimension_oracle,

@@ -32,7 +32,7 @@ from .errors import (
     OutsideChartDomainError,
     OutsideChartImageError,
 )
-from .formats import _structurally_implied, is_member, require_member
+from .formats import dimension_margins, is_member, require_member
 from .operators import LaplacianLike, assemble_laplacian, lifted_part
 from .subspaces import DEFAULT_TOL, minimal_subspace
 from .tangent import BlockOperatorBasis, tree_operator_basis
@@ -200,20 +200,20 @@ class ChartData:
 def tree_chart(v, tree, r, tol=DEFAULT_TOL):
     """Build the chart data anchored at a tensor with rank profile ``r``.
 
-    Requires membership at the given tolerance.  When one level's Tucker
-    constraints already imply all node constraints the chart is still built,
-    but a warning notes that the fixed-rank set is not proper.
+    Requires membership at the given tolerance.  When some level's Tucker
+    set has the dimension of the fixed-rank set (the rule of
+    :func:`~treegeom.formats.is_proper`) the chart is still built, but a
+    warning notes that the fixed-rank set is not proper.
     """
     if tol is None or tol <= 0:
         raise InvalidArgumentError("chart tolerance must be positive")
     v, splits = require_member(v, tree, r, tol)
     depth = levels(tree).depth
     partitions = tuple(level_partition(tree, k) for k in range(1, depth + 1))
-    if depth == 1 or any(
-        _structurally_implied(tree, r, k) for k in range(1, depth + 1)
-    ):
+    _, margins = dimension_margins(tree, r, v.shape)
+    if min(margins.values()) <= 0:
         warnings.warn(
-            "fixed-rank set is not proper: some level set already equals it",
+            "fixed-rank set is not proper: some level set has its dimension",
             stacklevel=2,
         )
     operator_basis = tree_operator_basis(tree, splits, v.shape, tol)

@@ -31,11 +31,7 @@ from .errors import (
     TreeValidationError,
 )
 from .formats import is_admissible, is_member, is_proper
-from .subspaces import (
-    check_chain,
-    minimal_subspace,
-    ranks_from_json,
-)
+from .subspaces import _chain_residuals, minimal_subspace, ranks_from_json
 from .tangent import tangent_dimension
 from .tensor import load_tensor, save_tensor
 from .trees import (
@@ -129,12 +125,11 @@ def _render_human(report, indent=0):
 
 
 def _meta(args):
-    return {
-        "tool": "treegeom",
-        "version": __version__,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    meta = {"tool": "treegeom", "version": __version__}
+    if "seed" in args:
+        meta["seed"] = args.seed
+    meta["tol"] = args.tol
+    return meta
 
 
 def _operator_command_bytes(tree, r, shape, jacobian):
@@ -203,7 +198,9 @@ def cmd_analyze(args):
     tree = _load_tree(args.tree, v.ndim)
     nodes = sorted(tree.nodes, key=lambda b: (len(b), b))
     subs = [minimal_subspace(v, node, args.tol) for node in nodes]
-    residuals = check_chain(v, tree, args.tol)
+    residuals = _chain_residuals(
+        v, tree, {sub.alpha: sub.basis for sub in subs}
+    )
     report = {
         **_meta(args),
         "command": "analyze",
@@ -356,8 +353,7 @@ def cmd_proper(args):
     shape = tuple(int(x) for x in args.shape.split(","))
     tree = _load_tree(args.tree, len(shape))
     r = _load_ranks(args.ranks)
-    report = is_proper(tree, r, shape, trials=args.trials, seed=args.seed,
-                       tol=args.tol)
+    report = is_proper(tree, r, shape, seed=args.seed, tol=args.tol)
     doc = {**_meta(args), "command": "proper", **report.to_dict()}
     _emit(doc, args)
     return EXIT_OK if report.proper else EXIT_NEGATIVE
@@ -374,7 +370,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tensor=True, ranks=False, shape=False):
+    def common(p, tensor=True, ranks=False, shape=False, seed=False,
+               trials=False):
         if tensor:
             p.add_argument("--tensor", required=True, help="tensor file path")
         p.add_argument(
@@ -389,8 +386,10 @@ def build_parser():
                 help="comma-separated mode sizes, e.g. 2,3,4",
             )
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=20)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if trials:
+            p.add_argument("--trials", type=int, default=20)
         p.add_argument("--out", default=None, help="report/output file path")
         p.add_argument("--human", action="store_true",
                        help="human-readable tables instead of JSON")
@@ -404,11 +403,11 @@ def build_parser():
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("generate", help="random tensor with prescribed ranks")
-    common(p, tensor=False, ranks=True, shape=True)
+    common(p, tensor=False, ranks=True, shape=True, seed=True, trials=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("chart-check", help="chart round-trip diagnostics")
-    common(p, ranks=True)
+    common(p, ranks=True, seed=True, trials=True)
     p.set_defaults(func=cmd_chart_check)
 
     p = sub.add_parser("tangent", help="tangent dimension report")
@@ -416,7 +415,8 @@ def build_parser():
     p.set_defaults(func=cmd_tangent)
 
     p = sub.add_parser("proper", help="properness verdict for a rank tuple")
-    common(p, tensor=False, ranks=True, shape=True)
+    # the seed of the admissibility witness
+    common(p, tensor=False, ranks=True, shape=True, seed=True)
     p.set_defaults(func=cmd_proper)
 
     return parser

@@ -10,21 +10,21 @@ so the rank profile is computed once, one singular-value-only SVD per node,
 and every level reads its blocks off it.
 
 This module owns the tree network (:func:`contract_network`, shared by the
-sampler and the Jacobian oracle of :mod:`treegeom.tangent`) and the
-membership precondition of everything anchored at a point
-(:func:`require_member`).
+sampler and the Jacobian oracle of :mod:`treegeom.tangent`, and its
+dimension :func:`network_dimension_formula`) and the membership
+precondition of everything anchored at a point (:func:`require_member`).
 
 Admissibility (is some tensor realizing the tuple?) is decided by a list of
-necessary conditions followed by randomized realization attempts; properness
-(does the fixed-rank set differ from every single-level Tucker set?) is
-decided by a structural implication rule plus Monte-Carlo sampling.  Both
-verdicts record exactly what was checked: a sampled "proper" verdict is
-probabilistic and says so.
+necessary conditions followed by randomized realization attempts, and
+records what was checked.  Properness (does the fixed-rank set differ from
+every single-level Tucker set?) is exact: it compares the dimension of the
+fixed-rank set with that of each level set (:func:`dimension_margins`), and
+the report carries every level's margin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -58,8 +58,8 @@ __all__ = [
     "is_admissible",
     "is_proper",
     "contract_network",
+    "network_dimension_formula",
     "random_tree_tensor",
-    "random_tucker_tensor",
 ]
 
 
@@ -118,17 +118,15 @@ class AdmissibilityVerdict:
 class PropernessReport:
     proper: bool
     reason: str
-    structural: bool
-    samples_per_level: dict = field(default_factory=dict)
-    escapes_per_level: dict = field(default_factory=dict)
+    dimension: int
+    level_margins: dict
 
     def to_dict(self):
         return {
             "proper": self.proper,
             "reason": self.reason,
-            "structural": self.structural,
-            "samples_per_level": {str(k): v for k, v in self.samples_per_level.items()},
-            "escapes_per_level": {str(k): v for k, v in self.escapes_per_level.items()},
+            "dimension": self.dimension,
+            "level_margins": {str(k): m for k, m in self.level_margins.items()},
         }
 
 
@@ -310,6 +308,22 @@ def contract_network(tree, shape, leaf_factors, transfers):
     return build(tree.root).reshape(shape)
 
 
+def network_dimension_formula(tree, r, shape):
+    """Closed-form parameter count of the tree network modulo per-node gauge:
+    root coefficient block, plus one transfer block per interior node, plus
+    the leaf factors, minus one general linear group per non-root node."""
+    tree.ensure_valid()
+    core = prod(r[b] for b in tree.sons_of(tree.root))
+    interior = sum(
+        r[node] * prod(r[b] for b in tree.sons_of(node))
+        for node in tree.sons
+        if node != tree.root
+    )
+    leaf = sum(shape[node[0] - 1] * r[node] for node in tree.leaves)
+    gauge = sum(r[node] ** 2 for node in tree.nodes if node != tree.root)
+    return core + interior + leaf - gauge
+
+
 def _sample_network(tree, r, shape, rng):
     """Random tree network with representation ranks ``r``, normalized:
     orthonormal leaf factors, generic transfer coefficients, each node drawn
@@ -371,43 +385,6 @@ def generation_attempts(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL)
     )
 
 
-def random_tucker_tensor(partition, ranks, shape, seed=0, max_retries=20,
-                         tol=DEFAULT_TOL):
-    """Random tensor in a single-level Tucker set: a generic full-rank core
-    expressed in random orthonormal block subspaces, verified blockwise."""
-    blocks = sorted_blocks(normalize_modes(b, len(shape)) for b in partition)
-    rank_map = {b: int(ranks[b]) for b in blocks}
-    for b in blocks:
-        n_in = prod(shape[m - 1] for m in b)
-        n_out = prod(shape) // n_in
-        if not 1 <= rank_map[b] <= min(n_in, n_out):
-            raise InvalidArgumentError(
-                f"rank {rank_map[b]} at block {set(b)} is not realizable "
-                f"over shape {tuple(shape)}"
-            )
-    for attempt in range(max_retries):
-        rng = np.random.default_rng(seed + attempt)
-        core = rng.standard_normal([rank_map[b] for b in blocks])
-        v = core
-        for b in blocks:
-            B = _orthonormal_columns(
-                rng, prod(shape[m - 1] for m in b), rank_map[b]
-            )
-            v = np.tensordot(v, B, axes=([0], [1]))
-        # modes are now ambient blocks in block order; unfuse and reorder
-        dims = [shape[m - 1] for b in blocks for m in b]
-        modes = [m for b in blocks for m in b]
-        v = v.reshape(dims)
-        v = np.transpose(v, np.argsort(modes))
-        v = v / np.linalg.norm(v)
-        ok, _ = tucker_membership(v, blocks, rank_map, tol)
-        if ok:
-            return v
-    raise GenerationFailureError(
-        "could not realize the blockwise ranks in random sampling"
-    )
-
-
 def is_admissible(tree, r, shape, trials=20, seed=0, tol=DEFAULT_TOL):
     """Verdict on whether some tensor over ``shape`` realizes the tuple ``r``.
 
@@ -438,99 +415,64 @@ def is_admissible(tree, r, shape, trials=20, seed=0, tol=DEFAULT_TOL):
         )
 
 
-def _structurally_implied(tree, r, k):
-    """True when the level-k Tucker constraints imply every node constraint:
-    each non-root node, or its complement with equal rank, is a level-k block.
-    Minimal subspace dimensions of complementary subsets always agree, so the
-    fixed-rank set then coincides with the level-k Tucker set."""
-    blocks = set(level_partition(tree, k))
-    full = set(tree.root)
-    for node in tree.nodes:
-        if node == tree.root or node in blocks:
-            continue
-        comp = tuple(sorted(full - set(node)))
-        if comp in blocks and comp in r and r[comp] == r[node]:
-            continue
-        return False
-    return True
+def dimension_margins(tree, r, shape):
+    """The dimension ``f`` of the fixed tree-rank set
+    (:func:`network_dimension_formula`) and, for every level ``k``, the
+    margin ``dim_k - f``, where ``dim_k = prod_b r_b + sum_b r_b (n_b - r_b)``
+    over the level-k blocks ``b`` (``n_b`` the product of their mode sizes)
+    is the dimension of the level-k Tucker set."""
+    f = network_dimension_formula(tree, r, shape)
+    margins = {}
+    for k in range(1, levels(tree).depth + 1):
+        blocks = level_partition(tree, k)
+        dim_k = prod(r[b] for b in blocks) + sum(
+            r[b] * (prod(shape[m - 1] for m in b) - r[b]) for b in blocks
+        )
+        margins[k] = dim_k - f
+    return f, margins
 
 
-def is_proper(tree, r, shape, trials=50, seed=0, tol=DEFAULT_TOL):
+def is_proper(tree, r, shape, seed=0, tol=DEFAULT_TOL):
     """Is the fixed tree-based rank set different from every level set?
 
-    Depth-1 trees are never proper (the single level set is the whole thing).
-    If some level's constraints structurally imply all node constraints, the
-    verdict is a certain "not proper" citing that level.  Otherwise each
-    level's Tucker set is sampled ``trials`` times: a sample escaping the
-    tree constraints witnesses a strict difference at that level; if every
-    sample of some level lands inside, the verdict is "not proper" for that
-    level (a sampling-based conclusion).  A "proper" verdict means every
-    level produced an escape witness and is itself probabilistic only through
-    the sampler; the report records the sample counts.
+    Decided by dimension counts.  The fixed-rank set lies in every level-k
+    Tucker set, and at generic points both are manifolds, of dimensions
+    ``f`` and ``dim_k`` (:func:`dimension_margins`; Uschmajew & Vandereycken,
+    "The geometry of algorithms using hierarchical tensors", 2013).  Where
+    ``dim_k = f`` the fixed-rank set is open in the level-k set, so a
+    generic level-k tensor has the tree ranks: not proper.  Where
+    ``dim_k > f`` at every level it is a thinner submanifold of each: proper.
+    A depth-1 tree has one level, whose margin is 0.  The report carries
+    ``f`` and every level's margin.
+
+    The counts presume the tuple is realizable: an inadmissible tuple raises
+    :class:`InvalidArgumentError`, and one for which :func:`is_admissible`
+    (at ``seed`` and ``tol``) finds no witness raises
+    :class:`GenerationFailureError`.
     """
-    tree.ensure_valid()
-    verdict = is_admissible(tree, r, shape, trials=max(trials // 2, 5),
-                            seed=seed, tol=tol)
+    verdict = is_admissible(tree, r, shape, seed=seed, tol=tol)
     if verdict.verdict == "inadmissible":
         raise InvalidArgumentError(
             "rank tuple is inadmissible: "
             + "; ".join(verdict.violated_conditions)
         )
-    depth = levels(tree).depth
-    if depth == 1:
-        return PropernessReport(
-            proper=False, structural=True,
-            reason="depth-1 tree: the fixed-rank set is the single level set",
+    if verdict.verdict == "unknown":
+        raise GenerationFailureError(
+            f"no tensor with the requested ranks found in {verdict.attempts} "
+            "attempts; properness is decided for realizable tuples only"
         )
-    for k in range(1, depth + 1):
-        if _structurally_implied(tree, r, k):
-            return PropernessReport(
-                proper=False, structural=True,
-                reason=(
-                    f"level {k} constraints imply all node constraints "
-                    "(complementary unfoldings have equal rank), so the "
-                    f"fixed-rank set equals the level-{k} Tucker set"
-                ),
-            )
-    samples = {}
-    escapes = {}
-    for k in range(1, depth + 1):
-        blocks = level_partition(tree, k)
-        rank_map = {b: r[b] for b in blocks}
-        n_escapes = 0
-        n_valid = 0
-        for t in range(trials):
-            try:
-                w = random_tucker_tensor(
-                    blocks, rank_map, shape, seed=seed + 1000 * k + t, tol=tol
-                )
-            except GenerationFailureError:
-                continue
-            n_valid += 1
-            if not is_member(w, tree, r, tol).member:
-                n_escapes += 1
-        samples[k] = n_valid
-        escapes[k] = n_escapes
-        if n_valid > 0 and n_escapes == 0:
-            return PropernessReport(
-                proper=False, structural=False,
-                reason=(
-                    f"all {n_valid} sampled members of the level-{k} Tucker "
-                    "set satisfied every tree constraint (sampling-based)"
-                ),
-                samples_per_level=samples, escapes_per_level=escapes,
-            )
-        if n_valid == 0:
-            return PropernessReport(
-                proper=False, structural=False,
-                reason=f"could not sample the level-{k} Tucker set",
-                samples_per_level=samples, escapes_per_level=escapes,
-            )
+    f, margins = dimension_margins(tree, r, shape)
+    flat = [k for k, m in margins.items() if m <= 0]
+    if flat:
+        reason = (
+            f"the fixed-rank set has the dimension {f} of the level-{flat[0]} "
+            "Tucker set, so it is open in that set"
+        )
+    else:
+        reason = (
+            f"the fixed-rank set has dimension {f}, below that of every "
+            "level Tucker set"
+        )
     return PropernessReport(
-        proper=True, structural=False,
-        reason=(
-            "every level produced sampled witnesses outside the tree "
-            "constraints (Monte-Carlo verdict)"
-        ),
-        samples_per_level=samples, escapes_per_level=escapes,
+        proper=not flat, reason=reason, dimension=f, level_margins=margins
     )

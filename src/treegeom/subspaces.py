@@ -211,14 +211,22 @@ def check_chain(v, tree, tol=DEFAULT_TOL):
     """
     v = check_tensor(v, allow_zero=False)
     tree.ensure_valid()
-    depth = levels(tree).depth
-    bases = {}
+    blocks = {
+        b for k in range(1, levels(tree).depth + 1)
+        for b in level_partition(tree, k)
+    }
+    return _chain_residuals(
+        v, tree, {b: minimal_subspace(v, b, tol).basis for b in blocks}
+    )
+
+
+def _chain_residuals(v, tree, bases):
+    """:func:`check_chain` of a validated ``v`` given the minimal subspace
+    basis of (at least) every level block."""
     residuals = {}
-    for k in range(1, depth + 1):
+    for k in range(1, levels(tree).depth + 1):
         proj = v
         for b in level_partition(tree, k):
-            if b not in bases:
-                bases[b] = minimal_subspace(v, b, tol).basis
             proj = _project_block_tensor(proj, b, bases[b])
         residuals[k] = float(np.linalg.norm(v - proj))
     return residuals

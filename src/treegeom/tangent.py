@@ -43,7 +43,12 @@ from math import prod
 import numpy as np
 
 from .errors import InvalidArgumentError, NotOnManifoldError
-from .formats import _son_lift, contract_network, require_member
+from .formats import (
+    _son_lift,
+    contract_network,
+    network_dimension_formula,
+    require_member,
+)
 from .operators import LaplacianLike, assemble_laplacian, lifted_part
 from .subspaces import DEFAULT_TOL
 from .tensor import (
@@ -401,22 +406,6 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     # one block's level bases at a time: only the spectra are kept
     spectra = [_residual_spectrum(space.level_bases()) for space in spaces]
     return _intersect_blocks(spaces, spectra, shape, tol)
-
-
-def network_dimension_formula(tree, r, shape):
-    """Closed-form parameter count of the tree network modulo per-node gauge:
-    root coefficient block, plus one transfer block per interior node, plus
-    the leaf factors, minus one general linear group per non-root node."""
-    tree.ensure_valid()
-    core = prod(r[b] for b in tree.sons_of(tree.root))
-    interior = sum(
-        r[node] * prod(r[b] for b in tree.sons_of(node))
-        for node in tree.sons
-        if node != tree.root
-    )
-    leaf = sum(shape[node[0] - 1] * r[node] for node in tree.leaves)
-    gauge = sum(r[node] ** 2 for node in tree.nodes if node != tree.root)
-    return core + interior + leaf - gauge
 
 
 def _network_parameters(v, tree, splits):

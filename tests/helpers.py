@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: ranks via Gaussian
 elimination, subspace intersections via full complement projectors, mode
-operators via explicit index loops.
+operators via explicit index loops, properness by sampling the level Tucker
+sets.
 """
 
 from fractions import Fraction
@@ -121,3 +122,71 @@ def capped_rank_tuple(tree, shape, cap=2):
         n_in = prod(shape[m - 1] for m in node)
         ranks[node] = min(cap, n_in, N // n_in)
     return TreeRank(ranks)
+
+
+def random_tucker_tensor(partition, ranks, shape, seed=0, max_retries=20,
+                         tol=1e-10):
+    """Random tensor in a single-level Tucker set: a generic full-rank core
+    expressed in random orthonormal block subspaces, verified blockwise."""
+    import treegeom as tg
+    from treegeom.tensor import normalize_modes, sorted_blocks
+
+    blocks = sorted_blocks(normalize_modes(b, len(shape)) for b in partition)
+    rank_map = {b: int(ranks[b]) for b in blocks}
+    for b in blocks:
+        n_in = prod(shape[m - 1] for m in b)
+        n_out = prod(shape) // n_in
+        if not 1 <= rank_map[b] <= min(n_in, n_out):
+            raise tg.InvalidArgumentError(
+                f"rank {rank_map[b]} at block {set(b)} is not realizable "
+                f"over shape {tuple(shape)}"
+            )
+    for attempt in range(max_retries):
+        rng = np.random.default_rng(seed + attempt)
+        core = rng.standard_normal([rank_map[b] for b in blocks])
+        v = core
+        for b in blocks:
+            n_b = prod(shape[m - 1] for m in b)
+            B, _ = np.linalg.qr(rng.standard_normal((n_b, rank_map[b])))
+            v = np.tensordot(v, B[:, :rank_map[b]], axes=([0], [1]))
+        # modes are now ambient blocks in block order; unfuse and reorder
+        dims = [shape[m - 1] for b in blocks for m in b]
+        modes = [m for b in blocks for m in b]
+        v = np.transpose(v.reshape(dims), np.argsort(modes))
+        v = v / np.linalg.norm(v)
+        ok, _ = tg.tucker_membership(v, blocks, rank_map, tol)
+        if ok:
+            return v
+    raise tg.GenerationFailureError(
+        "could not realize the blockwise ranks in random sampling"
+    )
+
+
+def sampled_properness(tree, r, shape, trials=50, seed=0, tol=1e-10):
+    """Monte-Carlo properness verdict, the oracle for ``is_proper``.
+
+    Level k differs from the fixed-rank set when one of ``trials`` random
+    members of the level-k Tucker set (seeds ``seed + 1000*k + t``) misses
+    the tree ranks; the set is proper when every level does.  A level whose
+    samples all keep the tree ranks, or that cannot be sampled, is not told
+    apart.
+    """
+    import treegeom as tg
+
+    for k in range(1, tg.levels(tree).depth + 1):
+        blocks = tg.level_partition(tree, k)
+        rank_map = {b: r[b] for b in blocks}
+        escaped = False
+        for t in range(trials):
+            try:
+                w = random_tucker_tensor(
+                    blocks, rank_map, shape, seed=seed + 1000 * k + t, tol=tol
+                )
+            except tg.GenerationFailureError:
+                continue
+            if not tg.is_member(w, tree, r, tol).member:
+                escaped = True
+                break
+        if not escaped:
+            return False
+    return True

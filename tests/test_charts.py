@@ -15,7 +15,7 @@ from treegeom.operators import LaplacianLike
 from treegeom.subspaces import TreeRank
 from treegeom.tensor import sorted_blocks
 
-from helpers import capped_rank_tuple
+from helpers import capped_rank_tuple, random_tucker_tensor
 
 
 def make_chart(tree, shape, seed=0, cap=2):
@@ -214,6 +214,20 @@ class TestTreeChart:
         with pytest.warns(UserWarning, match="not proper"):
             tg.tree_chart(v, two_block_tree_d6, r)
 
+    @pytest.mark.parametrize("shape, warns", [
+        ((2, 2, 2, 3), True),  # level-2 margin 0
+        ((3, 3, 3, 3), False),  # margins 36, 6, 4
+    ])
+    def test_warning_follows_the_dimension_counts(
+        self, deep_tree_d4, shape, warns
+    ):
+        r = capped_rank_tuple(deep_tree_d4, shape)
+        v = tg.random_tree_tensor(deep_tree_d4, r, shape, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tg.tree_chart(v, deep_tree_d4, r)
+        assert any("not proper" in str(w.message) for w in caught) == warns
+
     def test_deficient_core_rejected(self, deep_tree_d4):
         v, r, chart = make_chart(deep_tree_d4, (2, 2, 2, 3), seed=7)
         bad = np.zeros_like(chart.core)
@@ -248,8 +262,6 @@ class TestTreeChart:
         # generic (4 at the {2,3} node instead of 2)
         leaf_blocks = chart.level_partitions[-1]
         leaf_ranks = {b: r[b] for b in leaf_blocks}
-        from treegeom.formats import random_tucker_tensor
-
         w = random_tucker_tensor(leaf_blocks, leaf_ranks, shape, seed=13)
         ok, _ = tg.tucker_membership(w, leaf_blocks, leaf_ranks)
         assert ok

@@ -76,6 +76,31 @@ class TestAnalyze:
         code = run(["analyze", "--tensor", "/nope/v.json", "--tree", "tucker"])
         assert code == 2
 
+    def test_factors_each_node_once(self, workspace, capsys, monkeypatch):
+        from treegeom import subspaces
+
+        calls = []
+        unfold = subspaces._unfold
+
+        def counted(v, alpha):
+            calls.append(alpha)
+            return unfold(v, alpha)
+
+        monkeypatch.setattr(subspaces, "_unfold", counted)
+        code = run([
+            "analyze", "--tensor", workspace["tensor"],
+            "--tree", workspace["tree"],
+        ])
+        assert code == 0
+        tree = tg.tree_from_json(open(workspace["tree"]).read())
+        assert len(calls) == len(tree.nodes)
+
+    def test_report_has_no_seed(self, workspace, capsys):
+        run(["analyze", "--tensor", workspace["tensor"],
+             "--tree", workspace["tree"]])
+        doc = read_json(capsys)
+        assert "seed" not in doc and doc["tol"] == 1e-10
+
 
 class TestMembership:
     def test_member_exits_zero(self, workspace, capsys):
@@ -301,7 +326,7 @@ class TestProper:
         ])
         doc = read_json(capsys)
         assert code == 1 and not doc["proper"]
-        assert doc["structural"]
+        assert doc["level_margins"] == {"1": 0, "2": 0}
 
     def test_mixed_tree_proper(self, tmp_path, mixed_tree_d6, capsys):
         r = capped_rank_tuple(mixed_tree_d6, (2,) * 6)
@@ -311,7 +336,7 @@ class TestProper:
         rp.write_text(ranks_to_json(r))
         code = run([
             "proper", "--tree", str(tp), "--ranks", str(rp),
-            "--shape", "2,2,2,2,2,2", "--trials", "10",
+            "--shape", "2,2,2,2,2,2",
         ])
         doc = read_json(capsys)
         assert code == 0 and doc["proper"]
@@ -327,7 +352,7 @@ class TestProper:
             "--shape", "2,2,2",
         ])
         doc = read_json(capsys)
-        assert code == 1 and "depth-1" in doc["reason"]
+        assert code == 1 and doc["level_margins"] == {"1": 0}
 
 
 class TestMisc:
@@ -376,6 +401,25 @@ class TestMisc:
             _guard_size(deep, ranks, (20, 20, 20, 2))
         _guard_size(deep, ranks, (4, 4, 4, 5))
 
+    @pytest.mark.parametrize("command, option", [
+        ("analyze", "--seed"), ("analyze", "--trials"),
+        ("membership", "--seed"), ("membership", "--trials"),
+        ("tangent", "--seed"), ("tangent", "--trials"),
+        ("proper", "--trials"),
+    ])
+    def test_sampling_options_only_where_used(self, workspace, command,
+                                              option, capsys):
+        args = [command, "--tree", workspace["tree"], option, "1"]
+        if command == "proper":
+            args += ["--ranks", workspace["ranks"], "--shape", "2,2,2,3"]
+        else:
+            args += ["--tensor", workspace["tensor"]]
+        if command in ("membership", "tangent"):
+            args += ["--ranks", workspace["ranks"]]
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="reads the peak resident set from /proc")
     @pytest.mark.parametrize("kind, shape, command", [
@@ -412,9 +456,11 @@ class TestMisc:
         )
         args = [
             command, "--tensor", str(tensor_path), "--tree", kind,
-            "--ranks", str(ranks_path), "--trials", "1",
+            "--ranks", str(ranks_path),
             "--out", str(tmp_path / "report.json"),
         ]
+        if command == "chart-check":
+            args += ["--trials", "1"]
         done = subprocess.run(
             [sys.executable, "-c", script, *args], capture_output=True,
             text=True, check=True,

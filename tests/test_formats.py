@@ -12,12 +12,11 @@ from treegeom.errors import (
 from treegeom.formats import (
     generation_attempts,
     necessary_rank_conditions,
-    random_tucker_tensor,
     require_member,
 )
 from treegeom.subspaces import TreeRank
 
-from helpers import capped_rank_tuple
+from helpers import capped_rank_tuple, random_tucker_tensor, sampled_properness
 
 
 def elementary(shape, seed=0):
@@ -241,56 +240,108 @@ class TestAdmissibility:
         assert verdict.verdict == "inadmissible"
 
 
+PROPERNESS_TREES = {
+    "deep": [[[1], [[2], [3]]], [4]],
+    "mixed": [[[1], [[2], [3]]], [[4], [5]], [6]],
+    "two-block": [[1], [[2], [3], [4], [5], [6]]],
+}
+
+PROPERNESS_CASES = [
+    # the test fixtures
+    ("deep", (2, 2, 2, 2)),
+    ("linear", (2, 3, 3, 2)),
+    ("binary", (3, 3, 3, 3)),
+    ("mixed", (2,) * 6),
+    ("two-block", (2,) * 6),
+    ("tucker", (3, 3, 3)),
+    # the instances of the benchmark's `verdicts` workload
+    ("tucker", (2, 3, 2, 2)),
+    ("tucker", (3,) * 6),
+    ("linear", (3, 3, 3, 3)),
+    ("linear", (3,) * 6),
+    ("binary", (2, 3, 3, 2)),
+    ("binary", (2,) * 8),
+    ("deep", (2, 2, 2, 3)),
+    ("deep", (3, 3, 3, 3)),
+    ("mixed", (2, 3, 2, 3, 2, 3)),
+]
+
+
+def properness_tree(kind, d):
+    builders = {
+        "linear": tg.linear_tree,
+        "binary": tg.balanced_binary_tree,
+        "tucker": tg.tucker_tree,
+    }
+    if kind in builders:
+        return builders[kind](d)
+    return tg.tree_from_nested(PROPERNESS_TREES[kind])
+
+
 class TestProperness:
     def test_two_block_tree_not_proper_structurally(self, two_block_tree_d6):
         ranks = {n: 2 for n in two_block_tree_d6.nodes}
         ranks[two_block_tree_d6.root] = 1
         report = tg.is_proper(two_block_tree_d6, TreeRank(ranks), (2,) * 6)
         assert not report.proper
-        assert report.structural
-        assert "level 2" in report.reason
+        assert report.level_margins == {1: 0, 2: 0}
+        assert "level-1" in report.reason
 
     def test_mixed_tree_generic_ranks_proper(self, mixed_tree_d6):
         shape = (2,) * 6
         r = capped_rank_tuple(mixed_tree_d6, shape)
-        report = tg.is_proper(mixed_tree_d6, r, shape, trials=15, seed=0)
+        report = tg.is_proper(mixed_tree_d6, r, shape, seed=0)
         assert report.proper
-        assert all(v > 0 for v in report.escapes_per_level.values())
+        assert all(m > 0 for m in report.level_margins.values())
 
     def test_depth_one_not_proper_by_convention(self):
         tree = tg.tucker_tree(3)
         r = TreeRank({n: 1 for n in tree.nodes})
         report = tg.is_proper(tree, r, (2, 2, 2))
         assert not report.proper
-        assert "depth-1" in report.reason
+        assert report.level_margins == {1: 0}
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("kind, shape", PROPERNESS_CASES, ids=[
+        f"{kind}-{'x'.join(map(str, shape))}" for kind, shape in PROPERNESS_CASES
+    ])
+    def test_counts_agree_with_the_sampler(self, kind, shape, cap):
+        tree = properness_tree(kind, len(shape))
+        r = capped_rank_tuple(tree, shape, cap)
+        report = tg.is_proper(tree, r, shape)
+        assert report.proper == sampled_properness(tree, r, shape)
+        assert all(m >= 0 for m in report.level_margins.values())
 
     @pytest.mark.parametrize("name, expected", [
         ("linear", {
             "proper": True,
-            "reason": "every level produced sampled witnesses outside the "
-                      "tree constraints (Monte-Carlo verdict)",
-            "structural": False,
-            "samples_per_level": {"1": 50, "2": 50, "3": 50},
-            "escapes_per_level": {"1": 50, "2": 50, "3": 50},
+            "reason": "the fixed-rank set has dimension 20, below that of "
+                      "every level Tucker set",
+            "dimension": 20,
+            "level_margins": {"1": 36, "2": 6, "3": 4},
         }),
         ("deep", {
             "proper": False,
-            "reason": "all 50 sampled members of the level-2 Tucker set "
-                      "satisfied every tree constraint (sampling-based)",
-            "structural": False,
-            "samples_per_level": {"1": 50, "2": 50},
-            "escapes_per_level": {"1": 50, "2": 0},
+            "reason": "the fixed-rank set has the dimension 14 of the "
+                      "level-2 Tucker set, so it is open in that set",
+            "dimension": 14,
+            "level_margins": {"1": 4, "2": 0, "3": 4},
         }),
     ])
-    def test_sampled_verdict_is_pinned(self, name, expected, deep_tree_d4):
-        # recorded from the level-by-level membership test that decided each
-        # level block with its own factorization
+    def test_report_is_pinned(self, name, expected, deep_tree_d4):
         tree, shape = {
             "linear": (tg.linear_tree(4), (3, 3, 3, 3)),
             "deep": (deep_tree_d4, (2, 2, 2, 3)),
         }[name]
         r = capped_rank_tuple(tree, shape)
         assert tg.is_proper(tree, r, shape, seed=1000).to_dict() == expected
+
+    def test_unrealized_tuple_is_a_generation_failure(self, deep_tree_d4):
+        # at tol 0.9 no sample reaches rank 2, so admissibility is unknown
+        shape = (2, 2, 2, 3)
+        r = capped_rank_tuple(deep_tree_d4, shape)
+        with pytest.raises(GenerationFailureError):
+            tg.is_proper(deep_tree_d4, r, shape, tol=0.9)
 
     def test_inadmissible_rejected(self, deep_tree_d4):
         r = bump(capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2)), (1, 2, 3, 4))
