@@ -71,7 +71,6 @@ from .operators import (
     SplitSpace,
     assemble_laplacian,
     decompose_laplacian,
-    laplacian_exp,
     lifted_part,
     split,
 )

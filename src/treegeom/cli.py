@@ -146,8 +146,10 @@ def _operator_command_bytes(tree, r, shape, jacobian):
       over for the temporaries they are built with, plus the level residual
       stack, ``n_b^2 * dim_1`` per distinct deeper level, four times over
       (pieces, stack, and the two copies its QR factorization works on);
-    - with ``jacobian``, three ``N x n_params`` arrays: the Jacobian's
-      columns, the Jacobian, and the copy its SVD works on.
+    - with ``jacobian``, three ``N x n_params`` arrays: the per-node
+      column blocks of the Jacobian (each node's Kronecker product and its
+      row-permuted copy), the Jacobian they are stacked into, and the copy
+      its SVD works on.
     """
 
     def size(node):

@@ -1,4 +1,4 @@
-"""Laplacian-like operators anchored at a tensor: splits, assembly, exponential.
+"""Laplacian-like operators anchored at a tensor: splits and assembly.
 
 For each mode block the ambient space splits orthogonally into the minimal
 subspace ``U`` and its complement ``W``.  A Laplacian-like operator over a
@@ -6,15 +6,16 @@ partition is a sum, one term per block, of a map sending ``U`` into ``W``
 (zero on ``W``) tensored with the identity on the remaining blocks.  Each
 per-block term is nilpotent of order two, the terms for different blocks
 commute, and the exponential of the sum factors into the product of
-``I + term``, which this module exploits as the fast path.
+``I + term``.  The charts' forward map applies that product block by block
+(:func:`~treegeom.charts.tucker_chart_point`); the tests check it against
+the generic matrix exponential.
 
-:func:`assemble_laplacian`, :func:`decompose_laplacian` and
-:func:`laplacian_exp` work with dense ``N x N`` matrices on the full tensor
-space (``N`` the total dimension).  They are oracles and cross-checks; the
-chart and tangent paths use only the per-block pieces (:func:`split`,
-:func:`tree_splits`, :func:`lifted_part`) and work in level-1 block spaces,
-and of the chart functions only ``level_inverse_operator`` returns an
-``N x N`` operator.
+:func:`assemble_laplacian` and :func:`decompose_laplacian` work with dense
+``N x N`` matrices on the full tensor space (``N`` the total dimension).
+They are oracles and cross-checks; the chart and tangent paths use only the
+per-block pieces (:func:`split`, :func:`tree_splits`, :func:`lifted_part`)
+and work in level-1 block spaces, and of the chart functions only
+``level_inverse_operator`` returns an ``N x N`` operator.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "lifted_part",
     "assemble_laplacian",
     "decompose_laplacian",
-    "laplacian_exp",
 ]
 
 
@@ -207,28 +207,3 @@ def decompose_laplacian(Lop, partition, splits, shape, tol=DEFAULT_TOL):
         )
     return L
 
-
-def laplacian_exp(L, splits, shape, order=None):
-    """Exponential of the assembled operator, computed structurally.
-
-    Each lifted part squares to zero, so its exponential is ``I + part`` and
-    the exponential of the sum is the composition of these factors over the
-    blocks, in any order.  ``order`` optionally fixes the composition order
-    (a permutation of the partition blocks); the result does not depend on
-    it beyond roundoff.
-    """
-    splits = _check_splits(L, splits)
-    N = prod(shape)
-    blocks = L.partition if order is None else tuple(
-        tuple(sorted(b)) for b in order
-    )
-    if sorted(blocks) != sorted(L.partition):
-        raise InvalidArgumentError("order must be a permutation of the blocks")
-    out = np.eye(N)
-    for b in blocks:
-        s = splits[b]
-        factor = np.eye(N) + embed_block_operator(
-            lifted_part(s, L.parts[b]), b, shape
-        )
-        out = factor @ out
-    return out

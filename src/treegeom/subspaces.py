@@ -247,7 +247,7 @@ def ranks_from_json(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid rank JSON: {e}") from e
-    if not isinstance(doc, dict) or "ranks" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("ranks"), list):
         raise ParseError("rank JSON must be an object with a 'ranks' list")
     ranks = {}
     for entry in doc["ranks"]:
@@ -257,9 +257,15 @@ def ranks_from_json(text):
             or "r" not in entry
         ):
             raise ParseError(f"invalid rank entry {entry!r}")
-        block = tuple(sorted(entry["block"]))
+        # JSON booleans load as bool, a subclass of int: they are no modes
+        # or ranks here
+        block = entry["block"]
+        if not isinstance(block, list) or any(type(m) is not int
+                                              for m in block):
+            raise ParseError(f"invalid block {block!r} in rank entry")
+        block = tuple(sorted(block))
         val = entry["r"]
-        if not isinstance(val, int) or val < 1:
+        if type(val) is not int or val < 1:
             raise ParseError(f"rank for block {list(block)} must be a positive integer")
         if block in ranks:
             raise ParseError(f"duplicate rank entry for block {list(block)}")

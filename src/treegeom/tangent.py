@@ -11,9 +11,10 @@ and operators living on different level-1 blocks are trace-orthogonal.  So
 each level space, and their intersection, splits into one part per level-1
 block, and each part lives in ``b``'s own ``n_b x n_b`` operator space:
 ``A -> (A (x) I_rest) / sqrt(n_rest)`` is an isometry onto the full space.
-The library paths (:func:`tree_operator_basis`, :func:`tangent_dimension`,
-:func:`immersion_check`) work in these block spaces; the same functions
-called on the full shape (:func:`level_operator_basis`,
+The library paths work in these block spaces: :func:`tree_operator_basis`
+builds the intersection, and :func:`tangent_dimension`,
+:func:`immersion_check` and the charts read it from there.  The same
+functions called on the full shape (:func:`level_operator_basis`,
 :func:`intersect_operator_spaces`) give the dense ``N^2``-long form, kept as
 the test oracle.
 
@@ -29,9 +30,12 @@ numbers side by side instead of reconciling them.
 
 Every entry point anchored at a tensor starts with the membership
 precondition :func:`~treegeom.formats.require_member` and builds on the
-splits it returns; the Jacobian oracle reads its network parameters off them
-and evaluates them through the tree-network contraction of
-:mod:`treegeom.formats`, which owns the tree network.
+splits it returns.  The Jacobian oracle reads its network parameters off
+them, checks through the tree-network contraction of :mod:`treegeom.formats`
+(which owns the tree network) that they reproduce the tensor, and writes
+each node's block of columns in closed form: the tensor is linear in each
+node's parameters, so one Kronecker product per node gives them, one
+variation per node with the others fixed.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .formats import (
     network_dimension_formula,
     require_member,
 )
-from .operators import LaplacianLike, assemble_laplacian, lifted_part
+from .operators import lifted_part
 from .subspaces import DEFAULT_TOL
 from .tensor import (
     block_transpose_permutation,
@@ -220,6 +224,13 @@ class _BlockSpace:
         """The split at ``b`` itself, in local modes."""
         return self.splits[tuple(range(1, len(self.block) + 1))]
 
+    def level_basis(self, k):
+        """:func:`level_operator_basis` of level ``k``, in ``b``'s operator
+        space."""
+        return level_operator_basis(
+            self.partitions[k - 1], self.splits, self.shape
+        )
+
     def level_bases(self):
         """One :func:`level_operator_basis` per level, in ``b``'s operator
         space; levels whose restricted partitions coincide share one basis."""
@@ -287,8 +298,7 @@ class BlockOperatorBasis:
 
     :meth:`parts` and :meth:`part_coordinates` map between coordinates and
     per-block coefficients without leaving the block spaces; ``vectors``
-    and :meth:`operator` build the dense ``N x N`` form on demand, for
-    oracles only.
+    builds the dense ``N^2``-long basis on demand, for oracles only.
     """
 
     shape: tuple
@@ -348,10 +358,7 @@ class BlockOperatorBasis:
         off the level-``k`` operator space."""
         resid_sq = 0.0
         for space in self.spaces:
-            basis = level_operator_basis(
-                space.partitions[k - 1], space.splits, space.shape
-            )
-            _, resid = basis.coordinates(space.operator(parts))
+            _, resid = space.level_basis(k).coordinates(space.operator(parts))
             resid_sq += space.n_rest * resid ** 2
         return float(np.sqrt(resid_sq))
 
@@ -370,29 +377,6 @@ class BlockOperatorBasis:
                 ).ravel())
         return np.column_stack(columns) if columns else np.zeros((N * N, 0))
 
-    def operator(self, coords):
-        """Dense ``N x N`` operator with the given coordinates (oracle)."""
-        blocks = tuple(space.block for space in self.spaces)
-        splits = {space.block: replace(space.split, alpha=space.block)
-                  for space in self.spaces}
-        L = LaplacianLike(partition=blocks, parts=self.parts(coords))
-        return assemble_laplacian(L, splits, self.shape)
-
-
-def _intersect_blocks(spaces, spectra, shape, tol):
-    """Intersect the level spaces block by block from each block's
-    :func:`_residual_spectrum`, deciding every block's null space against
-    the largest residual singular value of all blocks, as one dense SVD of
-    the whole stack would."""
-    values = np.sort(np.concatenate([s for s, _ in spectra]))[::-1]
-    reference = values[0] if values.size else 0.0
-    return BlockOperatorBasis(
-        shape=tuple(shape), spaces=spaces,
-        null=tuple(_null_coefficients(s, Vt, reference, tol)
-                   for s, Vt in spectra),
-        singular_values=values,
-    )
-
 
 def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     """Intersection of all level operator spaces of ``tree``, factored over
@@ -405,7 +389,16 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     spaces = _block_spaces(tree, splits, shape)
     # one block's level bases at a time: only the spectra are kept
     spectra = [_residual_spectrum(space.level_bases()) for space in spaces]
-    return _intersect_blocks(spaces, spectra, shape, tol)
+    # every block's null space is decided against the largest residual
+    # singular value of all blocks, as one dense SVD of the whole stack would
+    values = np.sort(np.concatenate([s for s, _ in spectra]))[::-1]
+    reference = values[0] if values.size else 0.0
+    return BlockOperatorBasis(
+        shape=tuple(shape), spaces=spaces,
+        null=tuple(_null_coefficients(s, Vt, reference, tol)
+                   for s, Vt in spectra),
+        singular_values=values,
+    )
 
 
 def _network_parameters(v, tree, splits):
@@ -437,28 +430,36 @@ def _jacobian(v, tree, splits):
         raise NotOnManifoldError(
             f"network parametrization recovery failed (error {rec_err:.3e})"
         )
-    columns = []
-    for store in (leaf_factors, transfers):
-        for node in sorted(store):
-            base = store[node]
-            unit = store[node] = np.zeros_like(base)
-            for i in range(unit.size):
-                unit.flat[i] = 1.0
-                v_i = contract_network(tree, shape, leaf_factors, transfers)
-                columns.append(v_i.ravel())
-                unit.flat[i] = 0.0
-            store[node] = base
-    return np.column_stack(columns)
+    bases = {node: s.u for node, s in splits.items()}
+    blocks = []
+    for node in sorted(leaf_factors) + sorted(transfers):
+        lift = (_son_lift(tree, node, bases, shape) if node in transfers
+                else np.eye(shape[node[0] - 1]))
+        if node == tree.root:
+            blocks.append(lift)
+            continue
+        # rows in (node, rest) order: the tensor is linear in u_node, with
+        # coefficient u_node^T unfold(v, node) on the modes outside the node
+        perm = block_transpose_permutation(shape, node)
+        coeff = bases[node].T @ v.ravel()[perm].reshape(lift.shape[0], -1)
+        block = np.empty((v.size, lift.shape[1] * coeff.shape[0]))
+        block[perm] = np.kron(lift, coeff.T)
+        blocks.append(block)
+    return np.hstack(blocks)
 
 
 def parametrization_jacobian(v, tree, r, tol=DEFAULT_TOL):
     """Jacobian of the tree-network parameters-to-tensor map at ``v``.
 
     The normalized tensor is reproduced exactly by a tree-network parameter
-    point; the map is linear in each parameter block, so the column of an
-    entry is the network with that entry set to one and the rest of its
-    block to zero, exact to roundoff.  One column per parameter entry (leaf
-    factors, interior transfers, root block); rows run over the flattened
+    point whose node bases are the splits' orthonormal ``u``.  The map is
+    linear in each parameter block, so node ``a``'s columns are closed form:
+    entry ``(p, j)`` of its block moves the tensor by ``lift_a[:, p]``
+    (the identity at a leaf, the sons' lifted bases inside) tensored with
+    row ``j`` of ``u_a^T unfold(v, a)``, the tensor's coefficients on the
+    modes outside ``a`` (1 at the root).  One column per parameter entry
+    (leaf factors, then interior transfers and the root block, each in node
+    order and row-major within the block); rows run over the flattened
     tensor.
     """
     v, splits = require_member(v, tree, r, tol)
@@ -469,7 +470,14 @@ def tangent_dimension_oracle(v, tree, r, tol=DEFAULT_TOL):
     """Manifold dimension as the numerical rank of the parametrization
     Jacobian, at the threshold ``max(J.shape) * eps`` relative to its
     largest singular value."""
-    J = parametrization_jacobian(v, tree, r, tol)
+    v, splits = require_member(v, tree, r, tol)
+    return _jacobian_rank(v, tree, splits)
+
+
+def _jacobian_rank(v, tree, splits):
+    """Numerical rank of :func:`_jacobian`, at the threshold of
+    :func:`tangent_dimension_oracle`."""
+    J = _jacobian(v, tree, splits)
     return svd_rank(np.linalg.svd(J, compute_uv=False), shape=J.shape)
 
 
@@ -508,8 +516,7 @@ def tangent_dimension(v, tree, r, tol=DEFAULT_TOL):
     inter = tree_operator_basis(tree, splits, v.shape, tol)
     dim_core = prod(r[b] for b in level_partition(tree, 1))
     dim_total = inter.dim + dim_core
-    J = _jacobian(v, tree, splits)
-    oracle = svd_rank(np.linalg.svd(J, compute_uv=False), shape=J.shape)
+    oracle = _jacobian_rank(v, tree, splits)
     formula = network_dimension_formula(tree, r, v.shape)
     return TangentReport(
         dim_e=inter.dim,
@@ -519,34 +526,6 @@ def tangent_dimension(v, tree, r, tol=DEFAULT_TOL):
         formula_dim=formula,
         agree=(dim_total == oracle == formula),
     )
-
-
-def _check_operator_basis(basis, spaces, shape):
-    """``basis`` if it is factored over ``spaces`` (same shape, level-1
-    blocks and level-1 splits, one coefficient row per level-1 basis
-    vector); raises otherwise."""
-    if not isinstance(basis, BlockOperatorBasis):
-        raise InvalidArgumentError(
-            "operator_basis must be a BlockOperatorBasis, got "
-            f"{type(basis).__name__}"
-        )
-    if tuple(basis.shape) != tuple(shape) or len(basis.spaces) != len(spaces):
-        raise InvalidArgumentError(
-            "operator_basis does not match the tensor shape or the level-1 "
-            "blocks"
-        )
-    for ours, theirs, Q in zip(spaces, basis.spaces, basis.null):
-        s, t = ours.split, theirs.split
-        if (ours.block != theirs.block or s.u.shape != t.u.shape
-                or s.w.shape != t.w.shape
-                or not np.allclose(s.u, t.u, atol=1e-10)
-                or not np.allclose(s.w, t.w, atol=1e-10)
-                or Q.shape[0] != s.rank * s.corank):
-            raise InvalidArgumentError(
-                f"operator_basis block {ours.block} does not match the "
-                "tensor's level-1 split there"
-            )
-    return basis
 
 
 @dataclass(frozen=True)
@@ -574,46 +553,41 @@ class ImmersionReport:
         }
 
 
-def immersion_check(v, tree, r, k, tol=DEFAULT_TOL, operator_basis=None):
+def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     """Inclusion of the intersected operator space into the level-k space.
 
     Requires membership: like :func:`tangent_dimension` and
     :func:`~treegeom.charts.tree_chart`, it raises
     :class:`NotOnManifoldError` unless ``v`` has the rank profile ``r``.
-    Verifies that every intersection basis vector lies in the level-k space
-    (projector residual), that the induced coordinate map has full column
-    rank (condition number reported), and that the model dimension at the
-    intersection does not exceed the level-k model dimension.  All of it is
-    computed per level-1 block; the coordinate map is block diagonal, so its
-    singular values are those of the blocks together.  A
-    :class:`BlockOperatorBasis` may be supplied explicitly, e.g. to confirm
-    that a corrupted vector is flagged; it must be factored over the same
-    level-1 blocks and splits as the one computed here.
+    Reads the intersection off :func:`tree_operator_basis` and verifies that
+    every basis vector lies in the level-k space (projector residual), that
+    the induced coordinate map has full column rank (condition number
+    reported), and that the model dimension at the intersection does not
+    exceed the level-k model dimension, ``sum(rank * corank)`` over the
+    level-k splits plus the level-k core.  All of it is computed per
+    level-1 block, and only for blocks where the intersection is nonzero;
+    the coordinate map is block diagonal, so its singular values are those
+    of the blocks together.
     """
     v, splits = require_member(v, tree, r, tol)
     depth = levels(tree).depth
     if not 1 <= k <= depth:
         raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
-    spaces = _block_spaces(tree, splits, v.shape)
-    block_bases = [space.level_bases() for space in spaces]
-    if operator_basis is None:
-        inter = _intersect_blocks(
-            spaces, [_residual_spectrum(bases) for bases in block_bases],
-            v.shape, tol,
-        )
-    else:
-        inter = _check_operator_basis(operator_basis, spaces, v.shape)
-    dim_k = sum(bases[k - 1].dim for bases in block_bases)
+    inter = tree_operator_basis(tree, splits, v.shape, tol)
+    blocks_k = level_partition(tree, k)
+    dim_k = sum(splits[b].rank * splits[b].corank for b in blocks_k)
     max_resid = 0.0
     sv = []
-    for bases, Q in zip(block_bases, inter.null):
+    for space, Q in zip(inter.spaces, inter.null):
         if Q.shape[1] == 0:
             continue
-        vecs = bases[0].vectors @ Q
-        bk = bases[k - 1].vectors
-        coords = bk.T @ vecs
+        b1 = space.level_basis(1)
+        same = space.partitions[k - 1] == space.partitions[0]
+        bk = b1 if same else space.level_basis(k)
+        vecs = b1.vectors @ Q
+        coords = bk.vectors.T @ vecs
         max_resid = max(max_resid, float(
-            np.max(np.linalg.norm(vecs - bk @ coords, axis=0))
+            np.max(np.linalg.norm(vecs - bk.vectors @ coords, axis=0))
         ))
         s = np.linalg.svd(coords, compute_uv=False)
         sv.append(np.concatenate([s, np.zeros(Q.shape[1] - s.size)]))
@@ -625,7 +599,7 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL, operator_basis=None):
         injective = True
         cond = 1.0
     core_inter = prod(r[b] for b in level_partition(tree, 1))
-    core_k = prod(r[b] for b in level_partition(tree, k))
+    core_k = prod(r[b] for b in blocks_k)
     dim_ok = inter.dim + core_inter <= dim_k + core_k
     return ImmersionReport(
         level=k,

@@ -277,13 +277,23 @@ def _tensor_from_json(text):
         raise ParseError("tensor JSON must be an object with 'shape' and 'data'")
     shape = doc["shape"]
     data = doc["data"]
-    if not shape or any(not isinstance(n, int) or n < 1 for n in shape):
-        raise ParseError(f"invalid tensor shape {shape}")
+    # JSON booleans load as bool, a subclass of int: they are no numbers here
+    if (not isinstance(shape, list) or not shape
+            or any(type(n) is not int or n < 1 for n in shape)):
+        raise ParseError(f"invalid tensor shape {shape!r}")
+    if not isinstance(data, list) or any(
+        type(x) not in (int, float) for x in data
+    ):
+        raise ParseError("tensor data must be a flat list of numbers")
     if len(data) != prod(shape):
         raise ParseError(
             f"data length {len(data)} does not match shape {shape}"
         )
-    return check_tensor(np.asarray(data, dtype=float).reshape(shape))
+    try:
+        values = np.asarray(data, dtype=float)
+    except OverflowError as e:
+        raise ParseError(f"tensor data out of range: {e}") from e
+    return check_tensor(values.reshape(shape))
 
 
 def _tensor_from_binary(raw):

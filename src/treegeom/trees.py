@@ -294,8 +294,9 @@ def balanced_binary_tree(d):
 
 def _parse_node(obj, sons):
     """Parse one node, record sons, and return its canonical block."""
+    # JSON booleans load as bool, a subclass of int: they are no modes here
     if isinstance(obj, list):
-        if all(isinstance(x, int) for x in obj):
+        if all(type(x) is int for x in obj):
             if len(obj) != 1:
                 raise ParseError(
                     f"leaf must contain exactly one mode, got {obj}"
@@ -313,9 +314,11 @@ def _parse_node(obj, sons):
             raise ParseError("node object needs 'block' and 'sons'")
         block = obj["block"]
         if not isinstance(block, list) or not all(
-            isinstance(x, int) for x in block
+            type(x) is int for x in block
         ):
             raise ParseError(f"invalid block {block!r}")
+        if not isinstance(obj["sons"], list):
+            raise ParseError(f"sons of block {block} must be a list")
         block_c = _canon(block)
         if len(block_c) != len(block):
             raise ParseError(f"duplicate modes in block {block}")

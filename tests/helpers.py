@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: ranks via Gaussian
 elimination, subspace intersections via full complement projectors, mode
 operators via explicit index loops, properness by sampling the level Tucker
-sets.
+sets.  The Jacobian reference is the one exception: it evaluates the
+library's tree network once per parameter entry, where the library writes
+each node's columns in closed form.
 """
 
 from fractions import Fraction
@@ -124,6 +126,18 @@ def capped_rank_tuple(tree, shape, cap=2):
     return TreeRank(ranks)
 
 
+def lift_core(core, bases, blocks, shape):
+    """The tensor with coefficients ``core`` (one axis per block, in block
+    order) in one ambient basis matrix per block: contract block by block,
+    then unfuse the blocks and put the modes back in order 1..d."""
+    v = core
+    for B in bases:
+        v = np.tensordot(v, B, axes=([0], [1]))
+    dims = [shape[m - 1] for b in blocks for m in b]
+    modes = [m for b in blocks for m in b]
+    return np.transpose(v.reshape(dims), np.argsort(modes))
+
+
 def random_tucker_tensor(partition, ranks, shape, seed=0, max_retries=20,
                          tol=1e-10):
     """Random tensor in a single-level Tucker set: a generic full-rank core
@@ -144,15 +158,12 @@ def random_tucker_tensor(partition, ranks, shape, seed=0, max_retries=20,
     for attempt in range(max_retries):
         rng = np.random.default_rng(seed + attempt)
         core = rng.standard_normal([rank_map[b] for b in blocks])
-        v = core
-        for b in blocks:
-            n_b = prod(shape[m - 1] for m in b)
-            B, _ = np.linalg.qr(rng.standard_normal((n_b, rank_map[b])))
-            v = np.tensordot(v, B[:, :rank_map[b]], axes=([0], [1]))
-        # modes are now ambient blocks in block order; unfuse and reorder
-        dims = [shape[m - 1] for b in blocks for m in b]
-        modes = [m for b in blocks for m in b]
-        v = np.transpose(v.reshape(dims), np.argsort(modes))
+        bases = [
+            np.linalg.qr(rng.standard_normal(
+                (prod(shape[m - 1] for m in b), rank_map[b])))[0]
+            for b in blocks
+        ]
+        v = lift_core(core, bases, blocks, shape)
         v = v / np.linalg.norm(v)
         ok, _ = tg.tucker_membership(v, blocks, rank_map, tol)
         if ok:
@@ -190,3 +201,28 @@ def sampled_properness(tree, r, shape, trials=50, seed=0, tol=1e-10):
         if not escaped:
             return False
     return True
+
+
+def per_entry_jacobian(v, tree, splits):
+    """Reference Jacobian of the tree-network parametrization: one network
+    contraction per parameter entry, with that entry set to one and the rest
+    of its block to zero (exact, as the network is linear in each block), at
+    the parameter point and in the column order of
+    ``parametrization_jacobian``."""
+    from treegeom.formats import contract_network
+    from treegeom.tangent import _network_parameters
+
+    v = v / np.linalg.norm(v)
+    leaf_factors, transfers = _network_parameters(v, tree, splits)
+    columns = []
+    for store in (leaf_factors, transfers):
+        for node in sorted(store):
+            base = store[node]
+            unit = store[node] = np.zeros_like(base)
+            for i in range(unit.size):
+                unit.flat[i] = 1.0
+                columns.append(contract_network(
+                    tree, v.shape, leaf_factors, transfers).ravel())
+                unit.flat[i] = 0.0
+            store[node] = base
+    return np.column_stack(columns)

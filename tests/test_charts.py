@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import treegeom as tg
 from treegeom.errors import (
@@ -15,7 +16,7 @@ from treegeom.operators import LaplacianLike
 from treegeom.subspaces import TreeRank
 from treegeom.tensor import sorted_blocks
 
-from helpers import capped_rank_tuple, random_tucker_tensor
+from helpers import capped_rank_tuple, lift_core, random_tucker_tensor
 
 
 def make_chart(tree, shape, seed=0, cap=2):
@@ -321,6 +322,25 @@ class TestAnchorNeighbourhood:
             err = (np.linalg.norm(rec_coords - coords)
                    + np.linalg.norm(rec_core - core)) / denom
             assert err <= 1e-8, (magnitude, err)
+
+
+@pytest.mark.parametrize("kind", ["deep", "linear", "binary", "tucker"])
+def test_tree_chart_point_is_the_exponential_of_the_operator(kind):
+    tree = tg.tucker_tree(4) if kind == "tucker" else anchor_case_tree(kind)
+    shape = (3, 3, 3, 3)
+    v, r, chart = make_chart(tree, shape, seed=24)
+    gen = np.random.default_rng(25)
+    coords = 0.1 * gen.standard_normal(chart.operator_basis.dim)
+    core = chart.core * (1 + 0.01 * gen.standard_normal(chart.core.shape))
+    N = v.size
+    Lop = (chart.operator_basis.vectors @ coords).reshape(N, N)
+    blocks = chart.level_partitions[0]
+    lifted = lift_core(core, [chart.splits[b].u for b in blocks], blocks,
+                       shape)
+    expected = scipy.linalg.expm(Lop) @ lifted.ravel()
+    point = tg.tree_chart_point(chart, coords, core).ravel()
+    assert np.linalg.norm(point - expected) <= \
+        1e-10 * np.linalg.norm(expected)
 
 
 def test_sorted_blocks_helper():

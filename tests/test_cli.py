@@ -139,6 +139,62 @@ class TestMembership:
         assert code == 2
 
 
+def _with_first(entries, key, value, where):
+    """Copy of the rank entries with ``key`` set to ``value`` in the first
+    entry that ``where`` accepts."""
+    i = next(i for i, e in enumerate(entries) if where(e))
+    return entries[:i] + [{**entries[i], key: value}] + entries[i + 1:]
+
+
+DEEP_NESTED = [[[1], [[2], [3]]], [4]]
+MALFORMED = {
+    "tensor-data-strings": ("tensor", {"shape": [1, 2], "data": ["a", 1]}),
+    "tensor-data-ragged": ("tensor", {"shape": [2], "data": [[1.0, 2.0],
+                                                             [3.0]]}),
+    "tensor-data-not-list": ("tensor", {"shape": [2], "data": 5}),
+    "tensor-data-string": ("tensor", {"shape": [2], "data": "ab"}),
+    "tensor-data-overflow": ("tensor", {"shape": [1], "data": [10 ** 400]}),
+    "tensor-shape-bool": ("tensor", {"shape": [True, 2], "data": [1.0, 2.0]}),
+    "tensor-shape-not-list": ("tensor", {"shape": 2, "data": [1.0, 2.0]}),
+    "ranks-not-list": ("ranks", {"ranks": 5}),
+    "ranks-object": ("ranks", {"ranks": {"block": [1], "r": 1}}),
+    "ranks-block-int": ("ranks", lambda e: _with_first(
+        e, "block", 1, lambda x: x["block"] == [1])),
+    "ranks-block-strings": ("ranks", lambda e: _with_first(
+        e, "block", ["a"], lambda x: x["block"] == [1])),
+    "ranks-block-bool": ("ranks", lambda e: _with_first(
+        e, "block", [True], lambda x: x["block"] == [1])),
+    "ranks-r-bool": ("ranks", lambda e: _with_first(
+        e, "r", True, lambda x: x["r"] == 1)),
+    "tree-sons-int": ("tree", {"block": [1, 2, 3, 4], "sons": 5}),
+    "tree-sons-string": ("tree", {"block": [1, 2, 3, 4], "sons": "ab"}),
+    "tree-leaf-bool": ("tree", [[[True], [[2], [3]]], [4]]),
+    "tree-block-bool": ("tree", {"block": [True, 2, 3, 4],
+                                 "sons": DEEP_NESTED}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_file_exits_two(workspace, capsys, name):
+    # every document is well-formed JSON that the parsers must reject with
+    # an input error, never a crash or a silently accepted value
+    kind, doc = MALFORMED[name]
+    if callable(doc):
+        entries = json.loads(ranks_to_json(workspace["r"]))["ranks"]
+        doc = {"ranks": doc(entries)}
+    path = workspace["dir"] / f"{kind}-malformed.json"
+    path.write_text(json.dumps(doc))
+    files = {"tensor": workspace["tensor"], "tree": workspace["tree"],
+             "ranks": workspace["ranks"], kind: str(path)}
+    capsys.readouterr()
+    code = run([
+        "membership", "--tensor", files["tensor"], "--tree", files["tree"],
+        "--ranks", files["ranks"],
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestGenerate:
     def test_writes_verified_tensor(self, workspace, capsys):
         out = workspace["dir"] / "gen.json"

@@ -6,7 +6,7 @@ import treegeom as tg
 from treegeom.errors import InvalidArgumentError, NotInSpaceError
 from treegeom.operators import LaplacianLike, lifted_part
 
-from helpers import capped_rank_tuple, gauss_rank_float
+from helpers import capped_rank_tuple, gauss_rank_float, lift_core
 
 
 def anchored_splits(tree, shape, seed=0, cap=2):
@@ -141,26 +141,39 @@ class TestDecompose:
         assert exc.value.residual > 1.0
 
 
+def random_core(splits, partition, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal([splits[b].rank for b in partition])
+
+
 class TestLaplacianExp:
+    """The exponential of a Laplacian-like operator, as the chart's forward
+    map applies it: block by block, on a core lifted through the splits."""
+
     def test_zero_gives_identity(self, deep_tree_d4):
         shape = (2, 2, 2, 2)
         v, r, splits = anchored_splits(deep_tree_d4, shape)
         P1 = tg.level_partition(deep_tree_d4, 1)
         L = LaplacianLike.zeros(splits, P1)
-        assert np.array_equal(
-            tg.laplacian_exp(L, splits, shape), np.eye(16)
+        core = random_core(splits, P1, seed=1)
+        np.testing.assert_allclose(
+            tg.tucker_chart_point(L, core, splits, shape),
+            lift_core(core, [splits[b].u for b in P1], P1, shape),
+            rtol=0, atol=1e-15,
         )
 
     def test_single_block_matches_generic_exponential(self, rng):
         v = rng.standard_normal((3, 3))
-        s = tg.split(v, (1,))
+        s = tg.split(v, (1, 2))
         C = rng.standard_normal((s.corank, s.rank))
-        L = LaplacianLike(partition=((1,),), parts={(1,): C})
-        splits = {(1,): s}
-        E = tg.laplacian_exp(L, splits, (3, 3))
+        L = LaplacianLike(partition=((1, 2),), parts={(1, 2): C})
+        splits = {(1, 2): s}
+        core = rng.standard_normal(s.rank)
+        point = tg.tucker_chart_point(L, core, splits, (3, 3)).ravel()
         Op = tg.assemble_laplacian(L, splits, (3, 3))
+        expected = scipy.linalg.expm(Op) @ (s.u @ core)
         np.testing.assert_allclose(
-            E, scipy.linalg.expm(Op), atol=1e-12 * np.linalg.norm(E)
+            point, expected, atol=1e-12 * np.linalg.norm(expected)
         )
 
     def test_three_blocks_match_generic_exponential(self, mixed_tree_d6):
@@ -168,29 +181,12 @@ class TestLaplacianExp:
         v, r, splits = anchored_splits(mixed_tree_d6, shape, seed=6)
         P1 = tg.level_partition(mixed_tree_d6, 1)
         L = random_laplacian(splits, P1, seed=2, scale=0.5)
-        E = tg.laplacian_exp(L, splits, shape)
-        ref = scipy.linalg.expm(tg.assemble_laplacian(L, splits, shape))
-        assert np.linalg.norm(E - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    def test_order_independence(self, mixed_tree_d6):
-        shape = (2,) * 6
-        v, r, splits = anchored_splits(mixed_tree_d6, shape, seed=6)
-        P2 = tg.level_partition(mixed_tree_d6, 2)
-        L = random_laplacian(splits, P2, seed=3)
-        ref = tg.laplacian_exp(L, splits, shape)
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            order = [P2[i] for i in rng.permutation(len(P2))]
-            E = tg.laplacian_exp(L, splits, shape, order=order)
-            assert np.linalg.norm(E - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_bad_order_rejected(self, deep_tree_d4):
-        shape = (2, 2, 2, 2)
-        v, r, splits = anchored_splits(deep_tree_d4, shape)
-        P1 = tg.level_partition(deep_tree_d4, 1)
-        L = LaplacianLike.zeros(splits, P1)
-        with pytest.raises(InvalidArgumentError):
-            tg.laplacian_exp(L, splits, shape, order=[P1[0]])
+        core = random_core(splits, P1, seed=3)
+        point = tg.tucker_chart_point(L, core, splits, shape).ravel()
+        lifted = lift_core(core, [splits[b].u for b in P1], P1, shape)
+        ref = scipy.linalg.expm(tg.assemble_laplacian(L, splits, shape)) @ \
+            lifted.ravel()
+        assert np.linalg.norm(point - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_laplacian_coefficients_must_cover_partition():

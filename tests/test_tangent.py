@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import treegeom as tg
-from treegeom import subspaces
+from treegeom import subspaces, tangent
 from treegeom.formats import contract_network
 from treegeom.operators import tree_splits
 from treegeom.subspaces import TreeRank
@@ -14,11 +14,13 @@ from treegeom.tangent import (
     _residual_spectrum,
     network_dimension_formula,
     parametrization_jacobian,
+    tree_operator_basis,
 )
 
 from helpers import (
     capped_rank_tuple,
     intersection_dim_bruteforce,
+    per_entry_jacobian,
     principal_angle_residual,
 )
 
@@ -306,7 +308,7 @@ class TestImmersionCheck:
             assert report.passed
             assert report.max_inclusion_residual <= 1e-10
 
-    def test_corrupted_vector_is_flagged(self, deep_tree_d4):
+    def test_corrupted_vector_is_flagged(self, deep_tree_d4, monkeypatch):
         shape = (2, 2, 2, 3)
         v, r, splits = anchored(deep_tree_d4, shape, seed=18)
         inter = tg.tree_operator_basis(deep_tree_d4, splits, shape)
@@ -316,15 +318,16 @@ class TestImmersionCheck:
         assert inter.spaces[0].block == (1, 2, 3)
         dim1 = inter.null[0].shape[0]
         outside = np.eye(dim1)[:, :1]
-        corrupted = replace(inter, null=(outside,) + inter.null[1:])
-        report = tg.immersion_check(
-            v, deep_tree_d4, r, 2, operator_basis=corrupted
-        )
+
+        def corrupted(*args, **kwargs):
+            inter = tree_operator_basis(*args, **kwargs)
+            return replace(inter, null=(outside,) + inter.null[1:])
+
+        monkeypatch.setattr(tangent, "tree_operator_basis", corrupted)
+        report = tg.immersion_check(v, deep_tree_d4, r, 2)
         assert not report.included
         assert not report.passed
-        assert tg.immersion_check(
-            v, deep_tree_d4, r, 1, operator_basis=corrupted
-        ).included
+        assert tg.immersion_check(v, deep_tree_d4, r, 1).included
 
     def test_non_member_is_rejected_at_every_level(self):
         # rank 2 at every non-root node checked against the all-ones tuple:
@@ -337,19 +340,6 @@ class TestImmersionCheck:
         for k in range(1, tg.levels(tree).depth + 1):
             with pytest.raises(tg.NotOnManifoldError, match=r"levels \[1, 2\]"):
                 tg.immersion_check(v, tree, ones, k)
-
-    def test_mismatched_operator_basis_is_rejected(self, deep_tree_d4):
-        shape = (2, 2, 2, 3)
-        v, r, splits = anchored(deep_tree_d4, shape, seed=18)
-        dense = tg.intersect_operator_spaces(
-            level_bases(deep_tree_d4, v, splits)
-        )
-        _, _, other_splits = anchored(deep_tree_d4, shape, seed=5)
-        foreign = tg.tree_operator_basis(deep_tree_d4, other_splits, shape)
-        for basis in (dense, foreign):
-            with pytest.raises(tg.InvalidArgumentError):
-                tg.immersion_check(v, deep_tree_d4, r, 2,
-                                   operator_basis=basis)
 
     def test_level_out_of_range(self, deep_tree_d4):
         shape = (2, 2, 2, 2)
@@ -522,6 +512,15 @@ class TestExactJacobian:
         assert not np.any((s > floor) & (s <= 1e-6)), s
         assert tg.tangent_dimension_oracle(v, tree, r) == \
             network_dimension_formula(tree, r, shape)
+
+
+@pytest.mark.parametrize("kind,shape", JACOBIAN_CASES)
+def test_closed_form_jacobian_matches_per_entry_contraction(kind, shape):
+    tree, v, r, splits = block_case(kind, shape, seed=37)
+    J = parametrization_jacobian(v, tree, r)
+    reference = per_entry_jacobian(v, tree, splits)
+    assert J.shape == reference.shape
+    assert np.max(np.abs(J - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 UNFOLD_CASES = [
