@@ -12,8 +12,9 @@ spaces and the core in the level-1 subspace product; the forward and inverse
 maps can be evaluated through any level partition and agree across levels.
 The chart's operator basis is factored over the level-1 blocks
 (:class:`~treegeom.tangent.BlockOperatorBasis`): coordinates map straight
-to level-1 coefficients and leaf-level coefficients straight back to
-coordinates, so neither direction builds an ``N x N`` operator.  Only
+to level-1 coefficients, and the inverse reads the level-1 coefficients off
+one level-1 inverse and projects them straight back to coordinates, so
+neither direction builds an ``N x N`` operator.  Only
 :func:`level_inverse_operator` returns one, as a cross-level check.
 """
 
@@ -255,34 +256,33 @@ def tree_chart_point(chart, operator_coords, core):
                          chart.splits, chart.level_partitions[0], chart.shape)
 
 
-def level_inverse_operator(chart, w, k, tol=None):
+def level_inverse_operator(chart, w, k):
     """Dense operator recovered by the inverse chart at level ``k``.
 
     For a point in the chart's image the recovered operator is the same at
     every level, up to roundoff; comparing levels is a consistency check.
     """
-    tol = chart.tol if tol is None else tol
     blocks = chart.level_partitions[k - 1]
     ranks = {b: chart.ranks[b] for b in blocks}
-    L, _ = tucker_chart_inverse(
-        w, blocks, chart.splits, ranks, tol
-    )
+    L, _ = tucker_chart_inverse(w, blocks, chart.splits, ranks, chart.tol)
     return assemble_laplacian(L, chart.splits, chart.shape)
 
 
-def tree_chart_inverse(chart, w, tol=None):
+def tree_chart_inverse(chart, w):
     """Inverse tree chart: coordinates in the intersection basis plus core.
 
-    The operator is recovered from the deepest level (the leaf partition),
-    projected onto the intersection basis, and the projection residual is
-    required to be numerical noise; a genuine residual means the point is not
-    in this chart's image and the failing level is identified by comparing
-    against each level space.  The recovered operator does not change when
-    the point is scaled and vanishes at the anchor, so the residual is
-    measured against ``max(||operator||, 1)``.  The core is the pulled-back
-    point in the level-1 bases, checked to be full rank at every level.
+    One inverse over the level-1 partition, where the coordinates live,
+    gives the operator's level-1 coefficients and the pulled-back core.  The
+    coefficients are projected onto the intersection basis, and the
+    projection residual is required to be numerical noise; a genuine
+    residual means the point is not in this chart's image, and the first
+    level whose operator space misses the operator is named (level 1 holds
+    it by construction, so that level is at least 2).  The recovered
+    operator does not change when the point is scaled and vanishes at the
+    anchor, so the residual is measured against ``max(||operator||, 1)``.
+    The core is checked to be full rank at every level.
     """
-    tol = chart.tol if tol is None else tol
+    tol = chart.tol
     w = check_tensor(w, allow_zero=False)
     depth = len(chart.level_partitions)
     membership = is_member(w, chart.tree, chart.ranks, tol)
@@ -292,20 +292,18 @@ def tree_chart_inverse(chart, w, tol=None):
             f"{membership.failing_levels()}",
             level=(membership.failing_levels() or [None])[0],
         )
-    leaf_blocks = chart.level_partitions[-1]
-    ranks = {b: chart.ranks[b] for b in leaf_blocks}
-    L_leaf, _ = tucker_chart_inverse(
-        w, leaf_blocks, chart.splits, ranks, tol
-    )
+    blocks = chart.level_partitions[0]
+    ranks = {b: chart.ranks[b] for b in blocks}
+    L, core = tucker_chart_inverse(w, blocks, chart.splits, ranks, tol)
     basis = chart.operator_basis
-    coords, residual, nrm = basis.part_coordinates(L_leaf.parts)
+    coords, residual, nrm = basis.part_coordinates(L.parts)
     limit = max(1e-8, tol) * max(nrm, 1.0)
     if residual > limit:
         # identify the first level whose operator space misses the operator
         failing = None
         level_resid = residual
         for k in range(1, depth + 1):
-            res_k = basis.level_residual(L_leaf.parts, k)
+            res_k = basis.level_residual(L.parts, k)
             if res_k > limit:
                 failing = k
                 level_resid = res_k
@@ -315,8 +313,6 @@ def tree_chart_inverse(chart, w, tol=None):
             + (f"; level {failing} rejects it" if failing else ""),
             level=failing, residual=level_resid,
         )
-    parts = basis.parts(coords)
-    core = _pull_back(w, parts, chart.splits, chart.level_partitions[0])
     try:
         core = _check_core_in_domain(chart, core)
     except InvalidCoreError as e:
@@ -325,8 +321,8 @@ def tree_chart_inverse(chart, w, tol=None):
         ) from e
     # the chart image need not cover a whole rank-profile neighborhood, so
     # the recovered pair is verified to actually reproduce the point
-    w_rec = _push_forward(core, parts, chart.splits,
-                          chart.level_partitions[0], chart.shape)
+    w_rec = _push_forward(core, basis.parts(coords), chart.splits, blocks,
+                          chart.shape)
     rec_err = float(np.linalg.norm(w_rec - w))
     if rec_err > max(tol, 1e-8) * np.linalg.norm(w):
         raise OutsideChartImageError(

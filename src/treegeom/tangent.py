@@ -87,7 +87,6 @@ class OperatorSpaceBasis:
     ``vectors`` has one flattened n*n operator per column.
     """
 
-    label: str
     vectors: np.ndarray
 
     @property
@@ -112,7 +111,7 @@ class OperatorSpaceBasis:
         return coords, residual
 
 
-def level_operator_basis(partition, splits, shape, label=None):
+def level_operator_basis(partition, splits, shape):
     """Orthonormal basis of the level operator space for one partition.
 
     The elementary operators (one complement direction times one subspace
@@ -145,9 +144,7 @@ def level_operator_basis(partition, splits, shape, label=None):
             E[:, :, None, :] / np.sqrt(n_rest)
         )
         start += dim
-    return OperatorSpaceBasis(
-        label=label or f"level:{blocks}", vectors=vectors
-    )
+    return OperatorSpaceBasis(vectors=vectors)
 
 
 def _residual_spectrum(bases):
@@ -186,7 +183,7 @@ def _null_coefficients(s, Vt, reference, tol):
     return Vt[null_mask].T
 
 
-def intersect_operator_spaces(bases, tol=DEFAULT_TOL, label="intersection"):
+def intersect_operator_spaces(bases, tol=DEFAULT_TOL):
     """Orthonormal basis of the intersection of operator spaces.
 
     A vector of the first space lies in the intersection iff the complement
@@ -199,7 +196,7 @@ def intersect_operator_spaces(bases, tol=DEFAULT_TOL, label="intersection"):
     s, Vt = _residual_spectrum(bases)
     reference = s[0] if s.size else 0.0
     null = _null_coefficients(s, Vt, reference, tol)
-    return OperatorSpaceBasis(label=label, vectors=bases[0].vectors @ null)
+    return OperatorSpaceBasis(vectors=bases[0].vectors @ null)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,20 +236,6 @@ class _BlockSpace:
             if p not in built:
                 built[p] = level_operator_basis(p, self.splits, self.shape)
         return [built[p] for p in self.partitions]
-
-    def operator(self, parts):
-        """``b``'s part of the operator with per-block coefficients
-        ``parts`` (keyed by global blocks; those outside ``b`` are skipped),
-        as an ``n_b x n_b`` matrix."""
-        n_b = prod(self.shape)
-        out = np.zeros((n_b, n_b))
-        for alpha, C in parts.items():
-            if set(alpha) <= set(self.block):
-                local = _localize(self.block, alpha)
-                out += embed_block_operator(
-                    lifted_part(self.splits[local], C), local, self.shape
-                )
-        return out
 
 
 def _localize(block, node):
@@ -297,8 +280,10 @@ class BlockOperatorBasis:
     first; the null space was decided against the largest of them.
 
     :meth:`parts` and :meth:`part_coordinates` map between coordinates and
-    per-block coefficients without leaving the block spaces; ``vectors``
-    builds the dense ``N^2``-long basis on demand, for oracles only.
+    level-1 coefficients ``C_b``: coordinates are
+    ``sqrt(n_rest) Q^T vec(C_b^T)``, block by block, and nothing is
+    assembled.  ``vectors`` builds the dense ``N^2``-long basis on demand,
+    for oracles only.
     """
 
     shape: tuple
@@ -332,33 +317,29 @@ class BlockOperatorBasis:
         return out
 
     def part_coordinates(self, parts):
-        """Coordinates of the operator with per-block coefficients ``parts``
-        (over any partition refining level 1, e.g. the leaves), the norm of
-        its residual off the intersection, and the norm of the operator.
+        """Coordinates of the operator with level-1 coefficients ``parts``
+        (``{b: C_b}``, as :meth:`parts` returns them), the norm of its
+        residual off the intersection, and the norm of the operator.
 
-        The residual is formed explicitly in each block space, so it is
-        accurate to roundoff relative to the operator."""
+        The split bases are orthonormal, so both norms are those of the
+        coefficients times ``sqrt(n_rest)``."""
         coords = np.zeros(self.dim)
         resid_sq = 0.0
         norm_sq = 0.0
         for space, Q, sl in self._slices():
-            A = space.operator(parts)
-            s = space.split
-            scale = np.sqrt(space.n_rest)
-            c = (s.w.T @ A @ s.u).T.ravel()
-            coords[sl] = scale * (Q.T @ c)
-            C = (Q @ (Q.T @ c)).reshape(s.rank, s.corank).T
-            resid_sq += space.n_rest * np.linalg.norm(
-                A - lifted_part(s, C)) ** 2
-            norm_sq += space.n_rest * np.linalg.norm(A) ** 2
+            c = np.sqrt(space.n_rest) * parts[space.block].T.ravel()
+            coords[sl] = Q.T @ c
+            resid_sq += np.linalg.norm(c - Q @ coords[sl]) ** 2
+            norm_sq += np.linalg.norm(c) ** 2
         return coords, float(np.sqrt(resid_sq)), float(np.sqrt(norm_sq))
 
     def level_residual(self, parts, k):
-        """Norm of the residual of the operator with coefficients ``parts``
-        off the level-``k`` operator space."""
+        """Norm of the residual of the operator with level-1 coefficients
+        ``parts`` off the level-``k`` operator space."""
         resid_sq = 0.0
         for space in self.spaces:
-            _, resid = space.level_basis(k).coordinates(space.operator(parts))
+            op = lifted_part(space.split, parts[space.block])
+            _, resid = space.level_basis(k).coordinates(op)
             resid_sq += space.n_rest * resid ** 2
         return float(np.sqrt(resid_sq))
 

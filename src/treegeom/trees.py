@@ -134,9 +134,15 @@ def validate(tree):
     (a) vertices are nonempty subsets of the mode set, (b) the root is the
     full mode set, (c) non-singleton vertices have at least two sons forming
     a partition, (d) singletons have no sons.  The derived requirement that
-    the leaf set equals all singletons is reported separately.
+    the leaf set equals all singletons is reported separately, and so is a
+    mode set of fewer than two modes, whose root is a leaf and which has no
+    level partition.
     """
     violations = []
+    if tree.ndim < 2:
+        violations.append(
+            f"the mode set has {tree.ndim} mode(s), needs at least 2"
+        )
     full = set(tree.root)
     for node in sorted(tree.nodes):
         s = set(node)

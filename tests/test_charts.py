@@ -286,6 +286,8 @@ def anchor_case_tree(kind):
         "deep": tg.tree_from_nested([[[1], [[2], [3]]], [4]]),
         "linear": tg.linear_tree(4),
         "binary": tg.balanced_binary_tree(4),
+        "mixed": tg.tree_from_nested([[[1], [[2], [3]]], [[4], [5]], [6]]),
+        "tucker": tg.tucker_tree(4),
     }[kind]
 
 
@@ -326,9 +328,8 @@ class TestAnchorNeighbourhood:
 
 @pytest.mark.parametrize("kind", ["deep", "linear", "binary", "tucker"])
 def test_tree_chart_point_is_the_exponential_of_the_operator(kind):
-    tree = tg.tucker_tree(4) if kind == "tucker" else anchor_case_tree(kind)
     shape = (3, 3, 3, 3)
-    v, r, chart = make_chart(tree, shape, seed=24)
+    v, r, chart = make_chart(anchor_case_tree(kind), shape, seed=24)
     gen = np.random.default_rng(25)
     coords = 0.1 * gen.standard_normal(chart.operator_basis.dim)
     core = chart.core * (1 + 0.01 * gen.standard_normal(chart.core.shape))
@@ -341,6 +342,74 @@ def test_tree_chart_point_is_the_exponential_of_the_operator(kind):
     point = tg.tree_chart_point(chart, coords, core).ravel()
     assert np.linalg.norm(point - expected) <= \
         1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("kind,shape", [
+    ("deep", (3, 3, 3, 3)),
+    ("linear", (3, 3, 3, 3)),
+    ("binary", (3, 3, 3, 3)),
+    ("mixed", (2, 2, 2, 2, 2, 3)),
+    ("tucker", (3, 3, 3, 3)),
+])
+def test_inverse_coordinates_are_the_dense_projection(kind, shape):
+    # the inverse reads level-1 coefficients; the dense oracle projects the
+    # operator recovered on the leaf partition onto the intersection basis
+    v, r, chart = make_chart(anchor_case_tree(kind), shape, seed=26)
+    gen = np.random.default_rng(27)
+    depth = len(chart.level_partitions)
+    vectors = chart.operator_basis.vectors
+    for magnitude in (1e-2, 1e-1, 1.0):
+        coords = magnitude * gen.standard_normal(chart.operator_basis.dim)
+        core = chart.core * (1 + 0.01 * gen.standard_normal(chart.core.shape))
+        w = tg.tree_chart_point(chart, coords, core)
+        rec_coords, _ = tg.tree_chart_inverse(chart, w)
+        Lop = tg.level_inverse_operator(chart, w, depth)
+        np.testing.assert_allclose(
+            rec_coords, vectors.T @ Lop.ravel(), rtol=0, atol=1e-10
+        )
+
+
+def test_inverse_pulls_back_once_and_assembles_nothing(monkeypatch):
+    from treegeom import charts, tangent
+
+    v, r, chart = make_chart(anchor_case_tree("deep"), (3, 3, 3, 3), seed=28)
+    gen = np.random.default_rng(29)
+    points = [
+        tg.tree_chart_point(
+            chart, 0.1 * gen.standard_normal(chart.operator_basis.dim),
+            chart.core,
+        )
+        for _ in range(3)
+    ] + [v]
+    calls = {"pull_back": 0, "embed": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(charts, "_pull_back",
+                        counting("pull_back", charts._pull_back))
+    monkeypatch.setattr(tangent, "embed_block_operator",
+                        counting("embed", tangent.embed_block_operator))
+    for w in points:
+        tg.tree_chart_inverse(chart, w)
+    assert calls == {"pull_back": len(points), "embed": 0}
+
+
+def test_off_image_member_is_rejected_below_level_one():
+    # level 1 holds the recovered level-1 operator by construction, so a
+    # member outside the image is rejected at a deeper level
+    tree = anchor_case_tree("deep")
+    shape = (3, 3, 3, 3)
+    v, r, chart = make_chart(tree, shape, seed=0)
+    w = tg.random_tree_tensor(tree, r, shape, seed=1)
+    assert tg.is_member(w, tree, r).member
+    with pytest.raises(OutsideChartImageError) as err:
+        tg.tree_chart_inverse(chart, w)
+    assert 2 <= err.value.level <= len(chart.level_partitions)
+    assert err.value.residual > 0
 
 
 def test_sorted_blocks_helper():

@@ -195,6 +195,28 @@ def test_malformed_input_file_exits_two(workspace, capsys, name):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [
+    "analyze", "membership", "generate", "chart-check", "tangent", "proper",
+])
+def test_one_mode_tree_file_exits_two(tmp_path, capsys, command):
+    tree = tmp_path / "tree.json"
+    tree.write_text("[1]")
+    tensor = tmp_path / "v.json"
+    tg.save_tensor(tensor, np.array([1.0, 2.0, 3.0]))
+    ranks = tmp_path / "ranks.json"
+    ranks.write_text(json.dumps({"ranks": [{"block": [1], "r": 1}]}))
+    args = [command, "--tree", str(tree)]
+    if command in ("generate", "proper"):
+        args += ["--shape", "3", "--out", str(tmp_path / "out.json")]
+    else:
+        args += ["--tensor", str(tensor)]
+    if command != "analyze":
+        args += ["--ranks", str(ranks)]
+    capsys.readouterr()
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestGenerate:
     def test_writes_verified_tensor(self, workspace, capsys):
         out = workspace["dir"] / "gen.json"

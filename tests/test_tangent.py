@@ -35,9 +35,7 @@ def anchored(tree, shape, seed=0, cap=2):
 def level_bases(tree, v, splits):
     depth = tg.levels(tree).depth
     return [
-        tg.level_operator_basis(
-            tg.level_partition(tree, k), splits, v.shape, label=f"level-{k}"
-        )
+        tg.level_operator_basis(tg.level_partition(tree, k), splits, v.shape)
         for k in range(1, depth + 1)
     ]
 
@@ -425,32 +423,34 @@ class TestBlockSpacesMatchDenseOracle:
             np.testing.assert_allclose(parts[b], dec.parts[b], atol=1e-12)
 
     def test_leaf_parts_to_coordinates_match_dense(self, kind, shape):
+        # fed level-1 coefficients, as the inverse chart hands them over
         tree, v, r, splits = block_case(kind, shape, seed=34)
         bases = level_bases(tree, v, splits)
         dense = tg.intersect_operator_spaces(bases)
         block = tg.tree_operator_basis(tree, splits, shape)
-        leaves = tg.level_partition(tree, len(bases))
+        level1 = tg.level_partition(tree, 1)
         gen = np.random.default_rng(35)
         # a member of the intersection: recovered exactly, no residual
         if dense.dim:
             Lop = dense.operator(gen.standard_normal(dense.dim))
-            leaf = tg.decompose_laplacian(Lop, leaves, splits, shape)
-            coords, resid, nrm = block.part_coordinates(leaf.parts)
+            dec = tg.decompose_laplacian(Lop, level1, splits, shape)
+            coords, resid, nrm = block.part_coordinates(dec.parts)
             assert resid <= 1e-12 * nrm
             assert nrm == pytest.approx(np.linalg.norm(Lop), rel=1e-12)
             np.testing.assert_allclose(
                 block.vectors @ coords, Lop.ravel(), atol=1e-12
             )
-        # a generic leaf-level operator: residuals off the intersection and
+        # a generic level-1 operator: residuals off the intersection and
         # off every level space equal the dense projections'
         parts = {
             b: gen.standard_normal((splits[b].corank, splits[b].rank))
-            for b in leaves
+            for b in level1
         }
         Lop = tg.assemble_laplacian(
-            tg.LaplacianLike(partition=leaves, parts=parts), splits, shape
+            tg.LaplacianLike(partition=level1, parts=parts), splits, shape
         )
-        coords, resid, _ = block.part_coordinates(parts)
+        coords, resid, nrm = block.part_coordinates(parts)
+        assert nrm == pytest.approx(np.linalg.norm(Lop), rel=1e-12)
         dense_coords, dense_resid = dense.coordinates(Lop)
         assert resid == pytest.approx(dense_resid, rel=1e-10, abs=1e-12)
         np.testing.assert_allclose(

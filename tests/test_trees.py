@@ -78,6 +78,14 @@ class TestValidate:
         assert not report.ok
         assert any("axiom (a)" in v for v in report.violations)
 
+    def test_one_mode_tree_is_invalid(self):
+        # its root is a leaf and it has no level partition
+        report = validate(DimensionTree(1, {}))
+        assert not report.ok
+        assert any("at least 2" in v for v in report.violations)
+        with pytest.raises(TreeValidationError):
+            tree_from_nested([1])
+
     def test_ensure_valid_raises(self):
         tree = DimensionTree(2, {(1, 2): [(1, 2)]})
         with pytest.raises(TreeValidationError):
