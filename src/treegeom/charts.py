@@ -150,6 +150,14 @@ def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
     """
     w = check_tensor(w, allow_zero=False)
     blocks = sorted_blocks(partition)
+    parts = _graph_parts(w, blocks, splits, ranks, tol)
+    return (LaplacianLike(partition=blocks, parts=parts),
+            _pull_back(w, parts, splits, blocks))
+
+
+def _graph_parts(w, blocks, splits, ranks, tol):
+    """Block coefficients ``G A^{-1}`` of the point's minimal subspaces as
+    graphs over the anchor's, checked as in :func:`tucker_chart_inverse`."""
     parts = {}
     for b in blocks:
         s = splits[b]
@@ -169,8 +177,7 @@ def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
             raise OutsideChartDomainError(b, cond)
         G = s.w.T @ sub.basis
         parts[b] = np.linalg.solve(A.T, G.T).T
-    L = LaplacianLike(partition=blocks, parts=parts)
-    return L, _pull_back(w, parts, splits, blocks)
+    return parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,10 +268,11 @@ def level_inverse_operator(chart, w, k):
 
     For a point in the chart's image the recovered operator is the same at
     every level, up to roundoff; comparing levels is a consistency check.
+    Only the graph step of :func:`tucker_chart_inverse` runs.
     """
     blocks = chart.level_partitions[k - 1]
-    ranks = {b: chart.ranks[b] for b in blocks}
-    L, _ = tucker_chart_inverse(w, blocks, chart.splits, ranks, chart.tol)
+    parts = _graph_parts(w, blocks, chart.splits, chart.ranks, chart.tol)
+    L = LaplacianLike(partition=blocks, parts=parts)
     return assemble_laplacian(L, chart.splits, chart.shape)
 
 
@@ -284,7 +292,6 @@ def tree_chart_inverse(chart, w):
     """
     tol = chart.tol
     w = check_tensor(w, allow_zero=False)
-    depth = len(chart.level_partitions)
     membership = is_member(w, chart.tree, chart.ranks, tol)
     if not membership.member:
         raise OutsideChartImageError(
@@ -300,18 +307,16 @@ def tree_chart_inverse(chart, w):
     limit = max(1e-8, tol) * max(nrm, 1.0)
     if residual > limit:
         # identify the first level whose operator space misses the operator
-        failing = None
-        level_resid = residual
-        for k in range(1, depth + 1):
-            res_k = basis.level_residual(L.parts, k)
-            if res_k > limit:
-                failing = k
-                level_resid = res_k
-                break
+        level_resid = [basis.level_residual(L.parts, k)
+                       for k in range(1, len(chart.level_partitions) + 1)]
+        failing = next(
+            (k for k, res in enumerate(level_resid, 1) if res > limit), None
+        )
         raise OutsideChartImageError(
             "recovered operator is outside the chart's operator space"
             + (f"; level {failing} rejects it" if failing else ""),
-            level=failing, residual=level_resid,
+            level=failing,
+            residual=level_resid[failing - 1] if failing else residual,
         )
     try:
         core = _check_core_in_domain(chart, core)

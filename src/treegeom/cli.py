@@ -141,11 +141,12 @@ def _operator_command_bytes(tree, r, shape, jacobian):
       and the chart points of a round trip;
     - ``2 * n_a^2`` per non-root node ``a``: its kept split ``[u | w]`` and
       the full SVD factor of ``u`` that ``w`` is read from;
-    - for the level-1 block ``b`` that costs most (blocks are handled one at
-      a time): its distinct level bases, ``n_b^2 * dim`` each, three times
-      over for the temporaries they are built with, plus the level residual
-      stack, ``n_b^2 * dim_1`` per distinct deeper level, four times over
-      (pieces, stack, and the two copies its QR factorization works on);
+    - for the level-1 block ``b`` that costs most (blocks and levels are
+      handled one at a time): its level-1 and its largest deeper level
+      basis, ``n_b^2 * dim`` each, three times over for the temporaries
+      they are built with, plus one level's residual, ``n_b^2 * dim_1``,
+      four times over (projection, residual, and the two copies its QR
+      factorization works on);
     - with ``jacobian``, three ``N x n_params`` arrays: the per-node
       column blocks of the Jacobian (each node's Kronecker product and its
       row-permuted copy), the Jacobian they are stacked into, and the copy
@@ -166,12 +167,12 @@ def _operator_command_bytes(tree, r, shape, jacobian):
     partitions = [level_partition(tree, k) for k in range(1, depth + 1)]
     block_cost = []
     for b in partitions[0]:
-        inside = {
+        deeper = {
             frozenset(a for a in p if set(a) <= set(b)) for p in partitions
-        }
-        deeper = len(inside) - 1
+        } - {frozenset([b])}
         block_cost.append(size(b) ** 2 * (
-            3 * sum(dim(p) for p in inside) + 4 * deeper * dim([b])
+            3 * (dim([b]) + max(map(dim, deeper), default=0))
+            + (4 * dim([b]) if deeper else 0)
         ))
     entries = 8 * prod(shape) + max(block_cost)
     entries += 2 * sum(size(a) ** 2 for a in tree.nodes if a != tree.root)

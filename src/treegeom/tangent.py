@@ -12,8 +12,10 @@ each level space, and their intersection, splits into one part per level-1
 block, and each part lives in ``b``'s own ``n_b x n_b`` operator space:
 ``A -> (A (x) I_rest) / sqrt(n_rest)`` is an isometry onto the full space.
 The library paths work in these block spaces: :func:`tree_operator_basis`
-builds the intersection, and :func:`tangent_dimension`,
-:func:`immersion_check` and the charts read it from there.  The same
+keeps, per block ``b`` and level ``k``, only ``R_{b,k}``, the R factor of
+the level-1 basis's residual off the level-k basis.  The intersection is
+the null space of the stacked factors; :func:`immersion_check` and the
+charts read the factors and the intersection from there.  The same
 functions called on the full shape (:func:`level_operator_basis`,
 :func:`intersect_operator_spaces`) give the dense ``N^2``-long form, kept as
 the test oracle.
@@ -40,7 +42,6 @@ variation per node with the others fixed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from math import prod
 
@@ -147,26 +148,20 @@ def level_operator_basis(partition, splits, shape):
     return OperatorSpaceBasis(vectors=vectors)
 
 
-def _residual_spectrum(bases):
-    """Singular values and right singular vectors of the first basis's
-    residuals against the complement projectors of the others, stacked.
+def _residual_factor(first, other):
+    """R factor of the QR of the first basis's residual off the other's span:
+    it has the residual's singular values and right singular vectors."""
+    A = first.vectors - other.vectors @ (other.vectors.T @ first.vectors)
+    return np.linalg.qr(A, mode="r")
 
-    A basis object listed ``n`` times stands for ``n`` stacked copies of its
-    residual block (one copy scaled by ``sqrt(n)``); one listed as the first
-    adds only zero rows and is left out."""
-    first = bases[0]
-    counts = Counter(b for b in bases[1:] if b is not first)
-    if first.dim == 0 or not counts:
-        return np.zeros(0), np.eye(first.dim)
-    A = np.vstack([
-        np.sqrt(n) * (
-            first.vectors - other.vectors @ (other.vectors.T @ first.vectors)
-        )
-        for other, n in counts.items()
-    ])
-    # the R factor has A's singular values and right singular vectors;
-    # A's left factor, as tall as A, is never formed
-    _, s, Vt = svd(np.linalg.qr(A, mode="r"))
+
+def _factor_spectrum(factors, dim):
+    """Singular values and right singular vectors of residual factors with
+    ``dim`` columns stacked, which are those of the residuals stacked."""
+    R = np.vstack([np.zeros((0, dim)), *factors])
+    if R.size == 0:
+        return np.zeros(0), np.eye(dim)
+    _, s, Vt = svd(R)
     return s, Vt
 
 
@@ -189,11 +184,16 @@ def intersect_operator_spaces(bases, tol=DEFAULT_TOL):
     A vector of the first space lies in the intersection iff the complement
     projector of every other space annihilates it; the intersection is the
     nullspace, at the given tolerance, of those complement projectors
-    restricted to the first basis (stacked and read off one SVD).
+    restricted to the first basis, read off their residual factors.
     """
     if not bases:
         raise InvalidArgumentError("need at least one operator space")
-    s, Vt = _residual_spectrum(bases)
+    first = bases[0]
+    s, Vt = _factor_spectrum(
+        [_residual_factor(first, other)
+         for other in bases[1:] if other is not first],
+        first.dim,
+    )
     reference = s[0] if s.size else 0.0
     null = _null_coefficients(s, Vt, reference, tol)
     return OperatorSpaceBasis(vectors=bases[0].vectors @ null)
@@ -221,21 +221,20 @@ class _BlockSpace:
         """The split at ``b`` itself, in local modes."""
         return self.splits[tuple(range(1, len(self.block) + 1))]
 
-    def level_basis(self, k):
-        """:func:`level_operator_basis` of level ``k``, in ``b``'s operator
-        space."""
-        return level_operator_basis(
-            self.partitions[k - 1], self.splits, self.shape
+    def residual_factors(self):
+        """One :func:`_residual_factor` of the level-1 basis per level, one
+        level basis at a time; a level restricting to the level-1 partition
+        gets none (no rows), and coinciding levels share one."""
+        first = level_operator_basis(
+            self.partitions[0], self.splits, self.shape
         )
-
-    def level_bases(self):
-        """One :func:`level_operator_basis` per level, in ``b``'s operator
-        space; levels whose restricted partitions coincide share one basis."""
-        built = {}
-        for p in self.partitions:
-            if p not in built:
-                built[p] = level_operator_basis(p, self.splits, self.shape)
-        return [built[p] for p in self.partitions]
+        factors = {self.partitions[0]: np.zeros((0, first.dim))}
+        for p in self.partitions[1:]:
+            if p not in factors:
+                factors[p] = _residual_factor(
+                    first, level_operator_basis(p, self.splits, self.shape)
+                )
+        return tuple(factors[p] for p in self.partitions)
 
 
 def _localize(block, node):
@@ -275,9 +274,11 @@ class BlockOperatorBasis:
     ``null[i]`` holds, one column per basis vector, the coefficients of
     block ``spaces[i]``'s part of the intersection in that block's level-1
     basis (``level_operator_basis`` of the local root).  Coordinates are
-    concatenated block by block.  ``singular_values`` are those of the
-    stacked level residuals (the dense intersection's spectrum), largest
-    first; the null space was decided against the largest of them.
+    concatenated block by block.  ``factors[i][k - 1]`` is ``R_{b,k}``, which
+    maps those coefficients to their residual off level ``k`` up to an
+    orthonormal factor.  ``singular_values`` are those of the stacked
+    factors (the dense intersection's spectrum), largest first; the null
+    space was decided against the largest of them.
 
     :meth:`parts` and :meth:`part_coordinates` map between coordinates and
     level-1 coefficients ``C_b``: coordinates are
@@ -289,6 +290,7 @@ class BlockOperatorBasis:
     shape: tuple
     spaces: tuple
     null: tuple
+    factors: tuple
     singular_values: np.ndarray
 
     @property
@@ -335,12 +337,13 @@ class BlockOperatorBasis:
 
     def level_residual(self, parts, k):
         """Norm of the residual of the operator with level-1 coefficients
-        ``parts`` off the level-``k`` operator space."""
-        resid_sq = 0.0
-        for space in self.spaces:
-            op = lifted_part(space.split, parts[space.block])
-            _, resid = space.level_basis(k).coordinates(op)
-            resid_sq += space.n_rest * resid ** 2
+        ``parts`` off the level-``k`` operator space,
+        ``sqrt(sum_b n_rest ||R_{b,k} vec(C_b^T)||^2)``."""
+        resid_sq = sum(
+            space.n_rest
+            * np.linalg.norm(R[k - 1] @ parts[space.block].T.ravel()) ** 2
+            for space, R in zip(self.spaces, self.factors)
+        )
         return float(np.sqrt(resid_sq))
 
     @property
@@ -368,8 +371,9 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     those of :func:`intersect_operator_spaces` on the full level bases.
     """
     spaces = _block_spaces(tree, splits, shape)
-    # one block's level bases at a time: only the spectra are kept
-    spectra = [_residual_spectrum(space.level_bases()) for space in spaces]
+    # one level basis at a time: only the residual factors are kept
+    factors = tuple(space.residual_factors() for space in spaces)
+    spectra = [_factor_spectrum(f, f[0].shape[1]) for f in factors]
     # every block's null space is decided against the largest residual
     # singular value of all blocks, as one dense SVD of the whole stack would
     values = np.sort(np.concatenate([s for s, _ in spectra]))[::-1]
@@ -378,6 +382,7 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
         shape=tuple(shape), spaces=spaces,
         null=tuple(_null_coefficients(s, Vt, reference, tol)
                    for s, Vt in spectra),
+        factors=factors,
         singular_values=values,
     )
 
@@ -449,17 +454,17 @@ def parametrization_jacobian(v, tree, r, tol=DEFAULT_TOL):
 
 def tangent_dimension_oracle(v, tree, r, tol=DEFAULT_TOL):
     """Manifold dimension as the numerical rank of the parametrization
-    Jacobian, at the threshold ``max(J.shape) * eps`` relative to its
-    largest singular value."""
+    Jacobian, at the threshold ``tol`` relative to its largest singular
+    value, as every rank decision of the library is read."""
     v, splits = require_member(v, tree, r, tol)
-    return _jacobian_rank(v, tree, splits)
+    return _jacobian_rank(v, tree, splits, tol)
 
 
-def _jacobian_rank(v, tree, splits):
+def _jacobian_rank(v, tree, splits, tol):
     """Numerical rank of :func:`_jacobian`, at the threshold of
     :func:`tangent_dimension_oracle`."""
     J = _jacobian(v, tree, splits)
-    return svd_rank(np.linalg.svd(J, compute_uv=False), shape=J.shape)
+    return svd_rank(np.linalg.svd(J, compute_uv=False), tol)
 
 
 @dataclass(frozen=True)
@@ -497,7 +502,7 @@ def tangent_dimension(v, tree, r, tol=DEFAULT_TOL):
     inter = tree_operator_basis(tree, splits, v.shape, tol)
     dim_core = prod(r[b] for b in level_partition(tree, 1))
     dim_total = inter.dim + dim_core
-    oracle = _jacobian_rank(v, tree, splits)
+    oracle = _jacobian_rank(v, tree, splits, tol)
     formula = network_dimension_formula(tree, r, v.shape)
     return TangentReport(
         dim_e=inter.dim,
@@ -545,10 +550,11 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     the induced coordinate map has full column rank (condition number
     reported), and that the model dimension at the intersection does not
     exceed the level-k model dimension, ``sum(rank * corank)`` over the
-    level-k splits plus the level-k core.  All of it is computed per
-    level-1 block, and only for blocks where the intersection is nonzero;
-    the coordinate map is block diagonal, so its singular values are those
-    of the blocks together.
+    level-k splits plus the level-k core.  All of it is read per level-1
+    block where the intersection is nonzero, off ``E = R_{b,k} Q_b``: the
+    residuals are its column norms and the coordinate map's singular values
+    are ``sqrt(1 - sigma(E)^2)``, read off ``I - E^T E``.  The map is block
+    diagonal, so its singular values are those of the blocks together.
     """
     v, splits = require_member(v, tree, r, tol)
     depth = levels(tree).depth
@@ -559,19 +565,13 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     dim_k = sum(splits[b].rank * splits[b].corank for b in blocks_k)
     max_resid = 0.0
     sv = []
-    for space, Q in zip(inter.spaces, inter.null):
+    for Q, R in zip(inter.null, inter.factors):
         if Q.shape[1] == 0:
             continue
-        b1 = space.level_basis(1)
-        same = space.partitions[k - 1] == space.partitions[0]
-        bk = b1 if same else space.level_basis(k)
-        vecs = b1.vectors @ Q
-        coords = bk.vectors.T @ vecs
-        max_resid = max(max_resid, float(
-            np.max(np.linalg.norm(vecs - bk.vectors @ coords, axis=0))
-        ))
-        s = np.linalg.svd(coords, compute_uv=False)
-        sv.append(np.concatenate([s, np.zeros(Q.shape[1] - s.size)]))
+        E = R[k - 1] @ Q
+        max_resid = max(max_resid, float(np.max(np.linalg.norm(E, axis=0))))
+        gram = np.eye(Q.shape[1]) - E.T @ E
+        sv.append(np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)))
     if sv:
         s = np.concatenate(sv)
         injective = bool(s.min() > tol)

@@ -196,19 +196,12 @@ def svd(M, full_matrices=False):
     return U, s, Vt
 
 
-def svd_rank(s, tol=None, shape=None):
-    """Number of singular values above the rank tolerance.
-
-    ``tol`` is relative to the largest singular value.  When ``tol`` is None
-    the machine default ``max(rows, cols) * eps`` is used (``shape`` required).
-    """
+def svd_rank(s, tol):
+    """Number of singular values above the rank tolerance ``tol``, relative
+    to the largest singular value."""
     s = np.asarray(s, dtype=float)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    if tol is None:
-        if shape is None:
-            raise InvalidArgumentError("svd_rank needs a tolerance or a shape")
-        tol = max(shape) * np.finfo(float).eps
     return int(np.sum(s > tol * s[0]))
 
 

@@ -398,6 +398,29 @@ def test_inverse_pulls_back_once_and_assembles_nothing(monkeypatch):
     assert calls == {"pull_back": len(points), "embed": 0}
 
 
+def test_level_inverse_operator_pulls_nothing_back(monkeypatch):
+    # the cross-level check reads only the graph step; the core it would
+    # pull back is not part of its result
+    from treegeom import charts
+
+    v, r, chart = make_chart(anchor_case_tree("deep"), (3, 3, 3, 3), seed=28)
+    w = tg.tree_chart_point(
+        chart, 0.1 * np.random.default_rng(30).standard_normal(
+            chart.operator_basis.dim), chart.core,
+    )
+    calls = []
+    pull_back = charts._pull_back
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pull_back(*args, **kwargs)
+
+    monkeypatch.setattr(charts, "_pull_back", counted)
+    for k in range(1, len(chart.level_partitions) + 1):
+        tg.level_inverse_operator(chart, w, k)
+    assert calls == []
+
+
 def test_off_image_member_is_rejected_below_level_one():
     # level 1 holds the recovered level-1 operator by construction, so a
     # member outside the image is rejected at a deeper level

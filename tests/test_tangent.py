@@ -11,7 +11,6 @@ from treegeom.operators import tree_splits
 from treegeom.subspaces import TreeRank
 from treegeom.tangent import (
     _network_parameters,
-    _residual_spectrum,
     network_dimension_formula,
     parametrization_jacobian,
     tree_operator_basis,
@@ -38,6 +37,16 @@ def level_bases(tree, v, splits):
         tg.level_operator_basis(tg.level_partition(tree, k), splits, v.shape)
         for k in range(1, depth + 1)
     ]
+
+
+def dense_residual_spectrum(bases):
+    """Singular values of the first basis's residuals off every other
+    basis, stacked densely."""
+    first = bases[0].vectors
+    stack = np.vstack([np.zeros((0, first.shape[1]))] + [
+        first - b.vectors @ (b.vectors.T @ first) for b in bases[1:]
+    ])
+    return np.linalg.svd(stack, compute_uv=False)
 
 
 def tucker_instance(shape, leaf_ranks, seed=0):
@@ -282,6 +291,18 @@ class TestTangentDimension:
         assert report.dim_total == 6
         assert not report.agree
 
+    def test_oracle_rank_is_read_at_tol(self, deep_tree_d4):
+        # an ill-conditioned anchor: the smallest true singular value of
+        # the Jacobian is 8e-5 of the largest and the first roundoff one
+        # 7e-14, above max(J.shape) * eps; read at tol, the rank is the
+        # network dimension
+        shape = (3, 3, 3, 3)
+        v, r, _ = anchored(deep_tree_d4, shape, seed=218)
+        assert tg.tangent_dimension_oracle(v, deep_tree_d4, r) == \
+            network_dimension_formula(deep_tree_d4, r, shape)
+        report = tg.tangent_dimension(v, deep_tree_d4, r)
+        assert report.oracle_dim == report.formula_dim
+
     def test_formula_matches_oracle_on_deep_trees(self, mixed_tree_d6):
         shape = (2,) * 6
         v, r, _ = anchored(mixed_tree_d6, shape, seed=16)
@@ -378,7 +399,7 @@ class TestBlockSpacesMatchDenseOracle:
         dense = tg.intersect_operator_spaces(bases)
         block = tg.tree_operator_basis(tree, splits, shape)
         assert block.dim == dense.dim
-        s, _ = _residual_spectrum(bases)
+        s = dense_residual_spectrum(bases)
         nonzero = s[s > 1e-10 * s[0]] if s.size else s
         ours = block.singular_values
         ours = ours[ours > 1e-10 * ours[0]] if ours.size else ours
@@ -462,6 +483,38 @@ class TestBlockSpacesMatchDenseOracle:
             )
 
 
+@pytest.mark.parametrize("kind", ["deep", "linear", "mixed"])
+def test_level_bases_are_built_once(kind, monkeypatch):
+    # the immersion check and the level search of the chart inverse read
+    # the residual factors that the intersection kept; neither builds a
+    # level basis of its own
+    shape = dict(BLOCK_CASES)[kind]
+    tree, v, r, splits = block_case(kind, shape, seed=38)
+    built = []
+    level_basis = tangent.level_operator_basis
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return level_basis(*args, **kwargs)
+
+    monkeypatch.setattr(tangent, "level_operator_basis", counted)
+    block = tg.tree_operator_basis(tree, splits, shape)
+    per_intersection = len(built)
+    assert per_intersection > 0
+    depth = tg.levels(tree).depth
+    for k in range(1, depth + 1):
+        del built[:]
+        tg.immersion_check(v, tree, r, k)
+        assert len(built) == per_intersection
+    parts = {
+        s.block: np.ones((s.split.corank, s.split.rank)) for s in block.spaces
+    }
+    del built[:]
+    for k in range(1, depth + 1):
+        block.level_residual(parts, k)
+    assert built == []
+
+
 def central_difference_jacobian(v, tree, splits, step=1e-6):
     """Reference Jacobian: central differences, two contractions per
     parameter entry, at the parameter point and in the column order of
@@ -501,9 +554,10 @@ class TestExactJacobian:
         assert np.max(np.abs(J - reference)) <= 1e-8 * np.max(np.abs(J))
 
     def test_spectrum_has_a_gap(self, kind, shape):
-        # the rank threshold max(J.shape) * eps is safe only if no singular
-        # value sits anywhere near it: gauge directions are roundoff, every
-        # other one is well above 1e-6 of the largest
+        # the rank is read at tol, which is safe only if no singular value
+        # sits anywhere near it: gauge directions are roundoff, below
+        # max(J.shape) * eps here, every other one is well above 1e-6 of
+        # the largest
         tree, v, r, _ = block_case(kind, shape, seed=11)
         J = parametrization_jacobian(v, tree, r)
         s = np.linalg.svd(J, compute_uv=False)

@@ -202,7 +202,7 @@ class TestSvd:
         for _ in range(20):
             A = rng.integers(-3, 4, size=(4, 5)).astype(float)
             s = np.linalg.svd(A, compute_uv=False)
-            svd_r = tg.svd_rank(s, shape=A.shape)
+            svd_r = tg.svd_rank(s, max(A.shape) * np.finfo(float).eps)
             assert svd_r == gauss_rank_exact(A)
 
     def test_nonfinite_rejected(self):
