@@ -305,7 +305,8 @@ def tree_chart_inverse(chart, w):
     basis = chart.operator_basis
     coords, residual, nrm = basis.part_coordinates(L.parts)
     limit = max(1e-8, tol) * max(nrm, 1.0)
-    if residual > limit:
+    # written so that a NaN residual fails the check
+    if not residual <= limit:
         # identify the first level whose operator space misses the operator
         level_resid = [basis.level_residual(L.parts, k)
                        for k in range(1, len(chart.level_partitions) + 1)]
@@ -329,7 +330,7 @@ def tree_chart_inverse(chart, w):
     w_rec = _push_forward(core, basis.parts(coords), chart.splits, blocks,
                           chart.shape)
     rec_err = float(np.linalg.norm(w_rec - w))
-    if rec_err > max(tol, 1e-8) * np.linalg.norm(w):
+    if not rec_err <= max(tol, 1e-8) * np.linalg.norm(w):
         raise OutsideChartImageError(
             "recovered coordinates do not reproduce the point "
             f"(relative error {rec_err / np.linalg.norm(w):.3e}); the point "

@@ -164,19 +164,19 @@ def tensor_product(factors):
     return out
 
 
-def _fix_signs(U, Vt=None):
+def _fix_signs(U, Vt):
     """Deterministic SVD signs: in each left singular vector the entry of
-    largest magnitude is made nonnegative (ties break at the lowest index)."""
-    U = U.copy()
-    Vt = None if Vt is None else Vt.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            U[:, j] = -col
-            if Vt is not None and j < Vt.shape[0]:
-                Vt[j, :] = -Vt[j, :]
-    return U if Vt is None else (U, Vt)
+    largest magnitude is made nonnegative (ties break at the lowest index),
+    and the matching row of ``Vt``, where there is one, flips with it."""
+    cols = np.arange(U.shape[1])
+    # an empty U (the SVD of a matrix with no rows) has no column to flip
+    lead = np.argmax(np.abs(U), axis=0) if U.size else cols
+    # a product with 1.0 or -1.0 is exact: only the flipped signs change
+    sign = np.where(U[lead, cols] < 0, -1.0, 1.0)
+    Vt = Vt.copy()
+    k = min(len(cols), len(Vt))
+    Vt[:k] *= sign[:k, None]
+    return U * sign, Vt
 
 
 def svd(M, full_matrices=False):

@@ -226,3 +226,20 @@ def per_entry_jacobian(v, tree, splits):
                 unit.flat[i] = 0.0
             store[node] = base
     return np.column_stack(columns)
+
+
+def fix_signs_loop(U, Vt):
+    """Reference SVD sign convention, one column at a time: the entry of
+    largest magnitude in each column of ``U`` is made nonnegative (ties break
+    at the lowest index), and the matching row of ``Vt``, where there is
+    one, flips with it."""
+    U = U.copy()
+    Vt = Vt.copy()
+    for j in range(U.shape[1]):
+        col = U[:, j]
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0:
+            U[:, j] = -col
+            if j < Vt.shape[0]:
+                Vt[j, :] = -Vt[j, :]
+    return U, Vt

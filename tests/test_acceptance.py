@@ -8,6 +8,12 @@ Every tolerance is pinned here, not configurable.
 import sys
 import time
 from math import prod
+from pathlib import Path
+
+if __name__ == "__main__":
+    # run as a script, import the checkout's package, as pytest does through
+    # the pythonpath setting in pyproject.toml
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 import scipy.linalg

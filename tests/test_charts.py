@@ -435,5 +435,30 @@ def test_off_image_member_is_rejected_below_level_one():
     assert err.value.residual > 0
 
 
+@pytest.mark.parametrize("where", ["projection", "reconstruction"])
+def test_inverse_rejects_a_nan_error(monkeypatch, where):
+    # a NaN passes no `>` test; the inverse's two checks must still reject
+    from treegeom import charts
+
+    tree = anchor_case_tree("deep")
+    _, _, chart = make_chart(tree, (2, 2, 2, 3), seed=0)
+    coords = 1e-2 * np.ones(chart.operator_basis.dim)
+    w = tg.tree_chart_point(chart, coords, chart.core)
+    if where == "projection":
+        basis = type(chart.operator_basis)
+        project = basis.part_coordinates
+
+        def nan_residual(self, parts):
+            found, _, nrm = project(self, parts)
+            return found, np.nan, nrm
+
+        monkeypatch.setattr(basis, "part_coordinates", nan_residual)
+    else:
+        monkeypatch.setattr(charts, "_push_forward",
+                            lambda core, *args: np.full_like(w, np.nan))
+    with pytest.raises(OutsideChartImageError):
+        tg.tree_chart_inverse(chart, w)
+
+
 def test_sorted_blocks_helper():
     assert sorted_blocks([(3, 2), (1,)]) == ((1,), (2, 3))

@@ -558,3 +558,128 @@ class TestMisc:
             "analyze", "--tensor", workspace["tensor"], "--tree", str(tp),
         ])
         assert code == 2
+
+
+class TestSharedParser:
+    """main() builds its parser once per process; every call still parses
+    into a fresh namespace and runs the handler bound to its name now."""
+
+    def commands(self, workspace):
+        common = ["--tree", workspace["tree"], "--ranks", workspace["ranks"]]
+        return [
+            ["analyze", "--tensor", workspace["tensor"],
+             "--tree", workspace["tree"]],
+            ["membership", "--tensor", workspace["tensor"], *common],
+            ["generate", *common, "--shape", "2,2,2,3",
+             "--out", str(workspace["dir"] / "gen.json")],
+            ["chart-check", "--tensor", workspace["tensor"], *common,
+             "--trials", "1"],
+            ["proper", *common, "--shape", "2,2,2,3"],
+        ]
+
+    @pytest.mark.filterwarnings("ignore:fixed-rank set is not proper")
+    def test_no_parser_built_after_the_first_call(self, workspace, capsys,
+                                                  monkeypatch):
+        import argparse
+
+        run(self.commands(workspace)[0])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        codes = [run(argv) for argv in self.commands(workspace)]
+        # the deep tree's rank tuple is not proper
+        assert codes == [0, 0, 0, 0, 1]
+        assert built == []
+
+    def test_options_do_not_carry_over(self, workspace, capsys):
+        out = workspace["dir"] / "gen.json"
+        code = run([
+            "generate", "--tree", workspace["tree"],
+            "--ranks", workspace["ranks"], "--shape", "2,2,2,3",
+            "--seed", "7", "--tol", "1e-6", "--out", str(out),
+        ])
+        doc = read_json(capsys)
+        assert code == 0 and doc["seed"] == 7 and doc["tol"] == 1e-6
+        run(["analyze", "--tensor", str(out), "--tree", workspace["tree"]])
+        doc = read_json(capsys)
+        assert "seed" not in doc and doc["tol"] == 1e-10
+        run(["membership", "--tensor", str(out), "--tree", workspace["tree"],
+             "--ranks", workspace["ranks"], "--tol", "1e-6"])
+        doc = read_json(capsys)
+        assert "seed" not in doc and doc["tol"] == 1e-6
+        # no --out either: the report of the next call goes to stdout
+        run(["membership", "--tensor", str(out), "--tree", workspace["tree"],
+             "--ranks", workspace["ranks"]])
+        doc = read_json(capsys)
+        assert "seed" not in doc and doc["tol"] == 1e-10 and doc["member"]
+
+    def test_parser_exits_leave_the_next_call_intact(self, workspace,
+                                                     capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--version"])
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "--tensor", workspace["tensor"],
+                 "--tree", workspace["tree"], "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code = run(["membership", "--tensor", workspace["tensor"],
+                    "--tree", workspace["tree"],
+                    "--ranks", workspace["ranks"]])
+        doc = read_json(capsys)
+        assert code == 0 and doc["member"] and doc["tol"] == 1e-10
+
+    def test_handler_patched_after_the_first_call_runs(self, workspace,
+                                                       capsys, monkeypatch):
+        from treegeom import cli
+
+        run(["membership", "--tensor", workspace["tensor"],
+             "--tree", workspace["tree"], "--ranks", workspace["ranks"]])
+        seen = []
+
+        def patched(args):
+            seen.append(args.command)
+            return 42
+
+        monkeypatch.setattr(cli, "cmd_membership", patched)
+        code = run(["membership", "--tensor", workspace["tensor"],
+                    "--tree", workspace["tree"],
+                    "--ranks", workspace["ranks"]])
+        assert code == 42 and seen == ["membership"]
+
+
+@pytest.mark.filterwarnings("ignore:fixed-rank set is not proper")
+def test_chart_check_fails_on_a_nan_error(workspace, capsys, monkeypatch):
+    # one trial in three at each magnitude recovers NaN coordinates; the
+    # round-trip error of those trials is NaN, which must fail the check
+    # whatever the other trials read
+    from treegeom import cli
+
+    inverse = cli.tree_chart_inverse
+    calls = []
+
+    def nan_on_second(chart, w):
+        coords, core = inverse(chart, w)
+        calls.append(len(coords))
+        if len(calls) % 3 == 2:
+            coords = np.full_like(coords, np.nan)
+        return coords, core
+
+    monkeypatch.setattr(cli, "tree_chart_inverse", nan_on_second)
+    code = run([
+        "chart-check", "--tensor", workspace["tensor"],
+        "--tree", workspace["tree"], "--ranks", workspace["ranks"],
+        "--trials", "3", "--seed", "2",
+    ])
+    doc = read_json(capsys)
+    assert doc["operator_dim"] > 0 and calls[0] == doc["operator_dim"]
+    small = [r for r in doc["results"] if r["magnitude"] <= 0.1]
+    assert all(r["outside_domain"] == 0 for r in small)
+    assert all(np.isnan(r["max_roundtrip_error"]) for r in small)
+    assert np.isnan(doc["max_error_small_magnitudes"])
+    assert doc["passed"] is False and code == 1

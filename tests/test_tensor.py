@@ -6,9 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 import treegeom as tg
 from treegeom.errors import InvalidArgumentError, ParseError
-from treegeom.tensor import check_tensor, complement_modes, normalize_modes
+from treegeom.tensor import (
+    _fix_signs,
+    check_tensor,
+    complement_modes,
+    normalize_modes,
+)
 
-from helpers import apply_single_mode_oracle, gauss_rank_exact, gauss_rank_float
+from helpers import (
+    apply_single_mode_oracle,
+    fix_signs_loop,
+    gauss_rank_exact,
+    gauss_rank_float,
+)
 
 
 small_shapes = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
@@ -208,6 +218,37 @@ class TestSvd:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidArgumentError):
             tg.svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 7),
+           st.booleans(), st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_fix_signs_matches_the_column_loop(self, m, k, vt_rows, tie,
+                                               seed):
+        # entries from a few values, so that columns hold ties and zeros;
+        # Vt may have fewer rows than U has columns, as in the full SVD of
+        # a tall matrix, or more
+        values = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
+        rng = np.random.default_rng(seed)
+        U = values[rng.integers(len(values), size=(m, k))]
+        if tie and m >= 2:
+            U[:, 0] = 0.0
+            U[:2, 0] = [0.5, -0.5]
+        Vt = rng.standard_normal((vt_rows, 3))
+        before = U.copy(), Vt.copy()
+        U_ref, Vt_ref = fix_signs_loop(U, Vt)
+        U_fix, Vt_fix = _fix_signs(U, Vt)
+        # bit for bit, the signs of zeros included
+        for got, want in ((U_fix, U_ref), (Vt_fix, Vt_ref)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(U, before[0]) and np.array_equal(Vt, before[1])
+
+    def test_fix_signs_on_full_svd_factors(self, rng):
+        for shape in [(5, 3), (3, 5), (4, 4), (0, 3)]:
+            U, _, Vt = np.linalg.svd(rng.standard_normal(shape),
+                                     full_matrices=True)
+            for got, want in zip(_fix_signs(U, Vt), fix_signs_loop(U, Vt)):
+                assert np.array_equal(got, want)
 
 
 class TestEmbedBlockOperator:
