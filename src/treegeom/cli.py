@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from math import prod
 from pathlib import Path
@@ -74,12 +75,25 @@ def _load_ranks(path):
     return ranks_from_json(Path(path).read_text())
 
 
+def _print(text):
+    """Write a report to stdout.  A reader that has gone away (a broken
+    pipe) is no error of the command, which keeps its own exit code; the
+    rest of the output is dropped, the interpreter's last flush included."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # not a stream on a file descriptor: nothing is left to flush
+
+
 def _emit(report, args):
     text = _render_human(report) if args.human else json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
-        print(text)
+        _print(text)
 
 
 def _compact(val):
@@ -142,12 +156,19 @@ def _operator_command_bytes(tree, r, shape, jacobian):
       and the chart points of a round trip;
     - ``2 * n_a^2`` per non-root node ``a``: its kept split ``[u | w]`` and
       the full SVD factor of ``u`` that ``w`` is read from;
-    - for the level-1 block ``b`` that costs most (blocks and levels are
-      handled one at a time): its level-1 and its largest deeper level
-      basis, ``n_b^2 * dim`` each, three times over for the temporaries
-      they are built with, plus one level's residual, ``n_b^2 * dim_1``,
-      four times over (projection, residual, and the two copies its QR
-      factorization works on);
+    - per level-1 block ``b``, with ``dim_b = r_b (n_b - r_b)`` coordinates,
+      its residual factors: ``dim_b^2`` per distinct deeper level, kept for
+      every block, three times over for the stack of one block's factors
+      and the SVD of that stack;
+    - for the costliest level of the costliest block (levels are built one
+      at a time): ``[u_b | w_b]`` in the level's nested coordinates,
+      ``n_b^2`` four times over for the copies the rotation passes through,
+      and the rows of the level's factor, ``dim_b`` entries each, three
+      times over (the pieces, the stack they form and the copy its QR
+      works on): ``r_b n_b`` rows off the single-node part, and per node
+      ``a`` of the level, with ``m`` the product of the level's ranks in
+      ``b``, ``(n_a - r_a) (m / r_a) m`` rows on ``w_a`` times the other
+      nodes' bases and ``(n_a - r_a) r_a`` rows off them;
     - with ``jacobian``, three ``N x n_params`` arrays: the per-node
       column blocks of the Jacobian (each node's Kronecker product and its
       row-permuted copy), the Jacobian they are stacked into, and the copy
@@ -161,21 +182,25 @@ def _operator_command_bytes(tree, r, shape, jacobian):
         # a rank tuple missing a node is rejected before anything is built
         return min(r[node], size(node)) if node in r else 1
 
-    def dim(nodes):
-        return sum(rank(a) * (size(a) - rank(a)) for a in nodes)
+    def rows(b, nodes):
+        m = prod(rank(a) for a in nodes)
+        return rank(b) * size(b) + sum(
+            (size(a) - rank(a)) * (m // rank(a) * m + rank(a))
+            for a in nodes
+        )
 
     depth = levels(tree).depth
     partitions = [level_partition(tree, k) for k in range(1, depth + 1)]
-    block_cost = []
+    kept, level_cost = 0, [0]
     for b in partitions[0]:
+        dim = rank(b) * (size(b) - rank(b))
         deeper = {
-            frozenset(a for a in p if set(a) <= set(b)) for p in partitions
-        } - {frozenset([b])}
-        block_cost.append(size(b) ** 2 * (
-            3 * (dim([b]) + max(map(dim, deeper), default=0))
-            + (4 * dim([b]) if deeper else 0)
-        ))
-    entries = 8 * prod(shape) + max(block_cost)
+            tuple(a for a in p if set(a) <= set(b)) for p in partitions
+        } - {(b,)}
+        kept += 3 * len(deeper) * dim ** 2
+        level_cost += [4 * size(b) ** 2 + 3 * rows(b, nodes) * dim
+                       for nodes in deeper]
+    entries = 8 * prod(shape) + kept + max(level_cost)
     entries += 2 * sum(size(a) ** 2 for a in tree.nodes if a != tree.root)
     if jacobian:
         params = sum(shape[leaf[0] - 1] * rank(leaf) for leaf in tree.leaves)
@@ -252,7 +277,7 @@ def cmd_generate(args):
         doc.update(written=str(out), shape=list(shape), verified=True)
         code = EXIT_OK
     # --out names the tensor file, so the report always goes to stdout
-    print(_render_human(doc) if args.human else json.dumps(doc, indent=2))
+    _print(_render_human(doc) if args.human else json.dumps(doc, indent=2))
     return code
 
 

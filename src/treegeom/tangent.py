@@ -11,13 +11,21 @@ and operators living on different level-1 blocks are trace-orthogonal.  So
 each level space, and their intersection, splits into one part per level-1
 block, and each part lives in ``b``'s own ``n_b x n_b`` operator space:
 ``A -> (A (x) I_rest) / sqrt(n_rest)`` is an isometry onto the full space.
-The library paths work in these block spaces: :func:`tree_operator_basis`
-keeps, per block ``b`` and level ``k``, only ``R_{b,k}``, the R factor of
-the level-1 basis's residual off the level-k basis.  The intersection is
-the null space of the stacked factors; :func:`immersion_check` and the
-charts read the factors and the intersection from there.  The same
-functions called on the full shape (:func:`level_operator_basis`,
-:func:`intersect_operator_spaces`) give the dense ``N^2``-long form, kept as
+The library paths work in these block spaces and build no operator basis.
+A level-1 operator is ``X = W_b C U_b^T`` for coefficients ``C``, and
+:func:`tree_operator_basis` keeps, per block ``b`` and level ``k``, only
+``R_{b,k}``, a ``dim_b``-column R factor with ``||R_{b,k} vec(C)||`` the
+norm of ``X``'s residual off the level-k space.  Minimal subspaces are
+nested: ``U_b`` lies in ``Psi = (x)_beta U_beta`` over the level-k nodes
+``beta`` inside ``b``.  So the factor is computed from the split bases in
+the nested coordinates ``(x)_beta [U_beta | W_beta]``
+(:func:`_nested_factor`).  It is exact when the nesting is, and otherwise
+its singular values move by at most the nestedness defect
+``||U_b - Psi Psi^T U_b||_F``, recorded as
+:attr:`BlockOperatorBasis.defect`.  The intersection is the null space of
+the stacked factors; :func:`immersion_check` and the charts read the
+factors and the intersection from there.  :func:`level_operator_basis` and
+:func:`intersect_operator_spaces` give the dense ``N^2``-long form, kept as
 the test oracle.
 
 The intersection of the level spaces over all levels composes, with the
@@ -42,8 +50,9 @@ variation per node with the others fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import prod
+from dataclasses import dataclass
+from functools import lru_cache
+from math import hypot, prod
 
 import numpy as np
 
@@ -54,7 +63,7 @@ from .formats import (
     network_dimension_formula,
     require_member,
 )
-from .operators import lifted_part
+from .operators import SplitSpace, lifted_part
 from .subspaces import DEFAULT_TOL
 from .tensor import (
     block_transpose_permutation,
@@ -222,25 +231,130 @@ class _BlockSpace:
         return self.splits[tuple(range(1, len(self.block) + 1))]
 
     def residual_factors(self):
-        """One :func:`_residual_factor` of the level-1 basis per level, one
-        level basis at a time; a level restricting to the level-1 partition
-        gets none (no rows), and coinciding levels share one."""
-        first = level_operator_basis(
-            self.partitions[0], self.splits, self.shape
-        )
-        factors = {self.partitions[0]: np.zeros((0, first.dim))}
+        """``R_{b,k}`` for every level, one :func:`_nested_factor` per
+        distinct level partition, and the nestedness defect of their stack:
+        the levels' defects added in quadrature.  A level restricting to
+        the level-1 partition gets no rows and no defect, and coinciding
+        levels share one factor."""
+        s = self.split
+        factors = {self.partitions[0]: (np.zeros((0, s.rank * s.corank)), 0.0)}
         for p in self.partitions[1:]:
             if p not in factors:
-                factors[p] = _residual_factor(
-                    first, level_operator_basis(p, self.splits, self.shape)
+                factors[p] = _nested_factor(
+                    s, [(beta, self.splits[beta]) for beta in p], self.shape
                 )
-        return tuple(factors[p] for p in self.partitions)
+        R, defects = zip(*(factors[p] for p in self.partitions))
+        return R, hypot(*defects)
 
 
-def _localize(block, node):
-    """The modes of ``node`` (inside ``block``) renumbered ``1..len(block)``
-    in ``block``'s order."""
-    return tuple(block.index(m) + 1 for m in node)
+@lru_cache(maxsize=256)
+def _level_rows(sizes, ranks):
+    """Row selections of one level's nested coordinates, for nodes of the
+    given ambient sizes and ranks (rows run row-major over the nodes, each
+    node's ``U`` part before its ``W`` part).
+
+    Returns ``psi`` (every node in ``U``: the columns of ``Psi``, in
+    order), ``off_psi``, ``other`` (rows with a node count in ``W`` other
+    than one), ``single`` (one node in ``W``, node by node, row-major
+    within a node), the entries of ``T[single] (x) B`` that
+    ``C_beta[p, a]`` is subtracted from (``diag_rows``, reading
+    ``diag_src`` of the stacked ``C_beta`` maps), the weights
+    ``sqrt(n''_beta - q_beta)`` of the stacked maps and each node's
+    ``(pre, n, post, r)`` view.  The arrays are read-only: every caller
+    shares them.
+    """
+    g = len(sizes)
+    m = prod(ranks)
+    index = np.indices(sizes).reshape(g, -1)
+    in_w = index >= np.reshape(ranks, (g, 1))
+    count = in_w.sum(axis=0)
+    single, diag_rows, diag_src, views, weights = [], [], [], [], []
+    start = 0
+    for i, (n, r) in enumerate(zip(sizes, ranks)):
+        rows = np.flatnonzero(in_w[i] & (count == 1))
+        pre, post = prod(sizes[:i]), prod(sizes[i + 1:])
+        # row (x, r + p, y) of node i meets column (x, a, y) of Psi
+        target = np.repeat(index[:, rows, None], r, axis=2)
+        target[i] = np.arange(r)
+        position = start + np.arange(rows.size)
+        diag_rows.append(position[:, None] * m
+                         + np.ravel_multi_index(tuple(target), ranks))
+        diag_src.append(len(weights) + (index[i, rows, None] - r) * r
+                        + np.arange(r))
+        weights += [np.sqrt(pre * post - m // r)] * ((n - r) * r)
+        single.append(rows)
+        views.append((pre, n, post, r))
+        start += rows.size
+    selections = (np.flatnonzero(count == 0), np.flatnonzero(count != 0),
+                  np.flatnonzero(count != 1), np.concatenate(single),
+                  np.concatenate(diag_rows, axis=None),
+                  np.concatenate(diag_src, axis=None),
+                  np.array(weights)[:, None])
+    for a in selections:
+        a.flags.writeable = False
+    return selections + (tuple(views),)
+
+
+def _nested_factor(split, groups, shape):
+    """Residual factor of a block's level-1 space off one deeper level, in
+    the nested coordinates of that level, and its nestedness defect.
+
+    ``split`` is the block's own split (``U_b``, ``W_b``) and ``groups``
+    the level's nodes ``beta`` inside the block with their splits
+    (``U_beta``, ``W_beta``), in local modes covering ``shape``.
+    Coefficients ``C`` (``corank x rank``, column ``j * corank + i`` for
+    ``C[i, j]``) stand for ``X = W_b C U_b^T``, and ``||R vec(C)||`` is the
+    norm of ``X``'s residual off the level space whenever ``U_b`` lies in
+    ``Psi = (x)_beta U_beta`` (``m = prod r_beta`` columns).  The rows are
+    written in the orthonormal coordinates ``V = (x)_beta [U_beta |
+    W_beta]``, where each node of a row index is in its ``U`` or its ``W``
+    part.  With ``C_beta = W_beta^T ptr_{b - beta}(X) U_beta / n''_beta``
+    the level projection's coefficients, ``T = V^T W_b`` and
+    ``B = Psi^T U_b``:
+
+    - rows with node ``beta`` alone in ``W`` (``W_beta (x) Psi_rest``):
+      ``X Psi = T C B^T`` less the level projection, ``C_beta`` on the
+      diagonal of the other nodes;
+    - every other row: ``T C B^T`` alone, compressed on the right to the R
+      factor of ``B``;
+    - inputs off ``Psi``: ``sqrt(n''_beta - q_beta) C_beta`` per node, with
+      ``q_beta = m / r_beta``, the level projections being
+      trace-orthogonal there.
+
+    The defect is ``||U_b - Psi Psi^T U_b||_F``.  The one term left out is
+    ``X (I - Psi Psi^T)``, of norm at most the defect times ``||C||_F``, so
+    the factor's singular values are within the defect of the exact
+    residual's.
+    """
+    r, c = split.rank, split.corank
+    sizes = tuple(s.ambient_dim for _, s in groups)
+    (psi, off_psi, other, single, diag_rows, diag_src, weights,
+     views) = _level_rows(sizes, tuple(s.rank for _, s in groups))
+    # [U_b | W_b] with rows in the level's node order, then in V coordinates
+    axes = [a - 1 for beta, _ in groups for a in beta]
+    Y = np.concatenate([split.u, split.w], axis=1).reshape(
+        *shape, r + c).transpose(*axes, len(shape))
+    for (pre, n, _, _), (_, s) in zip(views, groups):
+        Y = np.concatenate([s.u, s.w], axis=1).T @ Y.reshape(pre, n, -1)
+    Y = Y.reshape(-1, r + c)
+    S, T = Y[:, :r], Y[:, r:]
+    B = S[psi]
+    # C_beta = M_beta vec(C), the other nodes traced out in V coordinates
+    M = np.concatenate([
+        np.einsum("apbi,aqbj->pqji", T.reshape(pre, n, post, c)[:, q:],
+                  S.reshape(pre, n, post, r)[:, :q]).reshape(
+                      (n - q) * q, r * c) / (pre * post)
+        for pre, n, post, q in views
+    ])
+    K = (T[single][:, None, None, :] * B[None, :, :, None]).reshape(
+        single.size * psi.size, r * c)
+    K[diag_rows] -= M[diag_src]
+    R_B = np.linalg.qr(B, mode="r")
+    rest = (R_B[:, None, :, None] * T[other][None, :, None, :]).reshape(
+        len(R_B) * other.size, r * c)
+    R = np.linalg.qr(np.vstack([rest, K, weights * M]), mode="r")
+    off = S[off_psi].ravel()
+    return R, float(np.sqrt(off @ off))
 
 
 def _block_spaces(tree, splits, shape):
@@ -249,18 +363,20 @@ def _block_spaces(tree, splits, shape):
     partitions = [level_partition(tree, k) for k in range(1, depth + 1)]
     spaces = []
     for b in partitions[0]:
-        n_b = prod(shape[m - 1] for m in b)
+        # a node inside b in local modes, in b's order
+        local = {m: i for i, m in enumerate(b, start=1)}.get
+        inside = set(b).issuperset
+        nodes = {a: tuple(map(local, a)) for a in splits if inside(a)}
         spaces.append(_BlockSpace(
             block=b,
             shape=tuple(shape[m - 1] for m in b),
-            n_rest=prod(shape) // n_b,
+            n_rest=prod(shape) // prod(shape[m - 1] for m in b),
             splits={
-                _localize(b, a): replace(s, alpha=_localize(b, a))
-                for a, s in splits.items() if set(a) <= set(b)
+                node: SplitSpace(alpha=node, u=splits[a].u, w=splits[a].w)
+                for a, node in nodes.items()
             },
             partitions=tuple(
-                tuple(_localize(b, a) for a in p if set(a) <= set(b))
-                for p in partitions
+                tuple(nodes[a] for a in p if inside(a)) for p in partitions
             ),
         ))
     return tuple(spaces)
@@ -273,12 +389,22 @@ class BlockOperatorBasis:
 
     ``null[i]`` holds, one column per basis vector, the coefficients of
     block ``spaces[i]``'s part of the intersection in that block's level-1
-    basis (``level_operator_basis`` of the local root).  Coordinates are
+    basis: coefficient ``j * corank + i`` belongs to the elementary operator
+    ``w_i u_j^T`` of the split at the block (the column order of
+    ``level_operator_basis`` of the local root).  Coordinates are
     concatenated block by block.  ``factors[i][k - 1]`` is ``R_{b,k}``, which
     maps those coefficients to their residual off level ``k`` up to an
-    orthonormal factor.  ``singular_values`` are those of the stacked
-    factors (the dense intersection's spectrum), largest first; the null
-    space was decided against the largest of them.
+    orthonormal factor (no rows at level 1, or where level ``k`` restricts
+    to the level-1 block); it is computed in the nested coordinates of level
+    ``k`` and never from a level basis.  ``singular_values`` are those of
+    the stacked factors (the dense intersection's spectrum), largest first;
+    the null space was decided against the largest of them.
+
+    ``defect`` is the largest over blocks of the nestedness defects
+    ``||U_b - Psi_k Psi_k^T U_b||_F`` of the block's levels, added in
+    quadrature.  It is at roundoff when the minimal subspaces nest exactly,
+    and larger where a rank gap sits near ``tol``; ``singular_values`` and
+    each factor's singular values are within it of the exact residuals'.
 
     :meth:`parts` and :meth:`part_coordinates` map between coordinates and
     level-1 coefficients ``C_b``: coordinates are
@@ -292,6 +418,7 @@ class BlockOperatorBasis:
     null: tuple
     factors: tuple
     singular_values: np.ndarray
+    defect: float
 
     @property
     def dim(self):
@@ -366,13 +493,13 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     """Intersection of all level operator spaces of ``tree``, factored over
     the level-1 blocks.
 
-    Calls :func:`level_operator_basis` on each level-1 block's sub-shape
-    and intersects there; the dimension and the nonzero singular values are
-    those of :func:`intersect_operator_spaces` on the full level bases.
+    Reads each level-1 block's residual factors off its nested
+    coordinates and intersects there; the dimension and the nonzero
+    singular values are those of :func:`intersect_operator_spaces` on the
+    full level bases, up to the recorded nestedness defect.
     """
     spaces = _block_spaces(tree, splits, shape)
-    # one level basis at a time: only the residual factors are kept
-    factors = tuple(space.residual_factors() for space in spaces)
+    factors, defects = zip(*(space.residual_factors() for space in spaces))
     spectra = [_factor_spectrum(f, f[0].shape[1]) for f in factors]
     # every block's null space is decided against the largest residual
     # singular value of all blocks, as one dense SVD of the whole stack would
@@ -384,6 +511,7 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
                    for s, Vt in spectra),
         factors=factors,
         singular_values=values,
+        defect=float(max(defects)),
     )
 
 
@@ -407,6 +535,9 @@ def _network_parameters(v, tree, splits):
 def _jacobian(v, tree, splits):
     """:func:`parametrization_jacobian` at a member ``v`` with its
     ``splits``."""
+    # by the largest entry first, so that the norm neither under- nor
+    # overflows
+    v = v / np.max(np.abs(v))
     v = v / np.linalg.norm(v)
     shape = v.shape
     leaf_factors, transfers = _network_parameters(v, tree, splits)

@@ -433,6 +433,50 @@ class TestProper:
         assert code == 1 and doc["level_margins"] == {"1": 0}
 
 
+class BrokenPipeStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    """A report that cannot be written to a closed pipe leaves the
+    command's verdict and exit code as they were."""
+
+    @pytest.mark.parametrize("human", [False, True])
+    def test_generate_keeps_its_exit_code(self, workspace, capsys,
+                                          monkeypatch, human):
+        out = workspace["dir"] / "gen.json"
+        monkeypatch.setattr(sys, "stdout", BrokenPipeStdout())
+        code = run([
+            "generate", "--tree", workspace["tree"],
+            "--ranks", workspace["ranks"], "--shape", "2,2,2,3",
+            "--out", str(out),
+        ] + (["--human"] if human else []))
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        tree = tg.tree_from_json(open(workspace["tree"]).read())
+        assert tg.is_member(tg.load_tensor(out), tree, workspace["r"]).member
+
+    def test_negative_verdict_keeps_its_exit_code(self, workspace, capsys,
+                                                  monkeypatch):
+        v = workspace["v"] + 0.1 * np.random.default_rng(1).standard_normal(
+            workspace["shape"])
+        path = workspace["dir"] / "off.json"
+        tg.save_tensor(path, v)
+        monkeypatch.setattr(sys, "stdout", BrokenPipeStdout())
+        code = run([
+            "membership", "--tensor", str(path), "--tree", workspace["tree"],
+            "--ranks", workspace["ranks"],
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+
 class TestMisc:
     def test_human_rendering(self, workspace, capsys):
         code = run([
@@ -469,10 +513,13 @@ class TestMisc:
         with pytest.raises(InvalidArgumentError) as err:
             _guard_size(tree, r, (101, 101, 101), jacobian=True)
         assert str(OPERATOR_COMMAND_MEMORY_LIMIT) in str(err.value)
-        # each leaf's level basis alone takes n^2 * r (n - r) doubles
+        # a Tucker chart builds no residual factor; the tensor, its
+        # unfoldings and the round-trip points take 8 N doubles
+        _guard_size(tree, r, (250, 250, 250))
         with pytest.raises(InvalidArgumentError, match="estimated memory"):
-            _guard_size(tree, r, (250, 250, 250))
-        # deep tree: the {1,2,3} block space grows as n_b^2 * dim_b
+            _guard_size(tree, r, (260, 260, 260))
+        # deep tree: the {1,2,3} block's split and nested coordinates grow
+        # as n_b^2, its residual factors as dim_b^2
         deep = tg.tree_from_nested([[[1], [[2], [3]]], [4]])
         ranks = capped_rank_tuple(deep, (20, 20, 20, 2))
         with pytest.raises(InvalidArgumentError, match="estimated memory"):
@@ -504,6 +551,8 @@ class TestMisc:
         ("tucker", (60, 60, 60), "chart-check"),
         ("linear", (4, 4, 4, 4), "chart-check"),
         ("linear", (4, 4, 4, 4), "tangent"),
+        ("linear", (3,) * 6, "chart-check"),
+        ("linear", (3,) * 6, "tangent"),
     ])
     def test_size_estimate_covers_measured_peak(self, tmp_path, kind,
                                                 shape, command):

@@ -483,36 +483,144 @@ class TestBlockSpacesMatchDenseOracle:
             )
 
 
+def dense_block_factors(space):
+    """The dense oracle of a block's residual factors: the level-1 and the
+    level bases of the block's sub-shape, one ``_residual_factor`` per
+    level below the first."""
+    first = tangent.level_operator_basis(
+        space.partitions[0], space.splits, space.shape)
+    return [
+        tangent._residual_factor(first, tangent.level_operator_basis(
+            p, space.splits, space.shape))
+        for p in space.partitions[1:]
+    ]
+
+
+def padded_values(values, size):
+    return np.concatenate([values, np.zeros(size - values.size)])
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+@pytest.mark.parametrize("kind,shape", BLOCK_CASES)
+def test_nested_factors_match_dense_oracle(kind, shape, seed):
+    # the same residual norms (R^T R) and spectrum as the dense factors,
+    # the same intersection, and a defect at roundoff on exact anchors
+    tree, v, r, splits = block_case(kind, shape, seed=seed)
+    for space in tangent._block_spaces(tree, splits, shape):
+        factors, defect = space.residual_factors()
+        assert defect <= 1e-12
+        for R, dense in zip(factors[1:], dense_block_factors(space)):
+            np.testing.assert_allclose(R.T @ R, dense.T @ dense,
+                                       rtol=0, atol=1e-13)
+            n = dense.shape[1]
+            ours = np.linalg.svd(R, compute_uv=False)
+            theirs = np.linalg.svd(dense, compute_uv=False)
+            assert np.max(np.abs(padded_values(ours, n)
+                                 - padded_values(theirs, n)),
+                          initial=0.0) <= 1e-13
+    bases = level_bases(tree, v, splits)
+    block = tg.tree_operator_basis(tree, splits, shape)
+    assert block.dim == tg.intersect_operator_spaces(bases).dim
+    dense = dense_residual_spectrum(bases)
+    assert np.max(np.abs(padded_values(block.singular_values, dense.size)
+                         - dense), initial=0.0) <= block.defect + 1e-13
+
+
+@pytest.mark.parametrize("nested,shape,cap", [
+    ([[[1], [2]], [[3], [4]]], (2, 2, 2, 2), 4),
+    ([[[1], [3]], [[2], [4]]], (2, 3, 2, 3), 3),
+    ([[[1], [2]], [[[3], [4]], [[5], [6]]]], (2,) * 6, 4),
+])
+def test_full_rank_blocks_match_dense_oracle(nested, shape, cap):
+    # blocks and nodes whose rank fills their space have no complement:
+    # empty coefficient maps and factors, no rows off their nested space
+    tree = tg.tree_from_nested(nested)
+    r = capped_rank_tuple(tree, shape, cap=cap)
+    assert any(r[a] == np.prod([shape[m - 1] for m in a])
+               for a in tree.nodes if a != tree.root)
+    v = tg.random_tree_tensor(tree, r, shape, seed=1)
+    splits = tree_splits(v, tree, tol=1e-10)
+    for space in tangent._block_spaces(tree, splits, shape):
+        factors, _ = space.residual_factors()
+        for R, dense in zip(factors[1:], dense_block_factors(space)):
+            np.testing.assert_allclose(R.T @ R, dense.T @ dense,
+                                       rtol=0, atol=1e-13)
+    block = tg.tree_operator_basis(tree, splits, shape)
+    assert block.dim == tg.intersect_operator_spaces(
+        level_bases(tree, v, splits)).dim
+    for k in range(1, tg.levels(tree).depth + 1):
+        assert tg.immersion_check(v, tree, r, k).passed
+
+
+@pytest.mark.parametrize("kind", ["deep", "linear", "mixed"])
+def test_defect_bounds_the_spectrum_near_tol(kind):
+    # a member whose largest discarded unfolding singular value sits a
+    # fraction below tol: its minimal subspaces nest only up to that size
+    tol = 1e-10
+    tree, v, r, _ = block_case(kind, dict(BLOCK_CASES)[kind], seed=5)
+    w = np.random.default_rng(6).standard_normal(v.shape)
+    v = v / np.linalg.norm(v) + 5e-11 * w / np.linalg.norm(w)
+    gaps = []
+    for node in tree.nodes:
+        s = np.linalg.svd(tg.matricize(v, node), compute_uv=False)
+        if s.size > r[node]:
+            gaps.append(s[r[node]] / s[0])
+    assert 0.1 * tol < max(gaps) <= tol
+    splits = tree_splits(v, tree, tol=tol)
+    block = tg.tree_operator_basis(tree, splits, v.shape, tol)
+    assert block.defect > 1e-12
+    bases = level_bases(tree, v, splits)
+    assert block.dim == tg.intersect_operator_spaces(bases, tol).dim
+    dense = dense_residual_spectrum(bases)
+    assert np.max(np.abs(padded_values(block.singular_values, dense.size)
+                         - dense)) <= block.defect + 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:fixed-rank set is not proper")
 @pytest.mark.parametrize("kind", ["deep", "linear", "mixed"])
 def test_level_bases_are_built_once(kind, monkeypatch):
-    # the immersion check and the level search of the chart inverse read
-    # the residual factors that the intersection kept; neither builds a
-    # level basis of its own
+    # no library path builds a level basis or a dense residual factor:
+    # the intersection is read off nested factors, and the immersion check,
+    # the tangent report, the chart and its inverse's level search read
+    # the factors it kept
     shape = dict(BLOCK_CASES)[kind]
     tree, v, r, splits = block_case(kind, shape, seed=38)
     built = []
-    level_basis = tangent.level_operator_basis
-
-    def counted(*args, **kwargs):
-        built.append(1)
-        return level_basis(*args, **kwargs)
-
-    monkeypatch.setattr(tangent, "level_operator_basis", counted)
+    for name in ("level_operator_basis", "_residual_factor"):
+        def counted(*args, _name=name, _call=getattr(tangent, name),
+                    **kwargs):
+            built.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(tangent, name, counted)
     block = tg.tree_operator_basis(tree, splits, shape)
-    per_intersection = len(built)
-    assert per_intersection > 0
     depth = tg.levels(tree).depth
     for k in range(1, depth + 1):
-        del built[:]
         tg.immersion_check(v, tree, r, k)
-        assert len(built) == per_intersection
+    tg.tangent_dimension(v, tree, r)
+    chart = tg.tree_chart(v, tree, r)
+    coords = 1e-3 * np.ones(chart.operator_basis.dim)
+    tg.tree_chart_inverse(chart, tg.tree_chart_point(chart, coords,
+                                                     chart.core))
     parts = {
         s.block: np.ones((s.split.corank, s.split.rank)) for s in block.spaces
     }
-    del built[:]
     for k in range(1, depth + 1):
         block.level_residual(parts, k)
     assert built == []
+
+
+@pytest.mark.parametrize("exponent", [-1000, -700, -300, 0, 300, 700, 1000])
+def test_tangent_report_is_scale_free(exponent):
+    # the Jacobian oracle normalizes without squaring the entries, so the
+    # norm neither underflows nor overflows at any representable scale
+    tree, v, r, _ = block_case("deep", (3, 3, 3, 3), seed=0)
+    scaled = 2.0 ** exponent * v
+    report = tg.tangent_dimension(scaled, tree, r)
+    assert report == tg.tangent_dimension(v, tree, r)
+    assert report.oracle_dim == report.formula_dim == 20
+    J = parametrization_jacobian(v, tree, r)
+    np.testing.assert_allclose(parametrization_jacobian(scaled, tree, r), J,
+                               rtol=0, atol=1e-13 * np.max(np.abs(J)))
 
 
 def central_difference_jacobian(v, tree, splits, step=1e-6):
