@@ -83,9 +83,12 @@ def _print(text):
         print(text, flush=True)
     except BrokenPipeError:
         try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            fd = sys.stdout.fileno()
         except (AttributeError, OSError, ValueError):
-            pass  # not a stream on a file descriptor: nothing is left to flush
+            return  # not a stream on a descriptor: nothing is left to flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def _emit(report, args):
@@ -157,9 +160,12 @@ def _operator_command_bytes(tree, r, shape, jacobian):
     - ``2 * n_a^2`` per non-root node ``a``: its kept split ``[u | w]`` and
       the full SVD factor of ``u`` that ``w`` is read from;
     - per level-1 block ``b``, with ``dim_b = r_b (n_b - r_b)`` coordinates,
-      its residual factors: ``dim_b^2`` per distinct deeper level, kept for
-      every block, three times over for the stack of one block's factors
-      and the SVD of that stack;
+      kept for every block: its residual factors, ``dim_b^2`` per distinct
+      deeper level, three times over for the stack of one block's factors
+      and the SVD of that stack; and, whatever its deeper levels, the right
+      singular vectors of that stack (the identity where there is no
+      deeper level, as for every Tucker leaf) and the null basis copied out
+      of them, ``dim_b^2`` each;
     - for the costliest level of the costliest block (levels are built one
       at a time): ``[u_b | w_b]`` in the level's nested coordinates,
       ``n_b^2`` four times over for the copies the rotation passes through,
@@ -197,7 +203,7 @@ def _operator_command_bytes(tree, r, shape, jacobian):
         deeper = {
             tuple(a for a in p if set(a) <= set(b)) for p in partitions
         } - {(b,)}
-        kept += 3 * len(deeper) * dim ** 2
+        kept += (3 * len(deeper) + 2) * dim ** 2
         level_cost += [4 * size(b) ** 2 + 3 * rows(b, nodes) * dim
                        for nodes in deeper]
     entries = 8 * prod(shape) + kept + max(level_cost)

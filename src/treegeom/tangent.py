@@ -247,6 +247,13 @@ class _BlockSpace:
         return R, hypot(*defects)
 
 
+# The selections depend on the level's sizes and ranks alone.  On blocks of
+# n_b <= 9 rebuilding them adds 0.2-0.65 ms to a 1.7-4 ms chart, tangent
+# or immersion call (one BLAS thread), so a process that meets a level shape
+# again reuses them.  A one-shot command meets each shape once and pays only
+# the lookup.  The bound keeps a sweep over many shapes from growing the
+# cache without limit; an entry holds a few index arrays of at most n_b
+# times the largest rank entries.
 @lru_cache(maxsize=256)
 def _level_rows(sizes, ranks):
     """Row selections of one level's nested coordinates, for nodes of the

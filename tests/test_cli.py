@@ -476,6 +476,35 @@ class TestBrokenPipe:
         assert code == 1
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="counts open descriptors in /proc")
+    def test_repeated_broken_pipes_leak_no_descriptor(self, workspace):
+        # a fresh interpreter whose stdout descriptor is a pipe without a
+        # reader, renewed before each of several in-process calls
+        script = (
+            "import json, os, sys\n"
+            "from treegeom.cli import main\n"
+            "codes, open_fds = [], []\n"
+            "for _ in range(4):\n"
+            "    r, w = os.pipe()\n"
+            "    os.close(r)\n"
+            "    os.dup2(w, 1)\n"
+            "    os.close(w)\n"
+            "    codes.append(main(sys.argv[1:]))\n"
+            "    open_fds.append(len(os.listdir('/proc/self/fd')))\n"
+            "sys.stderr.write(json.dumps([codes, open_fds]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, "membership",
+             "--tensor", workspace["tensor"], "--tree", workspace["tree"],
+             "--ranks", workspace["ranks"]],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        codes, open_fds = json.loads(done.stderr.splitlines()[-1])
+        assert codes == [0] * 4
+        assert open_fds == [open_fds[0]] * 4
+
 
 class TestMisc:
     def test_human_rendering(self, workspace, capsys):
@@ -518,6 +547,12 @@ class TestMisc:
         _guard_size(tree, r, (250, 250, 250))
         with pytest.raises(InvalidArgumentError, match="estimated memory"):
             _guard_size(tree, r, (260, 260, 260))
+        # with no deeper level a block still keeps its dim_b x dim_b right
+        # singular vectors (the identity) and null basis: at leaf ranks 100
+        # and n = 200, dim_b = 10^4 and the three leaves need about 4.8 GB
+        high = TreeRank({(1,): 100, (2,): 100, (3,): 100, (1, 2, 3): 1})
+        with pytest.raises(InvalidArgumentError, match="estimated memory"):
+            _guard_size(tree, high, (200, 200, 200))
         # deep tree: the {1,2,3} block's split and nested coordinates grow
         # as n_b^2, its residual factors as dim_b^2
         deep = tg.tree_from_nested([[[1], [[2], [3]]], [4]])
@@ -556,47 +591,35 @@ class TestMisc:
     ])
     def test_size_estimate_covers_measured_peak(self, tmp_path, kind,
                                                 shape, command):
-        # a fresh interpreter runs the command; the growth of its peak
-        # resident set during the run must stay below the guard's estimate
         from treegeom.cli import _load_tree, _operator_command_bytes
 
         tree = _load_tree(kind, len(shape))
         r = capped_rank_tuple(tree, shape)
-        tensor_path = tmp_path / "v.bin"
-        tg.save_tensor(tensor_path, tg.random_tree_tensor(
-            tree, r, shape, seed=4))
-        ranks_path = tmp_path / "ranks.json"
-        ranks_path.write_text(ranks_to_json(r))
-        # VmHWM is the peak of this process image; ru_maxrss would start
-        # from the forking test process's size
-        script = (
-            "import sys, warnings\n"
-            "from treegeom.cli import main\n"
-            "def kib(key):\n"
-            "    for line in open('/proc/self/status'):\n"
-            "        if line.startswith(key):\n"
-            "            return int(line.split()[1])\n"
-            "warnings.simplefilter('ignore')\n"
-            "before = kib('VmRSS')\n"
-            "main(sys.argv[1:])\n"
-            "print(1024 * (kib('VmHWM') - before))\n"
-        )
-        args = [
-            command, "--tensor", str(tensor_path), "--tree", kind,
-            "--ranks", str(ranks_path),
-            "--out", str(tmp_path / "report.json"),
-        ]
-        if command == "chart-check":
-            args += ["--trials", "1"]
-        done = subprocess.run(
-            [sys.executable, "-c", script, *args], capture_output=True,
-            text=True, check=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-        grown = int(done.stdout.split()[-1])
+        v = tg.random_tree_tensor(tree, r, shape, seed=4)
+        grown = peak_growth(tmp_path, command, v, kind, r)
         estimate = _operator_command_bytes(
             tree, r, shape, command == "tangent")
         assert 0 < grown <= estimate
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads the peak resident set from /proc")
+    def test_size_estimate_covers_high_rank_leaf_blocks(self, tmp_path):
+        # Tucker leaves have no deeper level, but each keeps dim_b x dim_b
+        # right singular vectors and a null basis (dim_b = 32 * 32 here);
+        # the tensor is a random core times orthonormal leaf bases, as the
+        # network contraction would form a 64^3 x 32^3 Kronecker product
+        from treegeom.cli import _operator_command_bytes
+
+        shape = (64, 64, 64)
+        tree = tg.tucker_tree(3)
+        r = capped_rank_tuple(tree, shape, cap=32)
+        rng = np.random.default_rng(4)
+        bases = [np.linalg.qr(rng.standard_normal((n, 32)))[0]
+                 for n in shape]
+        v = np.einsum("abc,ia,jb,kc->ijk", rng.standard_normal((32,) * 3),
+                      *bases, optimize=True)
+        grown = peak_growth(tmp_path, "chart-check", v, "tucker", r)
+        assert 0 < grown <= _operator_command_bytes(tree, r, shape, False)
 
     def test_tree_keyword_mismatch_with_tensor(self, workspace, capsys):
         # linear tree over 4 modes is fine; a tree file over the wrong d is not
@@ -607,6 +630,42 @@ class TestMisc:
             "analyze", "--tensor", workspace["tensor"], "--tree", str(tp),
         ])
         assert code == 2
+
+
+def peak_growth(tmp_path, command, v, tree_arg, r):
+    """Growth in bytes of the peak resident set of a fresh interpreter
+    while it runs ``command`` on tensor ``v`` in process."""
+    tensor_path = tmp_path / "v.bin"
+    tg.save_tensor(tensor_path, v)
+    ranks_path = tmp_path / "ranks.json"
+    ranks_path.write_text(ranks_to_json(r))
+    # VmHWM is the peak of this process image; ru_maxrss would start
+    # from the forking test process's size
+    script = (
+        "import sys, warnings\n"
+        "from treegeom.cli import main\n"
+        "def kib(key):\n"
+        "    for line in open('/proc/self/status'):\n"
+        "        if line.startswith(key):\n"
+        "            return int(line.split()[1])\n"
+        "warnings.simplefilter('ignore')\n"
+        "before = kib('VmRSS')\n"
+        "main(sys.argv[1:])\n"
+        "print(1024 * (kib('VmHWM') - before))\n"
+    )
+    args = [
+        command, "--tensor", str(tensor_path), "--tree", tree_arg,
+        "--ranks", str(ranks_path),
+        "--out", str(tmp_path / "report.json"),
+    ]
+    if command == "chart-check":
+        args += ["--trials", "1"]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    return int(done.stdout.split()[-1])
 
 
 class TestSharedParser:
