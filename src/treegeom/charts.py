@@ -16,6 +16,15 @@ to level-1 coefficients, and the inverse reads the level-1 coefficients off
 one level-1 inverse and projects them straight back to coordinates, so
 neither direction builds an ``N x N`` operator.  Only
 :func:`level_inverse_operator` returns one, as a cross-level check.
+
+Each point is factored once.  The inverse reads the point's level-1 minimal
+subspaces and its membership verdict off one factorization per level-1
+unfolding plus one singular-value-only SVD per deeper node
+(:func:`~treegeom.formats.member_subspaces`).  A core's ranks are read in
+nested coordinates: at a level-1 block from the core's own unfolding, and
+at a node inside that block from an ``n_b x r_b`` matrix, never from the
+``N``-sized lift.  The core of a point is its projection onto the anchor
+bases, since the inverse factors act as the identity once projected.
 """
 
 from __future__ import annotations
@@ -33,11 +42,11 @@ from .errors import (
     OutsideChartDomainError,
     OutsideChartImageError,
 )
-from .formats import dimension_margins, is_member, require_member
-from .operators import LaplacianLike, assemble_laplacian, lifted_part
+from .formats import dimension_margins, member_subspaces, require_member
+from .operators import LaplacianLike, assemble_laplacian
 from .subspaces import DEFAULT_TOL, minimal_subspace
 from .tangent import BlockOperatorBasis, tree_operator_basis
-from .tensor import apply_mode_operator, check_tensor, sorted_blocks, svd_rank
+from .tensor import check_tensor, sorted_blocks, svd_rank
 from .trees import level_partition, levels
 
 __all__ = [
@@ -77,25 +86,18 @@ def _extract_core(w, mats, blocks, shape):
     return t
 
 
-def _pull_back(w, parts, splits, blocks):
-    """Core of ``w`` in the anchor bases: pull the point back through the
-    inverse factors (each part squares to zero, so the inverse of
-    ``I + part`` is ``I - part``), then project onto the bases."""
-    pulled = w
-    for b in blocks:
-        s = splits[b]
-        op = np.eye(s.ambient_dim) - lifted_part(s, parts[b])
-        sub_partition = [b] + [
-            (m,) for m in range(1, w.ndim + 1) if m not in set(b)
-        ]
-        pulled = apply_mode_operator(op, b, sub_partition, pulled)
-    return _extract_core(pulled, [splits[b].u for b in blocks], blocks,
-                         w.shape)
+def _pull_back(w, splits, blocks):
+    """Core of ``w`` in the anchor bases: the point pulled back through the
+    inverse factors ``I - w_b C_b u_b^T`` and projected onto the bases.
+    Since ``u_b^T w_b = 0`` each projected factor is ``u_b^T`` itself, so
+    the core is the projection of ``w`` alone."""
+    return _extract_core(w, [splits[b].u for b in blocks], blocks, w.shape)
 
 
 def _check_full_core(core, blocks, ranks, tol):
     """A chart core must have full blockwise rank: every mode unfolding of
-    the core tensor has rank equal to the block rank."""
+    the core tensor has rank equal to the block rank.  Returns the core and,
+    per block, ``U S`` of the unfolding's SVD ``U S V^T``."""
     core = np.asarray(core, dtype=float)
     if core.shape != tuple(ranks):
         raise InvalidArgumentError(
@@ -103,15 +105,18 @@ def _check_full_core(core, blocks, ranks, tol):
         )
     if not np.any(core):
         raise InvalidCoreError("core is identically zero")
+    weighted = []
     for i, b in enumerate(blocks):
         M = np.moveaxis(core, i, 0).reshape(core.shape[i], -1)
-        r = svd_rank(np.linalg.svd(M, compute_uv=False), tol)
+        U, s, _ = np.linalg.svd(M, full_matrices=False)
+        r = svd_rank(s, tol)
         if r != ranks[i]:
             raise InvalidCoreError(
                 f"core is rank-deficient on block {set(b)}: "
                 f"rank {r} < {ranks[i]}"
             )
-    return core
+        weighted.append(U * s)
+    return core, weighted
 
 
 def tucker_chart_point(L, core, splits, shape, tol=DEFAULT_TOL):
@@ -124,7 +129,7 @@ def tucker_chart_point(L, core, splits, shape, tol=DEFAULT_TOL):
     """
     blocks = L.partition
     ranks = [splits[b].rank for b in blocks]
-    core = _check_full_core(core, blocks, ranks, tol)
+    core, _ = _check_full_core(core, blocks, ranks, tol)
     return _push_forward(core, L.parts, splits, blocks, shape)
 
 
@@ -150,18 +155,19 @@ def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
     """
     w = check_tensor(w, allow_zero=False)
     blocks = sorted_blocks(partition)
-    parts = _graph_parts(w, blocks, splits, ranks, tol)
-    return (LaplacianLike(partition=blocks, parts=parts),
-            _pull_back(w, parts, splits, blocks))
+    subs = {b: minimal_subspace(w, b, tol) for b in blocks}
+    return (LaplacianLike(partition=blocks,
+                          parts=_graph_parts(subs, splits, ranks)),
+            _pull_back(w, splits, blocks))
 
 
-def _graph_parts(w, blocks, splits, ranks, tol):
-    """Block coefficients ``G A^{-1}`` of the point's minimal subspaces as
-    graphs over the anchor's, checked as in :func:`tucker_chart_inverse`."""
+def _graph_parts(subs, splits, ranks):
+    """Block coefficients ``G A^{-1}`` of the point's minimal subspaces
+    ``subs`` (keyed by block) as graphs over the anchor's, checked as in
+    :func:`tucker_chart_inverse`."""
     parts = {}
-    for b in blocks:
+    for b, sub in subs.items():
         s = splits[b]
-        sub = minimal_subspace(w, b, tol)
         if sub.rank != ranks[b]:
             raise NotOnManifoldError(
                 f"block {set(b)} has rank {sub.rank}, expected {ranks[b]}"
@@ -237,18 +243,37 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
 
 def _check_core_in_domain(chart, core):
     """The core must keep full rank at every level when lifted through the
-    anchor subspaces; otherwise the image leaves the fixed-rank set."""
+    anchor subspaces; otherwise the image leaves the fixed-rank set.
+
+    The level-1 ranks are the ranks of the core's own unfoldings.  With
+    ``M_b = U S V^T`` the core's unfolding at a level-1 block ``b``, the
+    lifted core's b-unfolding is ``X_b Q^T`` with ``X_b = u_b U S``
+    (``n_b x r_b``) and ``Q`` orthonormal (the other blocks' bases times
+    ``V``).  So the rank at every node inside ``b`` is read off ``X_b``,
+    reshaped to ``b``'s modes plus one ``r_b`` axis, and no ``N``-sized
+    tensor is formed.
+    """
     blocks = chart.level_partitions[0]
     ranks = [chart.splits[b].rank for b in blocks]
-    core = _check_full_core(core, blocks, ranks, chart.tol)
-    lifted = _apply_block_maps(
-        core, [chart.splits[b].u for b in blocks], blocks, chart.shape
-    )
-    report = is_member(lifted, chart.tree, chart.ranks, chart.tol)
-    if not report.member:
+    core, weighted = _check_full_core(core, blocks, ranks, chart.tol)
+    deficient = set()
+    for b, US in zip(blocks, weighted):
+        X = (chart.splits[b].u @ US).reshape(
+            [chart.shape[m - 1] for m in b] + [-1])
+        for node in chart.tree.nodes:
+            if len(node) < len(b) and set(node) <= set(b):
+                axes = [b.index(m) for m in node]
+                M = np.moveaxis(X, axes, range(len(axes))).reshape(
+                    prod(X.shape[i] for i in axes), -1)
+                s = np.linalg.svd(M, compute_uv=False)
+                if svd_rank(s, chart.tol) != chart.ranks[node]:
+                    deficient.add(node)
+    failing = [k for k, part in enumerate(chart.level_partitions[1:], 2)
+               if deficient.intersection(part)]
+    if failing:
         raise InvalidCoreError(
-            "core loses rank at levels "
-            f"{report.failing_levels()} when lifted through the anchor bases"
+            f"core loses rank at levels {failing} when lifted through the "
+            "anchor bases"
         )
     return core
 
@@ -257,7 +282,8 @@ def tree_chart_point(chart, operator_coords, core):
     """Forward tree chart: map the coordinates in the intersection basis to
     the operator's level-1 coefficients, and push the lifted core through
     the blockwise exponential factors.  The result keeps the anchor's rank
-    profile."""
+    profile: the core is checked to keep every rank when lifted, each read
+    in nested coordinates, without forming the lift."""
     core = _check_core_in_domain(chart, core)
     return _push_forward(core, chart.operator_basis.parts(operator_coords),
                          chart.splits, chart.level_partitions[0], chart.shape)
@@ -271,8 +297,9 @@ def level_inverse_operator(chart, w, k):
     Only the graph step of :func:`tucker_chart_inverse` runs.
     """
     blocks = chart.level_partitions[k - 1]
-    parts = _graph_parts(w, blocks, chart.splits, chart.ranks, chart.tol)
-    L = LaplacianLike(partition=blocks, parts=parts)
+    subs = {b: minimal_subspace(w, b, chart.tol) for b in blocks}
+    L = LaplacianLike(partition=blocks,
+                      parts=_graph_parts(subs, chart.splits, chart.ranks))
     return assemble_laplacian(L, chart.splits, chart.shape)
 
 
@@ -289,10 +316,14 @@ def tree_chart_inverse(chart, w):
     operator does not change when the point is scaled and vanishes at the
     anchor, so the residual is measured against ``max(||operator||, 1)``.
     The core is checked to be full rank at every level.
+
+    Membership and the level-1 coefficients share one factorization per
+    level-1 unfolding; every deeper node's rank takes one SVD without
+    factors.  The core's ranks are read as in :func:`tree_chart_point`.
     """
     tol = chart.tol
     w = check_tensor(w, allow_zero=False)
-    membership = is_member(w, chart.tree, chart.ranks, tol)
+    membership, subs = member_subspaces(w, chart.tree, chart.ranks, tol)
     if not membership.member:
         raise OutsideChartImageError(
             "point does not have the anchor's rank profile; failing levels "
@@ -300,15 +331,15 @@ def tree_chart_inverse(chart, w):
             level=(membership.failing_levels() or [None])[0],
         )
     blocks = chart.level_partitions[0]
-    ranks = {b: chart.ranks[b] for b in blocks}
-    L, core = tucker_chart_inverse(w, blocks, chart.splits, ranks, tol)
+    parts = _graph_parts(subs, chart.splits, chart.ranks)
+    core = _pull_back(w, chart.splits, blocks)
     basis = chart.operator_basis
-    coords, residual, nrm = basis.part_coordinates(L.parts)
+    coords, residual, nrm = basis.part_coordinates(parts)
     limit = max(1e-8, tol) * max(nrm, 1.0)
     # written so that a NaN residual fails the check
     if not residual <= limit:
         # identify the first level whose operator space misses the operator
-        level_resid = [basis.level_residual(L.parts, k)
+        level_resid = [basis.level_residual(parts, k)
                        for k in range(1, len(chart.level_partitions) + 1)]
         failing = next(
             (k for k, res in enumerate(level_resid, 1) if res > limit), None
@@ -327,14 +358,28 @@ def tree_chart_inverse(chart, w):
         ) from e
     # the chart image need not cover a whole rank-profile neighborhood, so
     # the recovered pair is verified to actually reproduce the point
-    w_rec = _push_forward(core, basis.parts(coords), chart.splits, blocks,
-                          chart.shape)
-    rec_err = float(np.linalg.norm(w_rec - w))
-    if not rec_err <= max(tol, 1e-8) * np.linalg.norm(w):
+    _check_reconstruction(
+        _push_forward(core, basis.parts(coords), chart.splits, blocks,
+                      chart.shape),
+        w, tol,
+    )
+    return coords, core
+
+
+def _check_reconstruction(w_rec, w, tol):
+    """Raise unless ``w_rec`` reproduces the nonzero ``w`` to
+    ``max(tol, 1e-8)`` relative.  Both norms are taken on the tensors
+    divided by ``max|w|``, so the verdict does not depend on scale: the norm
+    of ``w`` itself overflows for entries near 1e200 and underflows near
+    1e-180."""
+    scale = np.max(np.abs(w))
+    rel = float(np.linalg.norm((w_rec - w) / scale)
+                / np.linalg.norm(w / scale))
+    # written so that a NaN error fails the check
+    if not rel <= max(tol, 1e-8):
         raise OutsideChartImageError(
             "recovered coordinates do not reproduce the point "
-            f"(relative error {rec_err / np.linalg.norm(w):.3e}); the point "
-            "is outside this chart's image",
-            residual=rec_err,
+            f"(relative error {rel:.3e}); the point is outside this chart's "
+            "image",
+            residual=rel,
         )
-    return coords, core

@@ -310,14 +310,18 @@ def cmd_chart_check(args):
             except (OutsideChartDomainError, OutsideChartImageError):
                 out_of_domain += 1
                 continue
-            denom = max(np.linalg.norm(coords), np.linalg.norm(core), 1e-12)
+            # cores and points scale with the tensor, coordinates do not:
+            # dividing the scaled ones by max|w| makes the errors scale-free
+            # (a norm taken on entries near 1e200 overflows)
+            scale = np.max(np.abs(w))
+            denom = max(np.linalg.norm(coords), np.linalg.norm(core / scale),
+                        1e-12)
             coord_err = (
                 np.linalg.norm(rec_coords - coords)
-                + np.linalg.norm(rec_core - core)
+                + np.linalg.norm((rec_core - core) / scale)
             ) / denom
-            tensor_err = np.linalg.norm(w_rec - w) / max(
-                np.linalg.norm(w), 1e-300
-            )
+            tensor_err = (np.linalg.norm((w_rec - w) / scale)
+                          / np.linalg.norm(w / scale))
             errors.append(max(float(coord_err), float(tensor_err)))
         # np.max keeps a NaN error, where max would drop it
         max_err = float(np.max(errors)) if errors else 0.0

@@ -11,8 +11,10 @@ and every level reads its blocks off it.
 
 This module owns the tree network (:func:`contract_network`, shared by the
 sampler and the Jacobian oracle of :mod:`treegeom.tangent`, and its
-dimension :func:`network_dimension_formula`) and the membership
-precondition of everything anchored at a point (:func:`require_member`).
+dimension :func:`network_dimension_formula`), the membership
+precondition of everything anchored at a point (:func:`require_member`),
+and the membership verdict together with the level-1 bases a chart inverse
+reads (:func:`member_subspaces`).
 
 Admissibility (is some tensor realizing the tuple?) is decided by a list of
 necessary conditions followed by randomized realization attempts, and
@@ -36,7 +38,7 @@ from .errors import (
     NotOnManifoldError,
 )
 from .operators import tree_splits
-from .subspaces import DEFAULT_TOL, _ranks, tree_rank
+from .subspaces import DEFAULT_TOL, _ranks, minimal_subspace, tree_rank
 from .tensor import (
     check_tensor,
     complement_modes,
@@ -52,6 +54,7 @@ __all__ = [
     "PropernessReport",
     "tucker_membership",
     "is_member",
+    "member_subspaces",
     "require_member",
     "bounded_rank_member",
     "necessary_rank_conditions",
@@ -178,6 +181,24 @@ def is_member(v, tree, r, tol=DEFAULT_TOL):
     """
     v = _check_member_args(v, tree, r)
     return _membership_report(_ranks(v, tree.nodes, tol), tree, r, tol)
+
+
+def member_subspaces(v, tree, r, tol=DEFAULT_TOL):
+    """:func:`is_member` of ``v`` together with the minimal subspace of
+    every level-1 block, keyed by block in level order.
+
+    Each level-1 unfolding is factored once, with its singular vectors, and
+    its rank is that basis's dimension; every other non-root node takes one
+    SVD without factors, as in :func:`is_member`.  The root takes none: its
+    verdict is the rank tuple's own root condition.
+    """
+    v = _check_member_args(v, tree, r)
+    subs = {b: minimal_subspace(v, b, tol) for b in level_partition(tree, 1)}
+    rest = [node for node in tree.nodes
+            if node != tree.root and node not in subs]
+    computed = {**_ranks(v, rest, tol),
+                **{b: sub.rank for b, sub in subs.items()}}
+    return _membership_report(computed, tree, r, tol), subs
 
 
 def _membership_report(computed, tree, r, tol):

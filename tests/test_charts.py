@@ -239,7 +239,8 @@ class TestTreeChart:
             )
 
     def test_core_deficient_at_a_deeper_level_rejected(self, mixed_tree_d6):
-        # core full-rank over the level-1 blocks but dropping rank at level 2
+        # an elementary core: rank 1 on the level-1 block {1,2,3}, so the
+        # level-1 full-rank check rejects it before any deeper level is read
         v, r, chart = make_chart(mixed_tree_d6, (2,) * 6, seed=9)
         blocks = chart.level_partitions[0]
         gen = np.random.default_rng(11)
@@ -253,6 +254,42 @@ class TestTreeChart:
             tg.tree_chart_point(
                 chart, np.zeros(chart.operator_basis.dim), core
             )
+
+    @pytest.mark.parametrize("scale,rejected", [(1e-5, True),
+                                                (1e-3, False)])
+    def test_core_near_the_threshold_inside_a_level_one_block(
+        self, deep_tree_d4, scale, rejected
+    ):
+        # the anchor's {1,2,3} basis mixes a_1 into its second column at
+        # 1e-6, so shrinking that column of the core by 1e-5 pushes the mode-1
+        # singular value of the lift below tol while every level-1 rank stays
+        # full; shrinking it by 1e-3 keeps it above
+        gen = np.random.default_rng(31)
+        a = np.linalg.qr(gen.standard_normal((3, 2)))[0].T
+        b = np.linalg.qr(gen.standard_normal((3, 2)))[0].T
+        c = np.linalg.qr(gen.standard_normal((3, 2)))[0].T
+        p0 = (np.kron(b[0], c[0]) + np.kron(b[1], c[1])) / np.sqrt(2)
+        p1 = (np.kron(b[0], c[1]) - np.kron(b[1], c[0])) / np.sqrt(2)
+        u123 = np.linalg.qr(np.stack([
+            np.kron(a[0], p0),
+            np.kron(a[0], p1) + 1e-6 * np.kron(a[1], p0),
+        ], axis=1))[0]
+        q = np.linalg.qr(gen.standard_normal((3, 2)))[0]
+        v = (u123 @ np.diag([1.0, 0.5]) @ q.T).reshape(3, 3, 3, 3)
+        r = capped_rank_tuple(deep_tree_d4, v.shape)
+        assert tg.is_member(v, deep_tree_d4, r).member
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            chart = tg.tree_chart(v, deep_tree_d4, r)
+        core = chart.core.copy()
+        core[1] *= scale
+        coords = np.zeros(chart.operator_basis.dim)
+        if rejected:
+            with pytest.raises(InvalidCoreError, match=r"levels \[2, 3\]"):
+                tg.tree_chart_point(chart, coords, core)
+        else:
+            w = tg.tree_chart_point(chart, coords, core)
+            assert tg.is_member(w, deep_tree_d4, r).member
 
     def test_leaf_member_outside_tree_set_reports_failing_level(
         self, deep_tree_d4
@@ -462,3 +499,63 @@ def test_inverse_rejects_a_nan_error(monkeypatch, where):
 
 def test_sorted_blocks_helper():
     assert sorted_blocks([(3, 2), (1,)]) == ((1,), (2, 3))
+
+
+@pytest.mark.parametrize("c", [2.0 ** 600, 2.0 ** -600])
+def test_inverse_is_scale_free(c):
+    # ||w|| overflows at 2^600 and underflows at 2^-600 on 81 entries; the
+    # inverse reads the same coordinates and a core scaled by c
+    v, r, chart = make_chart(anchor_case_tree("deep"), (3, 3, 3, 3), seed=32)
+    gen = np.random.default_rng(33)
+    coords = 0.1 * gen.standard_normal(chart.operator_basis.dim)
+    core = chart.core * (1 + 0.01 * gen.standard_normal(chart.core.shape))
+    w = tg.tree_chart_point(chart, coords, core)
+    rec_coords, rec_core = tg.tree_chart_inverse(chart, w)
+    big_coords, big_core = tg.tree_chart_inverse(chart, c * w)
+    np.testing.assert_allclose(big_coords, rec_coords, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(big_core / c, rec_core, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0 ** 600, 2.0 ** -600])
+def test_reconstruction_check_is_scale_free(c):
+    from treegeom.charts import _check_reconstruction
+
+    w = np.random.default_rng(34).standard_normal((3, 3, 3, 3))
+    off = np.zeros_like(w)
+    off[0, 0, 0, 0] = 1e-6 * np.linalg.norm(w)
+    _check_reconstruction(c * (w + 1e-3 * off), c * w, 1e-10)
+    with pytest.raises(OutsideChartImageError) as err:
+        _check_reconstruction(c * (w + off), c * w, 1e-10)
+    assert err.value.residual == pytest.approx(1e-6, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind,shape,most", [
+    ("deep", (3, 3, 3, 3), 27),
+    ("tucker", (3, 3, 3, 3), 21),
+    ("mixed", (2, 2, 2, 2, 2, 2), 40),
+])
+def test_round_trip_svd_count(monkeypatch, kind, shape, most):
+    # a point, its inverse and the point again factor each chart point once:
+    # one SVD per level-1 block and one per node inside it
+    v, r, chart = make_chart(anchor_case_tree(kind), shape, seed=35)
+    gen = np.random.default_rng(36)
+    coords = 0.1 * gen.standard_normal(chart.operator_basis.dim)
+    core = chart.core * (1 + 0.01 * gen.standard_normal(chart.core.shape))
+    svd = np.linalg.svd
+    inputs = []
+
+    def counted(M, *args, **kwargs):
+        inputs.append(np.array(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    w = tg.tree_chart_point(chart, coords, core)
+    start = len(inputs)
+    rec_coords, rec_core = tg.tree_chart_inverse(chart, w)
+    inverse_inputs = inputs[start:]
+    tg.tree_chart_point(chart, rec_coords, rec_core)
+    assert len(inputs) <= most
+    for b in chart.level_partitions[0]:
+        M = tg.matricize(w, b)
+        assert sum(A.shape == M.shape and np.array_equal(A, M)
+                   for A in inverse_inputs) == 1, b

@@ -307,6 +307,22 @@ class TestChartCheck:
         assert code == 0 and doc["passed"]
         assert doc["max_error_small_magnitudes"] <= 1e-8
 
+    @pytest.mark.filterwarnings("ignore:fixed-rank set is not proper")
+    def test_passes_at_1e200(self, workspace, capsys):
+        # the squared norm of a tensor with entries near 1e200 overflows;
+        # the round-trip errors are measured relative to max|w|
+        p = workspace["dir"] / "big.json"
+        tg.save_tensor(p, 1e200 * workspace["v"])
+        code = run([
+            "chart-check", "--tensor", str(p),
+            "--tree", workspace["tree"], "--ranks", workspace["ranks"],
+            "--trials", "3", "--seed", "2",
+        ])
+        doc = read_json(capsys)
+        assert code == 0 and doc["passed"] is True
+        assert all(0 <= res["max_roundtrip_error"] <= 1e-8
+                   for res in doc["results"])
+
     def test_not_on_manifold_exits_one(self, workspace, capsys):
         rng = np.random.default_rng(1)
         p = workspace["dir"] / "generic.json"
