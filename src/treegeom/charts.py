@@ -46,7 +46,8 @@ from .formats import dimension_margins, member_subspaces, require_member
 from .operators import LaplacianLike, assemble_laplacian
 from .subspaces import DEFAULT_TOL, minimal_subspace
 from .tangent import BlockOperatorBasis, tree_operator_basis
-from .tensor import check_tensor, sorted_blocks, svd_rank
+from .tensor import check_tensor, pull_blocks, push_blocks, sorted_blocks
+from .tensor import svd_rank
 from .trees import level_partition, levels
 
 __all__ = [
@@ -62,36 +63,12 @@ __all__ = [
 GRAPH_CONDITION_LIMIT = 1e8
 
 
-def _apply_block_maps(t_core, mats, blocks, shape):
-    """Contract a block-indexed core with one ambient matrix per block and
-    reorder the unfused modes back to 1..d."""
-    t = t_core
-    for M in mats:
-        t = np.tensordot(t, M, axes=([0], [1]))
-    dims = [shape[m - 1] for b in blocks for m in b]
-    modes = [m for b in blocks for m in b]
-    t = t.reshape(dims)
-    return np.ascontiguousarray(np.transpose(t, np.argsort(modes)))
-
-
-def _extract_core(w, mats, blocks, shape):
-    """Coefficients of ``w`` against one ambient basis matrix per block:
-    fuse the modes block by block in block order, then contract."""
-    order = [m - 1 for b in blocks for m in b]
-    t = np.transpose(w, order).reshape([
-        prod(shape[m - 1] for m in b) for b in blocks
-    ])
-    for M in mats:
-        t = np.tensordot(t, M, axes=([0], [0]))
-    return t
-
-
 def _pull_back(w, splits, blocks):
     """Core of ``w`` in the anchor bases: the point pulled back through the
     inverse factors ``I - w_b C_b u_b^T`` and projected onto the bases.
     Since ``u_b^T w_b = 0`` each projected factor is ``u_b^T`` itself, so
     the core is the projection of ``w`` alone."""
-    return _extract_core(w, [splits[b].u for b in blocks], blocks, w.shape)
+    return pull_blocks(w, [splits[b].u for b in blocks], blocks, w.shape)
 
 
 def _check_full_core(core, blocks, ranks, tol):
@@ -137,7 +114,7 @@ def _push_forward(core, parts, splits, blocks, shape):
     """Lift a checked core through the blockwise exponential factors
     ``u + w C`` of the per-block coefficients ``parts``."""
     mats = [splits[b].u + splits[b].w @ parts[b] for b in blocks]
-    return _apply_block_maps(core, mats, blocks, shape)
+    return push_blocks(core, mats, blocks, shape)
 
 
 def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
@@ -231,9 +208,7 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
             stacklevel=2,
         )
     operator_basis = tree_operator_basis(tree, splits, v.shape, tol)
-    core = _extract_core(
-        v, [splits[b].u for b in partitions[0]], partitions[0], v.shape
-    )
+    core = _pull_back(v, splits, partitions[0])
     return ChartData(
         anchor=v, tree=tree, ranks=r, splits=splits,
         level_partitions=partitions, operator_basis=operator_basis,

@@ -45,8 +45,8 @@ from .trees import (
     tucker_tree,
 )
 
-# bytes one chart-check or tangent run may take, as estimated by
-# _operator_command_bytes
+# bytes one run may take: chart-check and tangent as estimated by
+# _operator_command_bytes, generate and proper by _generation_command_bytes
 OPERATOR_COMMAND_MEMORY_LIMIT = 2 ** 30
 
 EXIT_OK = 0
@@ -209,23 +209,67 @@ def _operator_command_bytes(tree, r, shape, jacobian):
     entries = 8 * prod(shape) + kept + max(level_cost)
     entries += 2 * sum(size(a) ** 2 for a in tree.nodes if a != tree.root)
     if jacobian:
-        params = sum(shape[leaf[0] - 1] * rank(leaf) for leaf in tree.leaves)
-        params += sum(
-            rank(node) * prod(rank(kid) for kid in kids)
-            for node, kids in tree.sons.items()
-        )
-        entries += 3 * prod(shape) * params
+        entries += 3 * prod(shape) * _network_parameter_count(tree, r, shape)
+    return 2 ** 24 + 8 * entries
+
+
+def _network_parameter_count(tree, r, shape):
+    """Entries of a tree network's leaf factors and transfers, each rank
+    capped at its unfolding's bound (a tuple above it is rejected as
+    inadmissible before any network is drawn), so no transfer exceeds
+    ``N``."""
+
+    def rank(node):
+        size = prod(shape[m - 1] for m in node)
+        return min(r[node], size, prod(shape) // size) if node in r else 1
+
+    params = sum(shape[leaf[0] - 1] * rank(leaf) for leaf in tree.leaves)
+    return params + sum(
+        rank(node) * prod(rank(kid) for kid in kids)
+        for node, kids in tree.sons.items()
+    )
+
+
+def _generation_command_bytes(tree, r, shape):
+    """Estimated peak bytes of a ``generate`` or ``proper`` run, read off
+    the shape and the rank profile: 16 MiB for the buffers of the BLAS and
+    the interpreter plus, in doubles, the network's parameters and
+    ``16 * N``.  The largest of the ``N``-sized stages is writing a JSON
+    tensor: the tensor, the list of numbers it is printed from (4 per
+    entry), the text and its encoded bytes (about 3 each).  The others are
+    smaller: contracting the network (no node's basis exceeds ``N``, and
+    each contraction step copies its input once) and one unfolding at a
+    time with the copy its SVD works on."""
+    entries = 16 * prod(shape) + _network_parameter_count(tree, r, shape)
     return 2 ** 24 + 8 * entries
 
 
 def _guard_size(tree, r, shape, jacobian=False):
-    estimate = _operator_command_bytes(tree, r, shape, jacobian)
+    _refuse_above_limit(_operator_command_bytes(tree, r, shape, jacobian),
+                        shape)
+
+
+def _refuse_above_limit(estimate, shape):
     if estimate > OPERATOR_COMMAND_MEMORY_LIMIT:
         raise InvalidArgumentError(
             f"estimated memory {estimate} bytes for shape {tuple(shape)} "
-            f"exceeds the limit of {OPERATOR_COMMAND_MEMORY_LIMIT} bytes "
-            "for operator-space commands"
+            f"exceeds the limit of {OPERATOR_COMMAND_MEMORY_LIMIT} bytes"
         )
+
+
+def _parse_shape(text):
+    """Mode sizes of a ``--shape`` argument: comma-separated integers, each
+    at least 1."""
+    try:
+        shape = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        shape = ()
+    if not shape or min(shape) < 1:
+        raise InvalidArgumentError(
+            f"invalid shape {text!r}: expected comma-separated positive "
+            "integers"
+        )
+    return shape
 
 
 def cmd_analyze(args):
@@ -262,11 +306,10 @@ def cmd_membership(args):
 
 
 def cmd_generate(args):
-    shape = tuple(int(x) for x in args.shape.split(","))
-    if any(n < 1 for n in shape):
-        raise InvalidArgumentError(f"invalid shape {shape}")
+    shape = _parse_shape(args.shape)
     tree = _load_tree(args.tree, len(shape))
     r = _load_ranks(args.ranks)
+    _refuse_above_limit(_generation_command_bytes(tree, r, shape), shape)
     verdict = is_admissible(tree, r, shape, trials=args.trials, seed=args.seed,
                             tol=args.tol)
     doc = {**_meta(args), "command": "generate"}
@@ -288,6 +331,8 @@ def cmd_generate(args):
 
 
 def cmd_chart_check(args):
+    if args.trials < 1:
+        raise InvalidArgumentError("trials must be at least 1")
     v = load_tensor(args.tensor)
     tree = _load_tree(args.tree, v.ndim)
     r = _load_ranks(args.ranks)
@@ -390,9 +435,10 @@ def cmd_tangent(args):
 
 
 def cmd_proper(args):
-    shape = tuple(int(x) for x in args.shape.split(","))
+    shape = _parse_shape(args.shape)
     tree = _load_tree(args.tree, len(shape))
     r = _load_ranks(args.ranks)
+    _refuse_above_limit(_generation_command_bytes(tree, r, shape), shape)
     report = is_proper(tree, r, shape, seed=args.seed, tol=args.tol)
     doc = {**_meta(args), "command": "proper", **report.to_dict()}
     _emit(doc, args)

@@ -11,10 +11,11 @@ and every level reads its blocks off it.
 
 This module owns the tree network (:func:`contract_network`, shared by the
 sampler and the Jacobian oracle of :mod:`treegeom.tangent`, and its
-dimension :func:`network_dimension_formula`), the membership
-precondition of everything anchored at a point (:func:`require_member`),
-and the membership verdict together with the level-1 bases a chart inverse
-reads (:func:`member_subspaces`).
+dimension :func:`network_dimension_formula`), contracted node by node with
+no Kronecker product of the sons' bases; the membership precondition of
+everything anchored at a point (:func:`require_member`), and the membership
+verdict together with the level-1 bases a chart inverse reads
+(:func:`member_subspaces`).
 
 Admissibility (is some tensor realizing the tuple?) is decided by a list of
 necessary conditions followed by randomized realization attempts, and
@@ -43,6 +44,7 @@ from .tensor import (
     check_tensor,
     complement_modes,
     normalize_modes,
+    push_blocks,
     sorted_blocks,
 )
 from .trees import level_partition, levels
@@ -61,6 +63,7 @@ __all__ = [
     "is_admissible",
     "is_proper",
     "contract_network",
+    "node_basis",
     "network_dimension_formula",
     "random_tree_tensor",
 ]
@@ -296,37 +299,30 @@ def _orthonormal_columns(rng, n, r):
     return Q[:, :r]
 
 
-def _son_lift(tree, node, bases, shape):
-    """Matrix mapping son-rank coordinates at ``node`` to the ambient block,
-    with rows in row-major order over the sorted modes of ``node``."""
-    kids = tree.sons_of(node)
-    G = bases[kids[0]]
-    for kid in kids[1:]:
-        G = np.kron(G, bases[kid])
-    # reorder rows from son-concatenated mode order to sorted mode order
-    concat_modes = [m for kid in kids for m in kid]
-    sizes = [shape[m - 1] for m in concat_modes]
-    axes = [concat_modes.index(m) for m in sorted(node)]
-    rowperm = np.transpose(
-        np.arange(prod(sizes)).reshape(sizes), axes
-    ).ravel()
-    return G[rowperm]
-
-
 def contract_network(tree, shape, leaf_factors, transfers):
     """The tensor of a tree network: each interior node's basis is its
-    sons' lifted bases times ``transfers[node]`` (rows over the sons' rank
-    coordinates, row-major in son order), contracted bottom-up from
-    ``leaf_factors``; the root's transfer is a coefficient vector."""
+    :func:`node_basis`, contracted bottom-up from ``leaf_factors``; the
+    root's transfer is a coefficient vector."""
     bases = dict(leaf_factors)
 
     def build(node):
         for kid in tree.sons_of(node):
             if kid in tree.sons:
                 bases[kid] = build(kid)
-        return _son_lift(tree, node, bases, shape) @ transfers[node]
+        return node_basis(tree, node, bases, transfers[node], shape)
 
     return build(tree.root).reshape(shape)
+
+
+def node_basis(tree, node, bases, transfer, shape):
+    """The sons' ``bases`` of an interior ``node`` pushed through its
+    ``transfer`` (rows over the sons' rank coordinates, row-major in son
+    order), with rows row-major over the modes of ``node``."""
+    kids = tree.sons_of(node)
+    core = transfer.reshape([bases[kid].shape[1] for kid in kids]
+                            + list(transfer.shape[1:]))
+    t = push_blocks(core, [bases[kid] for kid in kids], kids, shape)
+    return t.reshape(-1, *transfer.shape[1:])
 
 
 def network_dimension_formula(tree, r, shape):

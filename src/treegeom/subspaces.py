@@ -17,7 +17,10 @@ membership tests of :mod:`treegeom.formats`); the thresholded values are
 the ones :func:`minimal_subspace` thresholds.  The singular values are
 taken from the unfolding itself, not from the eigenvalues of its Gram
 matrix, whose squaring would push the default tolerance below machine
-precision.  Bases are computed only where a caller needs one.
+precision.  Bases are computed only where a caller needs one, and a
+projection onto a product of block bases (the chain and nestedness
+residuals) pulls back onto the bases and pushes forward again, with no
+``n_b x n_b`` projector.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ import numpy as np
 from .errors import InvalidArgumentError, ParseError
 from .tensor import (
     _unfold,
-    apply_mode_operator,
     check_tensor,
     normalize_modes,
+    pull_blocks,
+    push_blocks,
     sorted_blocks,
     svd,
     svd_rank,
@@ -158,16 +162,6 @@ def _ranks(v, blocks, tol):
     return ranks
 
 
-def _project_block_tensor(t, positions, basis):
-    """Project the fused mode block at 1-based ``positions`` of ``t`` onto
-    the span of ``basis`` (orthonormal columns)."""
-    P = basis @ basis.T
-    sub_partition = [positions] + [
-        (m,) for m in range(1, t.ndim + 1) if m not in set(positions)
-    ]
-    return apply_mode_operator(P, positions, sub_partition, t)
-
-
 def check_nestedness(v, alpha, sub_partition, tol=DEFAULT_TOL):
     """Residual of the minimal subspace at ``alpha`` against the tensor
     product of the minimal subspaces of a sub-partition of ``alpha``.
@@ -185,19 +179,11 @@ def check_nestedness(v, alpha, sub_partition, tol=DEFAULT_TOL):
             f"{list(blocks)} is not a partition of {alpha}"
         )
     big = minimal_subspace(v, alpha, tol)
-    alpha_dims = tuple(v.shape[a - 1] for a in alpha)
-    # positions of each block's modes inside the sorted alpha (1-based)
-    local = {m: i + 1 for i, m in enumerate(alpha)}
-    residual_sq = 0.0
-    fine = {b: minimal_subspace(v, b, tol) for b in blocks}
-    for col in big.basis.T:
-        t = col.reshape(alpha_dims)
-        proj = t
-        for b in blocks:
-            positions = tuple(local[m] for m in b)
-            proj = _project_block_tensor(proj, positions, fine[b].basis)
-        residual_sq += float(np.sum((t - proj) ** 2))
-    return float(np.sqrt(residual_sq))
+    W = big.basis.reshape([v.shape[a - 1] for a in alpha] + [big.rank])
+    fine = [minimal_subspace(v, b, tol).basis for b in blocks]
+    proj = push_blocks(pull_blocks(W, fine, blocks, v.shape), fine, blocks,
+                       v.shape)
+    return float(np.linalg.norm(W - proj))
 
 
 def check_chain(v, tree, tol=DEFAULT_TOL):
@@ -225,9 +211,10 @@ def _chain_residuals(v, tree, bases):
     basis of (at least) every level block."""
     residuals = {}
     for k in range(1, levels(tree).depth + 1):
-        proj = v
-        for b in level_partition(tree, k):
-            proj = _project_block_tensor(proj, b, bases[b])
+        blocks = level_partition(tree, k)
+        U = [bases[b] for b in blocks]
+        proj = push_blocks(pull_blocks(v, U, blocks, v.shape), U, blocks,
+                           v.shape)
         residuals[k] = float(np.linalg.norm(v - proj))
     return residuals
 

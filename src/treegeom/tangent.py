@@ -40,12 +40,13 @@ numbers side by side instead of reconciling them.
 
 Every entry point anchored at a tensor starts with the membership
 precondition :func:`~treegeom.formats.require_member` and builds on the
-splits it returns.  The Jacobian oracle reads its network parameters off
-them, checks through the tree-network contraction of :mod:`treegeom.formats`
-(which owns the tree network) that they reproduce the tensor, and writes
-each node's block of columns in closed form: the tensor is linear in each
-node's parameters, so one Kronecker product per node gives them, one
-variation per node with the others fixed.
+splits it returns.  The Jacobian oracle pulls its network parameters back
+off them, checks through the tree-network contraction of
+:mod:`treegeom.formats` that they reproduce the tensor, and writes each
+node's block of columns in closed form: the tensor is linear in each node's
+parameters, so a node's block is its lift (the identity at a leaf, the
+sons' bases pushed through the identity inside) times its coefficients on
+the modes outside it, one Kronecker product that is the block itself.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .formats import (
-    _son_lift,
     contract_network,
     network_dimension_formula,
+    node_basis,
     require_member,
 )
 from .operators import SplitSpace, lifted_part
@@ -68,6 +69,7 @@ from .subspaces import DEFAULT_TOL
 from .tensor import (
     block_transpose_permutation,
     embed_block_operator,
+    pull_blocks,
     sorted_blocks,
     svd,
     svd_rank,
@@ -525,16 +527,17 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
 def _network_parameters(v, tree, splits):
     """A tree-network parameter point reproducing ``v``: the bases of
     ``splits`` at every non-root node, interior transfer coefficients, root
-    block."""
+    block.  Each transfer is the node's basis (``v`` at the root) pulled
+    back onto its sons' bases."""
     shape = v.shape
     bases = {node: s.u for node, s in splits.items()}
     transfers = {}
-    for node in tree.sons:
-        G = _son_lift(tree, node, bases, shape)
-        if node == tree.root:
-            transfers[node] = G.T @ v.ravel()
-        else:
-            transfers[node] = G.T @ bases[node]
+    for node, kids in tree.sons.items():
+        root = node == tree.root
+        u = (v if root else bases[node]).reshape(
+            [shape[m - 1] for m in node] + [-1])
+        T = pull_blocks(u, [bases[kid] for kid in kids], kids, shape)
+        transfers[node] = T.ravel() if root else T.reshape(-1, u.shape[-1])
     leaf_factors = {leaf: bases[leaf] for leaf in tree.leaves}
     return leaf_factors, transfers
 
@@ -557,7 +560,8 @@ def _jacobian(v, tree, splits):
     bases = {node: s.u for node, s in splits.items()}
     blocks = []
     for node in sorted(leaf_factors) + sorted(transfers):
-        lift = (_son_lift(tree, node, bases, shape) if node in transfers
+        lift = (node_basis(tree, node, bases, np.eye(len(transfers[node])),
+                           shape) if node in transfers
                 else np.eye(shape[node[0] - 1]))
         if node == tree.root:
             blocks.append(lift)

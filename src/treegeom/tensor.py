@@ -30,6 +30,8 @@ __all__ = [
     "matricize",
     "apply_mode_operator",
     "tensor_product",
+    "push_blocks",
+    "pull_blocks",
     "svd",
     "svd_rank",
     "embed_block_operator",
@@ -162,6 +164,41 @@ def tensor_product(factors):
     for f in factors[1:]:
         out = np.tensordot(out, f, axes=0)
     return out
+
+
+def push_blocks(core, bases, blocks, shape):
+    """Contract a coefficient tensor, one ``r_b`` axis per block (in block
+    order) then any trailing axes, with one ``n_b x r_b`` basis per block,
+    forming no Kronecker product.  The result has one axis per mode of the
+    blocks' union, ascending (``shape`` gives each mode's size; the blocks
+    need not cover every mode), then the trailing axes."""
+    t = core
+    for B in bases:
+        t = np.tensordot(t, B, axes=([0], [1]))
+    # the trailing axes now lead, then one fused axis per block
+    lead = t.ndim - len(blocks)
+    modes = [m for b in blocks for m in b]
+    t = t.reshape(t.shape[:lead] + tuple(shape[m - 1] for m in modes))
+    order = sorted(range(len(modes)), key=modes.__getitem__)
+    return np.ascontiguousarray(np.transpose(
+        t, [lead + i for i in order] + list(range(lead))))
+
+
+def pull_blocks(w, bases, blocks, shape):
+    """Adjoint of :func:`push_blocks`: the coefficients of ``w`` against one
+    basis per block.  With orthonormal bases, pushing them forward again
+    projects ``w`` onto the tensor product of the bases' spans."""
+    modes = [m for b in blocks for m in b]
+    axis = {m: i for i, m in enumerate(sorted(modes))}
+    trailing = list(range(len(modes), w.ndim))
+    t = np.transpose(w, [axis[m] for m in modes] + trailing)
+    t = t.reshape([prod(shape[m - 1] for m in b) for b in blocks]
+                  + [w.shape[i] for i in trailing])
+    for B in bases:
+        t = np.tensordot(t, B, axes=([0], [0]))
+    # the trailing axes now lead, then one r_b axis per block
+    return np.transpose(t, list(range(len(trailing), t.ndim))
+                        + list(range(len(trailing))))
 
 
 def _fix_signs(U, Vt):

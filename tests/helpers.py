@@ -3,9 +3,8 @@
 These deliberately avoid the library's own code paths: ranks via Gaussian
 elimination, subspace intersections via full complement projectors, mode
 operators via explicit index loops, properness by sampling the level Tucker
-sets.  The Jacobian reference is the one exception: it evaluates the
-library's tree network once per parameter entry, where the library writes
-each node's columns in closed form.
+sets, tree networks and the Jacobian via Kronecker products of the sons'
+bases.
 """
 
 from fractions import Fraction
@@ -110,6 +109,36 @@ def principal_angle_residual(B1, B2):
     return float(1.0 - s[-1])
 
 
+NESTED_TREES = {
+    "deep": [[[1], [[2], [3]]], [4]],
+    "mixed": [[[1], [[2], [3]]], [[4], [5]], [6]],
+}
+
+# one case per tree kind, every mode of size >= 3
+KRONECKER_CASES = [
+    ("tucker", (3, 4, 3)),
+    ("deep", (3, 4, 3, 3)),
+    ("linear", (3, 3, 4, 3, 3)),
+    ("binary", (3, 4, 3, 3)),
+    ("mixed", (3,) * 6),
+]
+
+
+def kind_tree(kind, d):
+    """The tree of a test case: Tucker, linear or balanced binary over
+    ``d`` modes, or one of :data:`NESTED_TREES`."""
+    import treegeom as tg
+
+    builders = {
+        "tucker": tg.tucker_tree,
+        "linear": tg.linear_tree,
+        "binary": tg.balanced_binary_tree,
+    }
+    if kind in builders:
+        return builders[kind](d)
+    return tg.tree_from_nested(NESTED_TREES[kind])
+
+
 def capped_rank_tuple(tree, shape, cap=2):
     """Rank tuple with every non-root rank at min(cap, unfolding bounds);
     valid for the shapes used in the tests (all mode sizes at least 2)."""
@@ -204,16 +233,13 @@ def sampled_properness(tree, r, shape, trials=50, seed=0, tol=1e-10):
 
 
 def per_entry_jacobian(v, tree, splits):
-    """Reference Jacobian of the tree-network parametrization: one network
-    contraction per parameter entry, with that entry set to one and the rest
-    of its block to zero (exact, as the network is linear in each block), at
-    the parameter point and in the column order of
+    """Reference Jacobian of the tree-network parametrization: one
+    Kronecker-lift network contraction per parameter entry, with that entry
+    set to one and the rest of its block to zero (exact, as the network is
+    linear in each block), at the parameter point and in the column order of
     ``parametrization_jacobian``."""
-    from treegeom.formats import contract_network
-    from treegeom.tangent import _network_parameters
-
     v = v / np.linalg.norm(v)
-    leaf_factors, transfers = _network_parameters(v, tree, splits)
+    leaf_factors, transfers = kron_network_parameters(v, tree, splits)
     columns = []
     for store in (leaf_factors, transfers):
         for node in sorted(store):
@@ -221,11 +247,67 @@ def per_entry_jacobian(v, tree, splits):
             unit = store[node] = np.zeros_like(base)
             for i in range(unit.size):
                 unit.flat[i] = 1.0
-                columns.append(contract_network(
+                columns.append(kron_contract_network(
                     tree, v.shape, leaf_factors, transfers).ravel())
                 unit.flat[i] = 0.0
             store[node] = base
     return np.column_stack(columns)
+
+
+def son_lift(tree, node, bases, shape):
+    """Reference lift at an interior ``node``: the Kronecker product of its
+    sons' bases, an ``n_node x prod r_sons`` matrix with rows row-major over
+    the sorted modes of ``node`` and columns row-major in son order."""
+    kids = tree.sons_of(node)
+    G = bases[kids[0]]
+    for kid in kids[1:]:
+        G = np.kron(G, bases[kid])
+    # reorder rows from son-concatenated mode order to sorted mode order
+    concat_modes = [m for kid in kids for m in kid]
+    sizes = [shape[m - 1] for m in concat_modes]
+    axes = [concat_modes.index(m) for m in sorted(node)]
+    rowperm = np.transpose(
+        np.arange(prod(sizes)).reshape(sizes), axes
+    ).ravel()
+    return G[rowperm]
+
+
+def kron_contract_network(tree, shape, leaf_factors, transfers):
+    """Reference tree-network contraction: every interior node's basis is
+    its :func:`son_lift` times its transfer, bottom-up."""
+    bases = dict(leaf_factors)
+
+    def build(node):
+        for kid in tree.sons_of(node):
+            if kid in tree.sons:
+                bases[kid] = build(kid)
+        return son_lift(tree, node, bases, shape) @ transfers[node]
+
+    return build(tree.root).reshape(shape)
+
+
+def kron_network_parameters(v, tree, splits):
+    """Reference parameter point of ``v``: every transfer is the transposed
+    :func:`son_lift` times the node's basis (times ``v`` at the root)."""
+    bases = {node: s.u for node, s in splits.items()}
+    transfers = {
+        node: son_lift(tree, node, bases, v.shape).T
+        @ (v.ravel() if node == tree.root else bases[node])
+        for node in tree.sons
+    }
+    return {leaf: bases[leaf] for leaf in tree.leaves}, transfers
+
+
+def dense_projection(v, bases):
+    """Reference projection of ``v`` onto the tensor product of the spans of
+    orthonormal bases, keyed by mode block: one dense ``n_b x n_b``
+    projector per block, applied through ``apply_mode_operator``."""
+    import treegeom as tg
+
+    blocks = sorted(bases)
+    for b in blocks:
+        v = tg.apply_mode_operator(bases[b] @ bases[b].T, b, blocks, v)
+    return v
 
 
 def fix_signs_loop(U, Vt):

@@ -217,7 +217,52 @@ def test_one_mode_tree_file_exits_two(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["generate", "proper"])
+@pytest.mark.parametrize("shape", [
+    "2,a", "2,,3", "2,2,2,", "", "2,2,2,0", "2,-1,2,3", "2.5,2,2,3",
+])
+def test_malformed_shape_exits_two(workspace, capsys, command, shape):
+    # an entry that is empty, not an integer or below 1 is an input error
+    # (exit 2), not a crash (exit 1, which reads as a negative verdict)
+    code = run([
+        command, "--tree", workspace["tree"], "--ranks", workspace["ranks"],
+        "--shape", shape, "--out", str(workspace["dir"] / "out.json"),
+    ])
+    assert code == 2
+    assert "invalid shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "proper"])
+def test_oversized_shape_exits_two(tmp_path, capsys, command):
+    tree = tg.tucker_tree(3)
+    ranks = tmp_path / "ranks.json"
+    ranks.write_text(ranks_to_json(capped_rank_tuple(tree, (2, 2, 2))))
+    code = run([
+        command, "--tree", "tucker", "--ranks", str(ranks),
+        "--shape", "1000,1000,1000", "--out", str(tmp_path / "v.json"),
+    ])
+    assert code == 2
+    assert "estimated memory" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
+
+
 class TestGenerate:
+    def test_tucker_60_at_leaf_rank_30(self, tmp_path, capsys):
+        # the tree network is contracted node by node: a 60^3 Kronecker
+        # lift of the leaves (43.5 GiB) is never formed
+        tree = tg.tucker_tree(3)
+        r = capped_rank_tuple(tree, (60, 60, 60), cap=30)
+        ranks = tmp_path / "ranks.json"
+        ranks.write_text(ranks_to_json(r))
+        out = tmp_path / "v.bin"
+        code = run([
+            "generate", "--tree", "tucker", "--ranks", str(ranks),
+            "--shape", "60,60,60", "--out", str(out),
+        ])
+        doc = read_json(capsys)
+        assert code == 0 and doc["verified"] is True
+        assert tg.tree_rank(tg.load_tensor(out), tree) == r
+
     def test_writes_verified_tensor(self, workspace, capsys):
         out = workspace["dir"] / "gen.json"
         code = run([
@@ -297,6 +342,18 @@ class TestGenerate:
 
 
 class TestChartCheck:
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_needs_a_trial(self, workspace, capsys, trials):
+        # with no round trip there is nothing to pass
+        code = run([
+            "chart-check", "--tensor", workspace["tensor"],
+            "--tree", workspace["tree"], "--ranks", workspace["ranks"],
+            "--trials", trials,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "trials must be at least 1" in captured.err
+
     def test_passes_on_generated_anchor(self, workspace, capsys):
         code = run([
             "chart-check", "--tensor", workspace["tensor"],
@@ -619,6 +676,31 @@ class TestMisc:
 
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="reads the peak resident set from /proc")
+    @pytest.mark.parametrize("kind, shape, cap, command", [
+        ("tucker", (60, 60, 60), 30, "generate"),
+        ("tucker", (60, 60, 60), 30, "proper"),
+        ("linear", (4,) * 9, 3, "generate"),
+        ("binary", (4,) * 8, 4, "generate"),
+    ])
+    def test_generation_estimate_covers_measured_peak(self, tmp_path, kind,
+                                                      shape, cap, command):
+        # generate writes JSON, its costliest output
+        from treegeom.cli import _generation_command_bytes, _load_tree
+
+        tree = _load_tree(kind, len(shape))
+        r = capped_rank_tuple(tree, shape, cap=cap)
+        ranks_path = tmp_path / "ranks.json"
+        ranks_path.write_text(ranks_to_json(r))
+        grown = argv_peak_growth([
+            command, "--tree", kind, "--ranks", str(ranks_path),
+            "--shape", ",".join(str(n) for n in shape),
+            *(["--out", str(tmp_path / "v.json")]
+              if command == "generate" else []),
+        ])
+        assert 0 < grown <= _generation_command_bytes(tree, r, shape)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads the peak resident set from /proc")
     def test_size_estimate_covers_high_rank_leaf_blocks(self, tmp_path):
         # Tucker leaves have no deeper level, but each keeps dim_b x dim_b
         # right singular vectors and a null basis (dim_b = 32 * 32 here);
@@ -655,6 +737,19 @@ def peak_growth(tmp_path, command, v, tree_arg, r):
     tg.save_tensor(tensor_path, v)
     ranks_path = tmp_path / "ranks.json"
     ranks_path.write_text(ranks_to_json(r))
+    args = [
+        command, "--tensor", str(tensor_path), "--tree", tree_arg,
+        "--ranks", str(ranks_path),
+        "--out", str(tmp_path / "report.json"),
+    ]
+    if command == "chart-check":
+        args += ["--trials", "1"]
+    return argv_peak_growth(args)
+
+
+def argv_peak_growth(args):
+    """Growth in bytes of the peak resident set of a fresh interpreter
+    while it runs the command line ``args`` in process."""
     # VmHWM is the peak of this process image; ru_maxrss would start
     # from the forking test process's size
     script = (
@@ -669,13 +764,6 @@ def peak_growth(tmp_path, command, v, tree_arg, r):
         "main(sys.argv[1:])\n"
         "print(1024 * (kib('VmHWM') - before))\n"
     )
-    args = [
-        command, "--tensor", str(tensor_path), "--tree", tree_arg,
-        "--ranks", str(ranks_path),
-        "--out", str(tmp_path / "report.json"),
-    ]
-    if command == "chart-check":
-        args += ["--trials", "1"]
     done = subprocess.run(
         [sys.executable, "-c", script, *args], capture_output=True,
         text=True, check=True,

@@ -1,22 +1,32 @@
 import hashlib
+from math import prod
 
 import numpy as np
 import pytest
 
 import treegeom as tg
+from treegeom import formats
 from treegeom.errors import (
     GenerationFailureError,
     InvalidArgumentError,
     NotOnManifoldError,
 )
 from treegeom.formats import (
+    contract_network,
     generation_attempts,
     necessary_rank_conditions,
     require_member,
 )
 from treegeom.subspaces import TreeRank
 
-from helpers import capped_rank_tuple, random_tucker_tensor, sampled_properness
+from helpers import (
+    KRONECKER_CASES,
+    capped_rank_tuple,
+    kind_tree,
+    kron_contract_network,
+    random_tucker_tensor,
+    sampled_properness,
+)
 
 
 def elementary(shape, seed=0):
@@ -417,6 +427,32 @@ GENERATION_CASES = {
 
 GENERATION_SHA256 = {
     "binary-2332":
+        "480b947f81078f27efaacec147056a2efead7f8ac42e6bf4c7dfc139b5e67ac1",
+    "binary-3333":
+        "5b62be0689a116e68821d7101410a8185442b111f50b5c2df2e9edb08fffde4d",
+    "deep-2342":
+        "1a91a2b1f5f330bf22bb659764df0bb8a7744be5ce97f1c118d3f62cbe46fafe",
+    "deep-3333":
+        "20b608e46f364e6f5d19a0042edab9a4b653f66f6294e7238056641577df12d6",
+    "deep-3333-tight":
+        "471cd415da30782a81261e89acb9af0e030f6c13ba91d1260a2e86dc332cccbf",
+    "linear-23232":
+        "444abf49ccfa7b8bf6cec165495fa3181a3199fd5f68a488ef48abc8d404a7cc",
+    "linear-3232":
+        "f7e9644a1a5ffa9de65091c477566ffb7a18289ecaec0bdd6ec470f5d3dcf7ac",
+    "mixed-2^6":
+        "860f4b910516abd19cc49176e83154ec3a67deef0b10093c233bafa505ced50c",
+    "tucker-2323":
+        "404d9ab61f0a3ed1b5c363bdd0a7421718ec3806faab7bc2b22a74baabb4002f",
+    "tucker-333":
+        "ca57ffa0d98f4edcb6bcf606a8dc1451fc07e155f5390bc38d8516e3c565dee0",
+}
+
+# the hashes of the Kronecker-lift contraction, which the network used
+# before it was contracted node by node; the reference in helpers
+# reproduces them
+KRONECKER_SHA256 = {
+    "binary-2332":
         "b8aa80c72539bee23de7bd37ca2a07c25fe7a7a60e37ecb3f9d87e586325d7a8",
     "binary-3333":
         "fbeb65da8ed3b1dc45cc57ac66d0c97e250c169f6c37bd4e95101928232704c5",
@@ -439,29 +475,101 @@ GENERATION_SHA256 = {
 }
 
 
+def generated(name):
+    """The tensors (None where generation failed) and attempt counts of
+    12 seeds of a generation case."""
+    make, shape, cap, kwargs = GENERATION_CASES[name]
+    tree = make()
+    r = capped_rank_tuple(tree, shape, cap=cap)
+    results = []
+    for seed in range(12):
+        try:
+            results.append(generation_attempts(
+                tree, r, shape, seed=seed, **kwargs))
+        except GenerationFailureError:
+            results.append((None, None))
+    return results
+
+
+def generation_hash(results):
+    h = hashlib.sha256()
+    for v, attempts in results:
+        if v is None:
+            h.update(b"failed")
+            continue
+        h.update(np.ascontiguousarray(v).tobytes())
+        h.update(str(attempts).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATION_CASES))
 class TestGenerationPinned:
     """The generated tensors and attempt counts of 12 seeds per case, hashed
     and recorded from an earlier version: any change to the sampler's random
     draw order or to the arithmetic of the network contraction shows here.
     The hashes are bitwise, so they pin one numpy and LAPACK build."""
 
-    @pytest.mark.parametrize("name", sorted(GENERATION_CASES))
     def test_outputs_and_attempts_are_pinned(self, name):
-        make, shape, cap, kwargs = GENERATION_CASES[name]
-        tree = make()
+        assert generation_hash(generated(name)) == GENERATION_SHA256[name]
+
+    def test_kronecker_reference_keeps_the_earlier_pins(self, name,
+                                                        monkeypatch):
+        monkeypatch.setattr(formats, "contract_network",
+                            kron_contract_network)
+        assert generation_hash(generated(name)) == KRONECKER_SHA256[name]
+
+    def test_outputs_match_the_kronecker_reference(self, name, monkeypatch):
+        # the node-by-node contraction and the Kronecker lift differ by
+        # roundoff only: same attempts, tensors within 1e-14 relative
+        ours = generated(name)
+        monkeypatch.setattr(formats, "contract_network",
+                            kron_contract_network)
+        for (v, attempts), (ref, ref_attempts) in zip(ours, generated(name)):
+            assert attempts == ref_attempts
+            if v is not None:
+                assert np.linalg.norm(v - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def random_parameters(tree, r, shape, seed):
+    """Gaussian leaf factors and transfers of a network with ranks ``r``."""
+    rng = np.random.default_rng(seed)
+    leaves = {leaf: rng.standard_normal((shape[leaf[0] - 1], r[leaf]))
+              for leaf in tree.leaves}
+    transfers = {}
+    for node, kids in tree.sons.items():
+        rows = prod(r[kid] for kid in kids)
+        transfers[node] = rng.standard_normal(
+            rows if node == tree.root else (rows, r[node]))
+    return leaves, transfers
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+@pytest.mark.parametrize("kind, shape", KRONECKER_CASES)
+class TestNetworkContraction:
+    """The node-by-node contraction against the Kronecker-lift reference."""
+
+    def test_matches_the_kronecker_reference(self, kind, shape, cap):
+        tree = kind_tree(kind, len(shape))
         r = capped_rank_tuple(tree, shape, cap=cap)
-        h = hashlib.sha256()
-        for seed in range(12):
-            try:
-                v, attempts = generation_attempts(
-                    tree, r, shape, seed=seed, **kwargs
-                )
-            except GenerationFailureError:
-                h.update(b"failed")
-                continue
-            h.update(np.ascontiguousarray(v).tobytes())
-            h.update(str(attempts).encode())
-        assert h.hexdigest() == GENERATION_SHA256[name]
+        for seed in range(5):
+            leaves, transfers = random_parameters(tree, r, shape, seed)
+            v = contract_network(tree, shape, leaves, transfers)
+            ref = kron_contract_network(tree, shape, leaves, transfers)
+            assert v.shape == ref.shape == shape
+            assert np.linalg.norm(v - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("exponent", [-600, -300, 0, 300, 600])
+    def test_scales_exactly_with_the_root_transfer(self, kind, shape, cap,
+                                                    exponent):
+        tree = kind_tree(kind, len(shape))
+        r = capped_rank_tuple(tree, shape, cap=cap)
+        leaves, transfers = random_parameters(tree, r, shape, seed=7)
+        v = contract_network(tree, shape, leaves, transfers)
+        scaled = dict(transfers)
+        scaled[tree.root] = transfers[tree.root] * 2.0 ** exponent
+        assert np.array_equal(
+            contract_network(tree, shape, leaves, scaled),
+            v * 2.0 ** exponent)
 
 
 class TestNecessaryConditions:

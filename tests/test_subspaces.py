@@ -6,7 +6,13 @@ import treegeom as tg
 from treegeom.errors import DegenerateInputError, InvalidArgumentError
 from treegeom.subspaces import TreeRank, _ranks, ranks_from_json, ranks_to_json
 
-from helpers import capped_rank_tuple, gauss_rank_float
+from helpers import (
+    KRONECKER_CASES,
+    capped_rank_tuple,
+    dense_projection,
+    gauss_rank_float,
+    kind_tree,
+)
 
 
 def elementary(shape, seed=0):
@@ -212,6 +218,49 @@ class TestChain:
         # coarse enough to keep the original ranks
         residuals = tg.check_chain(w, deep_tree_d4, tol=1e-2)
         assert max(residuals.values()) > 1e-4 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("kind, shape", KRONECKER_CASES)
+class TestProjectionsMatchDenseProjectors:
+    """Chain residuals and nestedness residuals, projected by pulling back
+    onto the bases and pushing forward again, against one dense
+    ``n_b x n_b`` projector per block; at a member and, with a coarse
+    tolerance that truncates the bases, at a perturbed one."""
+
+    def cases(self, kind, shape):
+        tree = kind_tree(kind, len(shape))
+        r = capped_rank_tuple(tree, shape)
+        for seed in range(5):
+            v = tg.random_tree_tensor(tree, r, shape, seed=seed)
+            noise = np.random.default_rng(seed).standard_normal(shape)
+            yield tree, v, 1e-10, True
+            yield tree, v + 1e-3 * noise / np.linalg.norm(noise), 1e-2, False
+
+    def test_chain_residuals(self, kind, shape):
+        for tree, x, tol, member in self.cases(kind, shape):
+            nrm = np.linalg.norm(x)
+            for k, res in tg.check_chain(x, tree, tol).items():
+                bases = {b: tg.minimal_subspace(x, b, tol).basis
+                         for b in tg.level_partition(tree, k)}
+                ref = np.linalg.norm(x - dense_projection(x, bases))
+                assert abs(res - ref) <= 1e-12 * nrm
+                assert res <= 1e-12 * nrm or not member
+
+    def test_nestedness(self, kind, shape):
+        for tree, x, tol, member in self.cases(kind, shape):
+            for node, kids in tree.sons.items():
+                res = tg.check_nestedness(x, node, kids, tol)
+                big = tg.minimal_subspace(x, node, tol).basis
+                # the node's modes renumbered 1..len(node)
+                local = {m: i + 1 for i, m in enumerate(node)}
+                fine = {tuple(local[m] for m in b):
+                        tg.minimal_subspace(x, b, tol).basis for b in kids}
+                dims = [shape[m - 1] for m in node]
+                ref = np.sqrt(sum(
+                    np.linalg.norm(t - dense_projection(t, fine)) ** 2
+                    for t in (col.reshape(dims) for col in big.T)))
+                assert abs(res - ref) <= 1e-12 * np.sqrt(big.shape[1])
+                assert res <= 1e-12 or not member
 
 
 class TestRankJson:

@@ -17,8 +17,11 @@ from treegeom.tangent import (
 )
 
 from helpers import (
+    KRONECKER_CASES,
     capped_rank_tuple,
     intersection_dim_bruteforce,
+    kind_tree,
+    kron_network_parameters,
     per_entry_jacobian,
     principal_angle_residual,
 )
@@ -377,13 +380,7 @@ BLOCK_CASES = [
 
 
 def block_case(kind, shape, seed):
-    tree = {
-        "deep": tg.tree_from_nested([[[1], [[2], [3]]], [4]]),
-        "linear": tg.linear_tree(4),
-        "binary": tg.balanced_binary_tree(4),
-        "mixed": tg.tree_from_nested([[[1], [[2], [3]]], [[4], [5]], [6]]),
-        "tucker": tg.tucker_tree(4),
-    }[kind]
+    tree = kind_tree(kind, len(shape))
     v, r, splits = anchored(tree, shape, seed=seed)
     return tree, v, r, splits
 
@@ -649,7 +646,7 @@ def central_difference_jacobian(v, tree, splits, step=1e-6):
     return np.column_stack(columns)
 
 
-JACOBIAN_CASES = BLOCK_CASES + [("deep", (2, 2, 2, 3))]
+JACOBIAN_CASES = BLOCK_CASES + [("deep", (2, 2, 2, 3))] + KRONECKER_CASES
 
 
 @pytest.mark.parametrize("kind,shape", JACOBIAN_CASES)
@@ -683,6 +680,24 @@ def test_closed_form_jacobian_matches_per_entry_contraction(kind, shape):
     reference = per_entry_jacobian(v, tree, splits)
     assert J.shape == reference.shape
     assert np.max(np.abs(J - reference)) <= 1e-13 * np.max(np.abs(reference))
+    assert tg.tangent_dimension_oracle(v, tree, r) == tg.svd_rank(
+        np.linalg.svd(reference, compute_uv=False), 1e-10)
+
+
+@pytest.mark.parametrize("kind,shape", KRONECKER_CASES)
+def test_network_parameters_match_the_kronecker_reference(kind, shape):
+    # every transfer is the node's basis (v at the root) pulled back onto
+    # its sons' bases, and the network of the parameters is v again
+    for seed in range(5):
+        tree, v, r, splits = block_case(kind, shape, seed=seed)
+        leaves, transfers = _network_parameters(v, tree, splits)
+        _, reference = kron_network_parameters(v, tree, splits)
+        assert transfers.keys() == reference.keys()
+        for node, T in reference.items():
+            assert transfers[node].shape == T.shape
+            assert np.max(np.abs(transfers[node] - T)) <= 1e-14
+        v_rec = contract_network(tree, shape, leaves, transfers)
+        assert np.linalg.norm(v_rec - v) <= 1e-14 * np.linalg.norm(v)
 
 
 UNFOLD_CASES = [
