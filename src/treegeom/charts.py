@@ -42,10 +42,10 @@ from .errors import (
     OutsideChartDomainError,
     OutsideChartImageError,
 )
-from .formats import dimension_margins, member_subspaces, require_member
+from .formats import dimension_margins, member_subspaces
 from .operators import LaplacianLike, assemble_laplacian
 from .subspaces import DEFAULT_TOL, minimal_subspace
-from .tangent import BlockOperatorBasis, tree_operator_basis
+from .tangent import BlockOperatorBasis, _anchor
 from .tensor import check_tensor, pull_blocks, push_blocks, sorted_blocks
 from .tensor import svd_rank
 from .trees import level_partition, levels
@@ -195,10 +195,16 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
     set has the dimension of the fixed-rank set (the rule of
     :func:`~treegeom.formats.is_proper`) the chart is still built, but a
     warning notes that the fixed-rank set is not proper.
+
+    The splits and the operator basis are the anchor's
+    (:func:`~treegeom.tangent._anchor`): a chart, tangent report or
+    immersion check at the same tensor, tree, ranks and ``tol`` shares them,
+    so they are read-only.  ``anchor`` is the caller's own array.
     """
     if tol is None or tol <= 0:
         raise InvalidArgumentError("chart tolerance must be positive")
-    v, splits = require_member(v, tree, r, tol)
+    v, anchor = _anchor(v, tree, r, tol)
+    splits = anchor.splits
     depth = levels(tree).depth
     partitions = tuple(level_partition(tree, k) for k in range(1, depth + 1))
     _, margins = dimension_margins(tree, r, v.shape)
@@ -207,7 +213,7 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
             "fixed-rank set is not proper: some level set has its dimension",
             stacklevel=2,
         )
-    operator_basis = tree_operator_basis(tree, splits, v.shape, tol)
+    operator_basis = anchor.operator_basis()
     core = _pull_back(v, splits, partitions[0])
     return ChartData(
         anchor=v, tree=tree, ranks=r, splits=splits,

@@ -38,7 +38,7 @@ from .errors import (
     InvalidArgumentError,
     NotOnManifoldError,
 )
-from .operators import tree_splits
+from .operators import _tree_splits
 from .subspaces import DEFAULT_TOL, _ranks, minimal_subspace, tree_rank
 from .tensor import (
     check_tensor,
@@ -225,9 +225,20 @@ def _membership_report(computed, tree, r, tol):
 def require_member(v, tree, r, tol=DEFAULT_TOL):
     """The validated ``v`` and its splits at every non-root node (one
     factorization each, none at the root); raises :class:`NotOnManifoldError`,
-    carrying the failing levels, unless the splits' ranks are ``r``."""
+    carrying the failing levels, unless the splits' ranks are ``r``.
+
+    Every call factors ``v`` afresh and returns writable arrays.  The chart,
+    tangent and immersion functions do not call it: they share one anchor's
+    splits through :func:`treegeom.tangent._anchor`, which runs the same
+    checks (:func:`_member_splits`) once per anchor."""
     v = _check_member_args(v, tree, r)
-    splits = tree_splits(v, tree, tol)
+    return v, _member_splits(v, tree, r, tol)
+
+
+def _member_splits(v, tree, r, tol):
+    """The splits of :func:`require_member` at a ``v`` already through
+    :func:`_check_member_args`: the tensor is not scanned again."""
+    splits = _tree_splits(v, tree, tol)
     report = _membership_report(
         {node: s.rank for node, s in splits.items()}, tree, r, tol
     )
@@ -237,7 +248,7 @@ def require_member(v, tree, r, tol=DEFAULT_TOL):
             f"levels {report.failing_levels()}",
             levels=report.failing_levels(),
         )
-    return v, splits
+    return splits
 
 
 def bounded_rank_member(v, tree, r, tol=DEFAULT_TOL):

@@ -26,14 +26,14 @@ from math import prod
 import numpy as np
 
 from .errors import InvalidArgumentError, NotInSpaceError
-from .subspaces import DEFAULT_TOL, minimal_subspace
+from .subspaces import DEFAULT_TOL, _minimal_subspace
 from .tensor import (
+    _svd,
     block_transpose_permutation,
     check_tensor,
     embed_block_operator,
     normalize_modes,
     sorted_blocks,
-    svd,
 )
 
 __all__ = [
@@ -112,15 +112,28 @@ def split(v, alpha, tol=DEFAULT_TOL):
     ``n_alpha x n_alpha`` is formed besides the unfolding's thin SVD.
     """
     v = check_tensor(v, allow_zero=False)
-    alpha = normalize_modes(alpha, v.ndim)
-    sub = minimal_subspace(v, alpha, tol)
-    U_full, _, _ = svd(sub.basis, full_matrices=True)
+    return _split(v, normalize_modes(alpha, v.ndim), tol)
+
+
+def _split(v, alpha, tol):
+    """:func:`split` of a ``v`` already passed through :func:`check_tensor`
+    with ``allow_zero=False``, at a normalized ``alpha``."""
+    sub = _minimal_subspace(v, alpha, tol)
+    U_full, _, _ = _svd(sub.basis, full_matrices=True)
     return SplitSpace(alpha=alpha, u=sub.basis, w=U_full[:, sub.rank:])
 
 
 def tree_splits(v, tree, tol=DEFAULT_TOL):
     """:func:`split` at every non-root node of ``tree``, keyed by node."""
     return {node: split(v, node, tol) for node in tree.nodes
+            if node != tree.root}
+
+
+def _tree_splits(v, tree, tol):
+    """:func:`tree_splits` of a ``v`` already passed through
+    :func:`check_tensor` with ``allow_zero=False``, for a valid tree over
+    ``v``'s modes: each node costs its two SVDs and nothing else."""
+    return {node: _split(v, node, tol) for node in tree.nodes
             if node != tree.root}
 
 

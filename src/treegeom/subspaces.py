@@ -32,13 +32,13 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
 from .tensor import (
+    _svd,
     _unfold,
     check_tensor,
     normalize_modes,
     pull_blocks,
     push_blocks,
     sorted_blocks,
-    svd,
     svd_rank,
 )
 from .trees import level_partition, levels
@@ -123,10 +123,16 @@ def minimal_subspace(v, alpha, tol=DEFAULT_TOL):
     exceed ``tol`` times the largest one.
     """
     v = check_tensor(v, allow_zero=False)
+    return _minimal_subspace(v, normalize_modes(alpha, v.ndim), tol)
+
+
+def _minimal_subspace(v, alpha, tol):
+    """:func:`minimal_subspace` of a ``v`` already passed through
+    :func:`check_tensor` with ``allow_zero=False``, at a normalized
+    ``alpha``: the unfolding is factored with no second finiteness scan."""
     if tol <= 0:
         raise InvalidArgumentError("rank tolerance must be positive")
-    alpha = normalize_modes(alpha, v.ndim)
-    U, s, _ = svd(_unfold(v, alpha))
+    U, s, _ = _svd(_unfold(v, alpha))
     r = svd_rank(s, tol)
     return SubspaceBasis(
         alpha=alpha, basis=U[:, :r], singular_values=s[:r], tol=tol

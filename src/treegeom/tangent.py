@@ -38,15 +38,24 @@ subspace motions are not expressible as level-wise complement maps that
 vanish on every deeper complement), and the report surfaces the three
 numbers side by side instead of reconciling them.
 
-Every entry point anchored at a tensor starts with the membership
-precondition :func:`~treegeom.formats.require_member` and builds on the
-splits it returns.  The Jacobian oracle pulls its network parameters back
-off them, checks through the tree-network contraction of
-:mod:`treegeom.formats` that they reproduce the tensor, and writes each
-node's block of columns in closed form: the tensor is linear in each node's
-parameters, so a node's block is its lift (the identity at a leaf, the
-sons' bases pushed through the identity inside) times its coefficients on
-the modes outside it, one Kronecker product that is the block itself.
+Every entry point anchored at a tensor (:func:`tangent_dimension`,
+:func:`immersion_check`, the two Jacobian oracles and
+:func:`~treegeom.charts.tree_chart`) reads one anchor state: the membership
+precondition of :func:`~treegeom.formats.require_member`, the splits it
+decides on, and the operator intersection, built on first use.  The state
+of the last anchor is kept, keyed by the content of the validated tensor,
+the tree, the rank tuple and ``tol``, so the chart, the tangent report and
+the immersion check at every level of one anchor factor it once; its arrays
+are read-only.  The arguments are validated on every call, a tensor
+changed in place is a new anchor, and a failed membership check keeps
+nothing.  The Jacobian oracles build no operator intersection: the oracle
+pulls its network parameters back off the splits, checks through the
+tree-network contraction of :mod:`treegeom.formats` that they reproduce
+the tensor, and writes each node's block of columns in closed form: the
+tensor is linear in each node's parameters, so a node's block is its lift
+(the identity at a leaf, the sons' bases pushed through the identity
+inside) times its coefficients on the modes outside it, one Kronecker
+product that is the block itself.
 """
 
 from __future__ import annotations
@@ -59,19 +68,20 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .formats import (
+    _check_member_args,
+    _member_splits,
     contract_network,
     network_dimension_formula,
     node_basis,
-    require_member,
 )
 from .operators import SplitSpace, lifted_part
 from .subspaces import DEFAULT_TOL
 from .tensor import (
+    _svd,
     block_transpose_permutation,
     embed_block_operator,
     pull_blocks,
     sorted_blocks,
-    svd,
     svd_rank,
 )
 from .trees import level_partition, levels
@@ -168,11 +178,18 @@ def _residual_factor(first, other):
 
 def _factor_spectrum(factors, dim):
     """Singular values and right singular vectors of residual factors with
-    ``dim`` columns stacked, which are those of the residuals stacked."""
+    ``dim`` columns stacked, which are those of the residuals stacked.
+
+    A stack taller than ``dim`` is compressed to its ``dim x dim`` R factor
+    first, which has the same singular values and right singular vectors,
+    so the SVD forms no left factor as tall as the stack.  ``Vt`` is
+    ``dim x dim`` even for a shorter stack."""
     R = np.vstack([np.zeros((0, dim)), *factors])
     if R.size == 0:
         return np.zeros(0), np.eye(dim)
-    _, s, Vt = svd(R)
+    if len(R) > dim:
+        R = np.linalg.qr(R, mode="r")
+    _, s, Vt = _svd(R, full_matrices=True)
     return s, Vt
 
 
@@ -524,6 +541,80 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     )
 
 
+@dataclass(eq=False)
+class _AnchorState:
+    """What the anchored entry points read at one member tensor: its splits
+    at every non-root node and, built on first use, the intersection of its
+    level operator spaces.  Every array in it is read-only."""
+
+    key: tuple
+    tree: object
+    shape: tuple
+    tol: float
+    splits: dict
+    basis: BlockOperatorBasis | None = None
+
+    def operator_basis(self):
+        """:func:`tree_operator_basis` at the anchor, built once."""
+        if self.basis is None:
+            basis = tree_operator_basis(self.tree, self.splits, self.shape,
+                                        self.tol)
+            _read_only(basis.singular_values, *basis.null,
+                       *(R for f in basis.factors for R in f))
+            self.basis = basis
+        return self.basis
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+# The last anchor's state.  The chart, the tangent report and the immersion
+# check at each level all read one anchor's splits and operator
+# intersection, and a caller asks for them one call at a time, so one slot
+# lets them share one factorization.  It holds a single anchor: a second
+# anchor replaces it, and a miss empties it first, so no two anchors' splits
+# are alive in it at once.  Threads need no lock: each call works on the
+# state it looked up, so a race costs at most a second factorization.
+_anchor_slot = None
+
+
+def _clear_anchor():
+    """Empty the anchor slot (for tests that count factorizations)."""
+    global _anchor_slot
+    _anchor_slot = None
+
+
+def _anchor(v, tree, r, tol):
+    """The validated ``v`` and the :class:`_AnchorState` at it.
+
+    The arguments are checked on every call.  The state is reused when the
+    digest of the validated float64 entries, the shape, the tree, the rank
+    items and ``tol`` all match the slot's; otherwise ``v`` is factored and
+    its membership required (:func:`~treegeom.formats.require_member`)
+    before the new state takes the slot.  A hit returns the caller's own
+    array with the kept splits and basis.
+    """
+    # imported on first use: hashlib loads OpenSSL, about 3 ms that every
+    # `import treegeom` would pay otherwise
+    import hashlib
+
+    global _anchor_slot
+    v = _check_member_args(v, tree, r)
+    key = (hashlib.blake2b(np.ascontiguousarray(v)).digest(), v.shape, tree,
+           tuple(r.items()), tol)
+    state = _anchor_slot
+    if state is None or state.key != key:
+        _anchor_slot = None
+        splits = _member_splits(v, tree, r, tol)
+        _read_only(*(a for s in splits.values() for a in (s.u, s.w)))
+        state = _AnchorState(key=key, tree=tree, shape=v.shape, tol=tol,
+                             splits=splits)
+        _anchor_slot = state
+    return v, state
+
+
 def _network_parameters(v, tree, splits):
     """A tree-network parameter point reproducing ``v``: the bases of
     ``splits`` at every non-root node, interior transfer coefficients, root
@@ -588,18 +679,20 @@ def parametrization_jacobian(v, tree, r, tol=DEFAULT_TOL):
     modes outside ``a`` (1 at the root).  One column per parameter entry
     (leaf factors, then interior transfers and the root block, each in node
     order and row-major within the block); rows run over the flattened
-    tensor.
+    tensor.  Reads the anchor's splits as :func:`tangent_dimension` does,
+    and builds no operator intersection.
     """
-    v, splits = require_member(v, tree, r, tol)
-    return _jacobian(v, tree, splits)
+    v, anchor = _anchor(v, tree, r, tol)
+    return _jacobian(v, tree, anchor.splits)
 
 
 def tangent_dimension_oracle(v, tree, r, tol=DEFAULT_TOL):
     """Manifold dimension as the numerical rank of the parametrization
     Jacobian, at the threshold ``tol`` relative to its largest singular
-    value, as every rank decision of the library is read."""
-    v, splits = require_member(v, tree, r, tol)
-    return _jacobian_rank(v, tree, splits, tol)
+    value, as every rank decision of the library is read.  Reads the
+    anchor's splits and builds no operator intersection."""
+    v, anchor = _anchor(v, tree, r, tol)
+    return _jacobian_rank(v, tree, anchor.splits, tol)
 
 
 def _jacobian_rank(v, tree, splits, tol):
@@ -639,12 +732,19 @@ class TangentReport:
 
 
 def tangent_dimension(v, tree, r, tol=DEFAULT_TOL):
-    """Tangent report at a tensor with the prescribed rank profile."""
-    v, splits = require_member(v, tree, r, tol)
-    inter = tree_operator_basis(tree, splits, v.shape, tol)
+    """Tangent report at a tensor with the prescribed rank profile.
+
+    Raises :class:`NotOnManifoldError` unless ``v`` has the rank profile
+    ``r``.  The operator intersection and the splits the Jacobian oracle
+    reads are the anchor's (:func:`_anchor`): after
+    :func:`~treegeom.charts.tree_chart` or :func:`immersion_check` at the
+    same anchor, only the Jacobian's rank is computed.
+    """
+    v, anchor = _anchor(v, tree, r, tol)
+    inter = anchor.operator_basis()
     dim_core = prod(r[b] for b in level_partition(tree, 1))
     dim_total = inter.dim + dim_core
-    oracle = _jacobian_rank(v, tree, splits, tol)
+    oracle = _jacobian_rank(v, tree, anchor.splits, tol)
     formula = network_dimension_formula(tree, r, v.shape)
     return TangentReport(
         dim_e=inter.dim,
@@ -684,10 +784,13 @@ class ImmersionReport:
 def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     """Inclusion of the intersected operator space into the level-k space.
 
-    Requires membership: like :func:`tangent_dimension` and
-    :func:`~treegeom.charts.tree_chart`, it raises
-    :class:`NotOnManifoldError` unless ``v`` has the rank profile ``r``.
-    Reads the intersection off :func:`tree_operator_basis` and verifies that
+    A level ``k`` outside ``1..depth`` is an input error, raised before
+    anything is factored.  Requires membership: like
+    :func:`tangent_dimension` and :func:`~treegeom.charts.tree_chart`, it
+    raises :class:`NotOnManifoldError` unless ``v`` has the rank profile
+    ``r``.  Reads the anchor's intersection (:func:`_anchor`), so checking
+    every level of one anchor, after its chart or tangent report or not,
+    factors it once.  Verifies that
     every basis vector lies in the level-k space (projector residual), that
     the induced coordinate map has full column rank (condition number
     reported), and that the model dimension at the intersection does not
@@ -698,11 +801,12 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     are ``sqrt(1 - sigma(E)^2)``, read off ``I - E^T E``.  The map is block
     diagonal, so its singular values are those of the blocks together.
     """
-    v, splits = require_member(v, tree, r, tol)
     depth = levels(tree).depth
     if not 1 <= k <= depth:
         raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
-    inter = tree_operator_basis(tree, splits, v.shape, tol)
+    v, anchor = _anchor(v, tree, r, tol)
+    splits = anchor.splits
+    inter = anchor.operator_basis()
     blocks_k = level_partition(tree, k)
     dim_k = sum(splits[b].rank * splits[b].corank for b in blocks_k)
     max_resid = 0.0

@@ -228,6 +228,13 @@ def svd(M, full_matrices=False):
         raise InvalidArgumentError("svd expects a matrix")
     if not np.all(np.isfinite(M)):
         raise InvalidArgumentError("svd input has non-finite entries")
+    return _svd(M, full_matrices)
+
+
+def _svd(M, full_matrices=False):
+    """:func:`svd` of a float matrix already known to be finite: an
+    unfolding of a tensor passed through :func:`check_tensor`, or a basis
+    read off such an unfolding."""
     U, s, Vt = np.linalg.svd(M, full_matrices=full_matrices)
     U, Vt = _fix_signs(U, Vt)
     return U, s, Vt
@@ -285,13 +292,29 @@ def embed_block_operator(M, alpha, shape):
 # ---------------------------------------------------------------------------
 
 
+# entries per piece of a JSON tensor's data list: each piece is one list of
+# Python floats and its text, a few MB at most, instead of the whole tensor
+# held as both
+_JSON_CHUNK = 65536
+
+
 def save_tensor(path, v):
-    """Write a tensor; JSON if the suffix is .json, binary otherwise."""
+    """Write a tensor; JSON if the suffix is .json, binary otherwise.
+
+    The JSON text is the bytes of ``json.dumps({"shape": ..., "data":
+    ...})``, written a chunk of entries at a time."""
     v = check_tensor(v)
     path = Path(path)
     if path.suffix == ".json":
-        doc = {"shape": list(v.shape), "data": [float(x) for x in v.ravel()]}
-        path.write_text(json.dumps(doc))
+        flat = v.ravel()
+        with path.open("w", encoding="utf-8") as f:
+            f.write(f'{{"shape": {json.dumps(list(v.shape))}, "data": [')
+            for start in range(0, flat.size, _JSON_CHUNK):
+                if start:
+                    f.write(", ")
+                f.write(json.dumps(flat[start:start + _JSON_CHUNK].tolist())
+                        [1:-1])
+            f.write("]}")
     else:
         d = v.ndim
         header = struct.pack("<Q", d) + struct.pack(f"<{d}Q", *v.shape)

@@ -27,3 +27,14 @@ def two_block_tree_d6():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def empty_anchor_slot():
+    """Start from (and leave) an empty anchor slot, for tests that count
+    factorizations or patch what a kept anchor would skip."""
+    from treegeom import tangent
+
+    tangent._clear_anchor()
+    yield
+    tangent._clear_anchor()

@@ -730,3 +730,27 @@ def test_anchor_is_factored_once_per_node(tree, shape, call, monkeypatch):
     monkeypatch.setattr(subspaces, "_unfold", counted)
     call(v, tree, r)
     assert unfolded == Counter(n for n in tree.nodes if n != tree.root)
+
+
+def test_factor_spectrum_compresses_without_changing_the_spectrum():
+    # a stack taller than its width is compressed to an R factor before its
+    # SVD: the singular values and the null space are the stack's own
+    gen = np.random.default_rng(11)
+    dim = 12
+    basis, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+    kernel = basis[:, :4]
+    factors = [gen.standard_normal((dim + 5, 8)) @ basis[:, 4:].T
+               for _ in range(3)]
+    s, Vt = tangent._factor_spectrum(factors, dim)
+    expected = np.linalg.svd(np.vstack(factors), compute_uv=False)
+    assert Vt.shape == (dim, dim)
+    np.testing.assert_allclose(s, expected, rtol=0, atol=1e-12 * expected[0])
+    null = tangent._null_coefficients(s, Vt, s[0], 1e-10)
+    assert null.shape[1] == 4
+    np.testing.assert_allclose(null @ null.T, kernel @ kernel.T, atol=1e-10)
+    # a stack shorter than its width still gives the whole null space
+    short = [gen.standard_normal((3, dim))]
+    s, Vt = tangent._factor_spectrum(short, dim)
+    null = tangent._null_coefficients(s, Vt, s[0], 1e-10)
+    assert null.shape[1] == dim - 3
+    np.testing.assert_allclose(short[0] @ null, 0, atol=1e-12)

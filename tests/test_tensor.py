@@ -301,6 +301,30 @@ class TestTensorIO:
         tg.save_tensor(p2, v)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 65536])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3), (3, 4, 5)])
+    def test_chunked_json_is_one_json_dump(self, tmp_path, rng, monkeypatch,
+                                           chunk, shape):
+        # written a chunk at a time, the text is byte for byte the one dump
+        # of the whole document, whether the chunks divide the data or not
+        from treegeom import tensor
+
+        monkeypatch.setattr(tensor, "_JSON_CHUNK", chunk)
+        v = rng.standard_normal(shape)
+        v.flat[0] = -0.0
+        v.flat[-1] = 1e300 if v.size > 1 else 5e-324
+        p = tmp_path / "t.json"
+        tg.save_tensor(p, v)
+        doc = {"shape": list(shape), "data": [float(x) for x in v.ravel()]}
+        assert p.read_bytes() == json.dumps(doc).encode()
+        assert np.array_equal(tg.load_tensor(p), v)
+
+    def test_json_of_a_strided_view(self, tmp_path):
+        v = np.arange(24.0).reshape(2, 3, 4).transpose(2, 0, 1)[::2]
+        p = tmp_path / "t.json"
+        tg.save_tensor(p, v)
+        assert np.array_equal(tg.load_tensor(p), v)
+
 
 def test_normalize_modes_sorts_and_dedups():
     assert normalize_modes([3, 1, 3], 4) == (1, 3)
