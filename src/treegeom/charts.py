@@ -18,20 +18,23 @@ neither direction builds an ``N x N`` operator.  Only
 :func:`level_inverse_operator` returns one, as a cross-level check.
 
 Each point is factored once.  The inverse reads the point's level-1 minimal
-subspaces and its membership verdict off one factorization per level-1
-unfolding plus one singular-value-only SVD per deeper node
+subspaces and its membership verdict off one factorization ``U S V^T`` per
+level-1 unfolding; every deeper node's rank is read off ``U S``
 (:func:`~treegeom.formats.member_subspaces`).  A core's ranks are read in
 nested coordinates: at a level-1 block from the core's own unfolding, and
 at a node inside that block from an ``n_b x r_b`` matrix, never from the
-``N``-sized lift.  The core of a point is its projection onto the anchor
-bases, since the inverse factors act as the identity once projected.
+``N``-sized lift.  Every such rank read stacks its small matrices by shape
+and takes one batched SVD per distinct shape.  The core of a point is its
+projection onto the anchor bases, since the inverse factors act as the
+identity once projected.  A successful inverse keeps the point it
+reconstructed with the chart, and the forward map at the coordinates and
+core it returned gives that point back without recomputing it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from math import prod
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,12 +45,23 @@ from .errors import (
     OutsideChartDomainError,
     OutsideChartImageError,
 )
-from .formats import dimension_margins, member_subspaces
+from .formats import _member_subspaces, dimension_margins
 from .operators import LaplacianLike, assemble_laplacian
-from .subspaces import DEFAULT_TOL, minimal_subspace
+from .subspaces import (
+    DEFAULT_TOL,
+    _minimal_subspace,
+    _nested_ranks,
+    _unfolding_plan,
+)
 from .tangent import BlockOperatorBasis, _anchor
-from .tensor import check_tensor, pull_blocks, push_blocks, sorted_blocks
-from .tensor import svd_rank
+from .tensor import (
+    _svd_ranks,
+    check_tensor,
+    normalize_modes,
+    pull_blocks,
+    push_blocks,
+    sorted_blocks,
+)
 from .trees import level_partition, levels
 
 __all__ = [
@@ -71,29 +85,44 @@ def _pull_back(w, splits, blocks):
     return pull_blocks(w, [splits[b].u for b in blocks], blocks, w.shape)
 
 
-def _check_full_core(core, blocks, ranks, tol):
-    """A chart core must have full blockwise rank: every mode unfolding of
-    the core tensor has rank equal to the block rank.  Returns the core and,
-    per block, ``U S`` of the unfolding's SVD ``U S V^T``."""
+def _core_array(core, ranks):
+    """The core as a float array, checked to have the shape ``ranks`` and
+    finite entries before anything reads it."""
     core = np.asarray(core, dtype=float)
     if core.shape != tuple(ranks):
         raise InvalidArgumentError(
             f"core has shape {core.shape}, expected {tuple(ranks)}"
         )
+    if not np.all(np.isfinite(core)):
+        raise InvalidArgumentError("core entries must be finite")
+    return core
+
+
+def _check_full_core(core, blocks, ranks, tol):
+    """A chart core must have full blockwise rank: every mode unfolding of
+    the validated core tensor has rank equal to the block rank.  Returns,
+    per block, ``U S`` of the unfolding's SVD ``U S V^T``.
+
+    The unfoldings of one shape are factored as one stack, one SVD per
+    distinct shape."""
     if not np.any(core):
         raise InvalidCoreError("core is identically zero")
-    weighted = []
+    plan = _unfolding_plan((core.shape,),
+                           tuple((0, (i,)) for i in range(core.ndim)))
+    flat = core.ravel()
+    weighted = [None] * len(blocks)
+    found = [0] * len(blocks)
+    for positions, index in plan:
+        U, s, _ = np.linalg.svd(flat[index], full_matrices=False)
+        for i, US, r in zip(positions, U * s[:, None, :], _svd_ranks(s, tol)):
+            weighted[i], found[i] = US, int(r)
     for i, b in enumerate(blocks):
-        M = np.moveaxis(core, i, 0).reshape(core.shape[i], -1)
-        U, s, _ = np.linalg.svd(M, full_matrices=False)
-        r = svd_rank(s, tol)
-        if r != ranks[i]:
+        if found[i] != ranks[i]:
             raise InvalidCoreError(
                 f"core is rank-deficient on block {set(b)}: "
-                f"rank {r} < {ranks[i]}"
+                f"rank {found[i]} < {ranks[i]}"
             )
-        weighted.append(U * s)
-    return core, weighted
+    return weighted
 
 
 def tucker_chart_point(L, core, splits, shape, tol=DEFAULT_TOL):
@@ -106,7 +135,8 @@ def tucker_chart_point(L, core, splits, shape, tol=DEFAULT_TOL):
     """
     blocks = L.partition
     ranks = [splits[b].rank for b in blocks]
-    core, _ = _check_full_core(core, blocks, ranks, tol)
+    core = _core_array(core, ranks)
+    _check_full_core(core, blocks, ranks, tol)
     return _push_forward(core, L.parts, splits, blocks, shape)
 
 
@@ -131,8 +161,8 @@ def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
     point is outside this chart's domain).
     """
     w = check_tensor(w, allow_zero=False)
-    blocks = sorted_blocks(partition)
-    subs = {b: minimal_subspace(w, b, tol) for b in blocks}
+    blocks = sorted_blocks(normalize_modes(b, w.ndim) for b in partition)
+    subs = {b: _minimal_subspace(w, b, tol) for b in blocks}
     return (LaplacianLike(partition=blocks,
                           parts=_graph_parts(subs, splits, ranks)),
             _pull_back(w, splits, blocks))
@@ -172,6 +202,11 @@ class ChartData:
     blocks; ``core`` holds the anchor's coefficients in the level-1 subspace
     product.  Reconstructing the anchor from the core through the level-1
     bases reproduces it to roundoff.
+
+    ``_last_inverse`` holds the last successful :func:`tree_chart_inverse`
+    at this chart: copies of the coordinates and core it returned and the
+    point they push forward to, which :func:`tree_chart_point` returns again
+    for the same coordinates and core.
     """
 
     anchor: np.ndarray
@@ -182,6 +217,8 @@ class ChartData:
     operator_basis: BlockOperatorBasis
     core: np.ndarray
     tol: float
+    _last_inverse: tuple | None = field(default=None, init=False,
+                                        repr=False)
 
     @property
     def shape(self):
@@ -230,25 +267,21 @@ def _check_core_in_domain(chart, core):
     ``M_b = U S V^T`` the core's unfolding at a level-1 block ``b``, the
     lifted core's b-unfolding is ``X_b Q^T`` with ``X_b = u_b U S``
     (``n_b x r_b``) and ``Q`` orthonormal (the other blocks' bases times
-    ``V``).  So the rank at every node inside ``b`` is read off ``X_b``,
-    reshaped to ``b``'s modes plus one ``r_b`` axis, and no ``N``-sized
-    tensor is formed.
+    ``V``).  So the rank at every node inside ``b`` is read off ``X_b``
+    (:func:`~treegeom.subspaces._nested_ranks`), and no ``N``-sized tensor
+    is formed.  Both reads stack their matrices by shape: one SVD per
+    distinct shape of the core's unfoldings, one per distinct shape of the
+    unfoldings of the ``X_b``.
     """
     blocks = chart.level_partitions[0]
     ranks = [chart.splits[b].rank for b in blocks]
-    core, weighted = _check_full_core(core, blocks, ranks, chart.tol)
-    deficient = set()
-    for b, US in zip(blocks, weighted):
-        X = (chart.splits[b].u @ US).reshape(
-            [chart.shape[m - 1] for m in b] + [-1])
-        for node in chart.tree.nodes:
-            if len(node) < len(b) and set(node) <= set(b):
-                axes = [b.index(m) for m in node]
-                M = np.moveaxis(X, axes, range(len(axes))).reshape(
-                    prod(X.shape[i] for i in axes), -1)
-                s = np.linalg.svd(M, compute_uv=False)
-                if svd_rank(s, chart.tol) != chart.ranks[node]:
-                    deficient.add(node)
+    weighted = _check_full_core(core, blocks, ranks, chart.tol)
+    found = _nested_ranks(
+        chart.tree,
+        {b: chart.splits[b].u @ US for b, US in zip(blocks, weighted)},
+        chart.shape, chart.tol,
+    )
+    deficient = {node for node, r in found.items() if r != chart.ranks[node]}
     failing = [k for k, part in enumerate(chart.level_partitions[1:], 2)
                if deficient.intersection(part)]
     if failing:
@@ -256,7 +289,11 @@ def _check_core_in_domain(chart, core):
             f"core loses rank at levels {failing} when lifted through the "
             "anchor bases"
         )
-    return core
+
+
+def _same(a, b):
+    """Equal shapes and bitwise equal float64 entries."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def tree_chart_point(chart, operator_coords, core):
@@ -264,10 +301,35 @@ def tree_chart_point(chart, operator_coords, core):
     the operator's level-1 coefficients, and push the lifted core through
     the blockwise exponential factors.  The result keeps the anchor's rank
     profile: the core is checked to keep every rank when lifted, each read
-    in nested coordinates, without forming the lift."""
-    core = _check_core_in_domain(chart, core)
-    return _push_forward(core, chart.operator_basis.parts(operator_coords),
+    in nested coordinates, without forming the lift.
+
+    Non-finite coordinates or core entries are an input error, raised
+    before anything is factored.  For the coordinates and core that the
+    last successful :func:`tree_chart_inverse` at this chart returned
+    (bitwise equal), the point that inverse reconstructed is returned as a
+    copy: it is this function's own result on the same inputs, since the
+    chart's splits and operator basis are read-only."""
+    core = _core_array(core, chart.core.shape)
+    coords = np.asarray(operator_coords, dtype=float)
+    if not np.all(np.isfinite(coords)):
+        raise InvalidArgumentError("operator coordinates must be finite")
+    last = chart._last_inverse
+    if last is not None and _same(last[0], coords) and _same(last[1], core):
+        return last[2].copy()
+    _check_core_in_domain(chart, core)
+    return _push_forward(core, chart.operator_basis.parts(coords),
                          chart.splits, chart.level_partitions[0], chart.shape)
+
+
+def _chart_point_arg(chart, w):
+    """The validated nonzero ``w``, checked to have the chart's shape."""
+    w = check_tensor(w, allow_zero=False)
+    if w.shape != chart.shape:
+        raise InvalidArgumentError(
+            f"tensor has shape {w.shape}, the chart's anchor has shape "
+            f"{chart.shape}"
+        )
+    return w
 
 
 def level_inverse_operator(chart, w, k):
@@ -275,10 +337,16 @@ def level_inverse_operator(chart, w, k):
 
     For a point in the chart's image the recovered operator is the same at
     every level, up to roundoff; comparing levels is a consistency check.
-    Only the graph step of :func:`tucker_chart_inverse` runs.
+    Only the graph step of :func:`tucker_chart_inverse` runs.  A level
+    outside ``1..depth`` or a tensor of another shape than the anchor's is
+    an input error, raised before anything is factored.
     """
+    depth = len(chart.level_partitions)
+    if not 1 <= k <= depth:
+        raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
+    w = _chart_point_arg(chart, w)
     blocks = chart.level_partitions[k - 1]
-    subs = {b: minimal_subspace(w, b, chart.tol) for b in blocks}
+    subs = {b: _minimal_subspace(w, b, chart.tol) for b in blocks}
     L = LaplacianLike(partition=blocks,
                       parts=_graph_parts(subs, chart.splits, chart.ranks))
     return assemble_laplacian(L, chart.splits, chart.shape)
@@ -298,13 +366,21 @@ def tree_chart_inverse(chart, w):
     anchor, so the residual is measured against ``max(||operator||, 1)``.
     The core is checked to be full rank at every level.
 
-    Membership and the level-1 coefficients share one factorization per
-    level-1 unfolding; every deeper node's rank takes one SVD without
-    factors.  The core's ranks are read as in :func:`tree_chart_point`.
+    Membership and the level-1 coefficients share one factorization
+    ``U S V^T`` per level-1 unfolding, and every deeper node's rank is read
+    off ``U S`` (:func:`~treegeom.formats.member_subspaces`).  The core's
+    ranks are read as in :func:`tree_chart_point`.  A tensor of another
+    shape than the anchor's is an input error.
+
+    The reconstructed point is kept with the chart, with copies of the
+    returned coordinates and core, so that :func:`tree_chart_point` on them
+    returns it without factoring or pushing forward again.  Every call
+    first empties that slot, so a failed inverse leaves nothing in it.
     """
     tol = chart.tol
-    w = check_tensor(w, allow_zero=False)
-    membership, subs = member_subspaces(w, chart.tree, chart.ranks, tol)
+    object.__setattr__(chart, "_last_inverse", None)
+    w = _chart_point_arg(chart, w)
+    membership, subs = _member_subspaces(w, chart.tree, chart.ranks, tol)
     if not membership.member:
         raise OutsideChartImageError(
             "point does not have the anchor's rank profile; failing levels "
@@ -332,18 +408,18 @@ def tree_chart_inverse(chart, w):
             residual=level_resid[failing - 1] if failing else residual,
         )
     try:
-        core = _check_core_in_domain(chart, core)
+        _check_core_in_domain(chart, core)
     except InvalidCoreError as e:
         raise OutsideChartImageError(
             f"pulled-back core is outside the chart's core set: {e}",
         ) from e
     # the chart image need not cover a whole rank-profile neighborhood, so
     # the recovered pair is verified to actually reproduce the point
-    _check_reconstruction(
-        _push_forward(core, basis.parts(coords), chart.splits, blocks,
-                      chart.shape),
-        w, tol,
-    )
+    w_rec = _push_forward(core, basis.parts(coords), chart.splits, blocks,
+                          chart.shape)
+    _check_reconstruction(w_rec, w, tol)
+    object.__setattr__(chart, "_last_inverse",
+                       (coords.copy(), np.array(core), w_rec))
     return coords, core
 
 

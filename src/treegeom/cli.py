@@ -351,10 +351,15 @@ def cmd_chart_check(args):
             try:
                 w = tree_chart_point(chart, coords, core)
                 rec_coords, rec_core = tree_chart_inverse(chart, w)
-                w_rec = tree_chart_point(chart, rec_coords, rec_core)
             except (OutsideChartDomainError, OutsideChartImageError):
                 out_of_domain += 1
                 continue
+            # the forward map rejects non-finite input; a recovered pair
+            # with such entries reproduces nothing, so its error is NaN
+            finite = (np.all(np.isfinite(rec_coords))
+                      and np.all(np.isfinite(rec_core)))
+            w_rec = (tree_chart_point(chart, rec_coords, rec_core) if finite
+                     else np.full_like(w, np.nan))
             # cores and points scale with the tensor, coordinates do not:
             # dividing the scaled ones by max|w| makes the errors scale-free
             # (a norm taken on entries near 1e200 overflows)

@@ -39,7 +39,13 @@ from .errors import (
     NotOnManifoldError,
 )
 from .operators import _tree_splits
-from .subspaces import DEFAULT_TOL, _ranks, minimal_subspace, tree_rank
+from .subspaces import (
+    DEFAULT_TOL,
+    _factored_subspace,
+    _nested_ranks,
+    _ranks,
+    tree_rank,
+)
 from .tensor import (
     check_tensor,
     complement_modes,
@@ -190,16 +196,26 @@ def member_subspaces(v, tree, r, tol=DEFAULT_TOL):
     """:func:`is_member` of ``v`` together with the minimal subspace of
     every level-1 block, keyed by block in level order.
 
-    Each level-1 unfolding is factored once, with its singular vectors, and
-    its rank is that basis's dimension; every other non-root node takes one
-    SVD without factors, as in :func:`is_member`.  The root takes none: its
-    verdict is the rank tuple's own root condition.
+    Each level-1 unfolding ``U S V^T`` is factored once, with its singular
+    vectors, and its rank is that basis's dimension.  Every other non-root
+    node lies inside one level-1 block ``b`` and is read off ``U S``
+    (``n_b`` rows), whose unfoldings have the singular values of the
+    tensor's since ``V^T`` has orthonormal rows: one SVD without factors
+    per distinct unfolding shape, and the tensor is unfolded at the level-1
+    blocks only (:func:`~treegeom.subspaces._nested_ranks`).  The root
+    takes none: its verdict is the rank tuple's own root condition.
     """
-    v = _check_member_args(v, tree, r)
-    subs = {b: minimal_subspace(v, b, tol) for b in level_partition(tree, 1)}
-    rest = [node for node in tree.nodes
-            if node != tree.root and node not in subs]
-    computed = {**_ranks(v, rest, tol),
+    return _member_subspaces(_check_member_args(v, tree, r), tree, r, tol)
+
+
+def _member_subspaces(v, tree, r, tol):
+    """:func:`member_subspaces` of a ``v`` already through
+    :func:`_check_member_args`: the tensor is not scanned again."""
+    subs, weighted = {}, {}
+    for b in level_partition(tree, 1):
+        subs[b], U, s = _factored_subspace(v, b, tol)
+        weighted[b] = U * s
+    computed = {**_nested_ranks(tree, weighted, v.shape, tol),
                 **{b: sub.rank for b, sub in subs.items()}}
     return _membership_report(computed, tree, r, tol), subs
 

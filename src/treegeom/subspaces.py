@@ -17,22 +17,28 @@ membership tests of :mod:`treegeom.formats`); the thresholded values are
 the ones :func:`minimal_subspace` thresholds.  The singular values are
 taken from the unfolding itself, not from the eigenvalues of its Gram
 matrix, whose squaring would push the default tolerance below machine
-precision.  Bases are computed only where a caller needs one, and a
-projection onto a product of block bases (the chain and nestedness
-residuals) pulls back onto the bases and pushes forward again, with no
-``n_b x n_b`` projector.
+precision.  Where a level-1 block's factor is at hand (a chart point's or
+a chart core's), the nodes inside the block are read off that ``n_b``-row
+factor instead of the tensor, their small unfoldings stacked by shape into
+one batched SVD each (:func:`_nested_ranks`).  Bases are computed only
+where a caller needs one, and a projection onto a product of block bases
+(the chain and nestedness residuals) pulls back onto the bases and pushes
+forward again, with no ``n_b x n_b`` projector.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
 from .tensor import (
     _svd,
+    _svd_ranks,
     _unfold,
     check_tensor,
     normalize_modes,
@@ -130,13 +136,22 @@ def _minimal_subspace(v, alpha, tol):
     """:func:`minimal_subspace` of a ``v`` already passed through
     :func:`check_tensor` with ``allow_zero=False``, at a normalized
     ``alpha``: the unfolding is factored with no second finiteness scan."""
+    return _factored_subspace(v, alpha, tol)[0]
+
+
+def _factored_subspace(v, alpha, tol):
+    """:func:`_minimal_subspace` together with the factors ``U`` and ``s``
+    of the unfolding's thin SVD, every singular value kept: ``U * s`` is
+    the factor :func:`_nested_ranks` reads the nodes inside ``alpha``
+    off."""
     if tol <= 0:
         raise InvalidArgumentError("rank tolerance must be positive")
     U, s, _ = _svd(_unfold(v, alpha))
     r = svd_rank(s, tol)
-    return SubspaceBasis(
+    sub = SubspaceBasis(
         alpha=alpha, basis=U[:, :r], singular_values=s[:r], tol=tol
     )
+    return sub, U, s
 
 
 def tree_rank(v, tree, tol=DEFAULT_TOL):
@@ -165,6 +180,91 @@ def _ranks(v, blocks, tol):
             ranks[b] = svd_rank(
                 np.linalg.svd(_unfold(v, b), compute_uv=False), tol
             )
+    return ranks
+
+
+def _unfolding_plan(shapes, requests):
+    """Gather plan of unfoldings of arrays of the given ``shapes`` laid end
+    to end in one flat vector.  ``requests`` holds ``(piece, axes)`` pairs:
+    the unfolding of array ``piece`` with ``axes`` as its row index, the
+    other axes in order as its columns (as ``np.moveaxis(a, axes, ...)``
+    reshaped).  Returns one ``(positions, index)`` pair per distinct matrix
+    shape, in order of first request: the requests' positions and the
+    read-only ``k x m x n`` flat index of their stacked matrices.
+
+    A plan of at most :data:`_KEPT_PLAN_ENTRIES` index entries is kept
+    (:func:`_kept_plan`); a larger one is built afresh on every call."""
+    if sum(prod(shapes[piece]) for piece, _ in requests) \
+            <= _KEPT_PLAN_ENTRIES:
+        return _kept_plan(shapes, requests)
+    return _build_plan(shapes, requests)
+
+
+def _build_plan(shapes, requests):
+    offsets = np.cumsum([0] + [prod(s) for s in shapes])
+    groups = {}
+    for j, (piece, axes) in enumerate(requests):
+        shp = shapes[piece]
+        flat = np.arange(offsets[piece], offsets[piece + 1]).reshape(shp)
+        M = np.moveaxis(flat, axes, range(len(axes))).reshape(
+            prod(shp[a] for a in axes), -1)
+        groups.setdefault(M.shape, []).append((j, M))
+    plan = []
+    for members in groups.values():
+        index = np.stack([M for _, M in members])
+        index.flags.writeable = False
+        plan.append((tuple(j for j, _ in members), index))
+    return tuple(plan)
+
+
+# A chart reads its ranks off a few matrices of at most n_b x r_b entries
+# each, so one process meets few plans, each a few KiB, and rebuilding one
+# costs more than the batched SVDs it feeds.  A plan over a large tensor's
+# factors (up to the tensor's size per inner node) is not kept: the bound
+# keeps the cache below 32 MiB.
+_KEPT_PLAN_ENTRIES = 2 ** 14
+_kept_plan = lru_cache(maxsize=256)(_build_plan)
+
+
+@lru_cache(maxsize=256)
+def _nested_requests(tree, shape, columns):
+    """The nodes strictly inside each level-1 block of ``columns`` (pairs
+    ``(b, p)``, one ``n_b x p`` factor per block), the factors' shapes
+    (``b``'s mode sizes, then ``p``) and each node's :func:`_unfolding_plan`
+    request."""
+    nodes, shapes, requests = [], [], []
+    for piece, (b, p) in enumerate(columns):
+        shapes.append(tuple(shape[m - 1] for m in b) + (p,))
+        for node in sorted(tree.nodes):
+            if len(node) < len(b) and set(node) <= set(b):
+                nodes.append(node)
+                requests.append((piece, tuple(b.index(m) for m in node)))
+    return tuple(nodes), tuple(shapes), tuple(requests)
+
+
+def _nested_ranks(tree, factors, shape, tol):
+    """Rank at every tree node strictly inside each level-1 block ``b`` of
+    ``factors`` (``{b: X_b}``, ``X_b`` an ``n_b x p`` factor of the
+    tensor's ``b``-unfolding ``X_b Q^T`` with ``Q`` orthonormal, such as
+    ``U S`` of its SVD).
+
+    A node ``beta`` inside ``b`` has the unfolding ``unfold_beta(X_b)
+    (I (x) Q^T)``, so its singular values are those of ``X_b``'s own
+    ``beta``-unfolding, with ``b``'s other modes and the ``p`` axis as
+    columns.  These are stacked by shape, one SVD without factors per
+    distinct shape, and thresholded as in :func:`minimal_subspace`; the
+    tensor itself is not unfolded again."""
+    columns = tuple((b, X.shape[1]) for b, X in factors.items())
+    nodes, shapes, requests = _nested_requests(tree, tuple(shape), columns)
+    if not nodes:
+        return {}
+    flat = np.concatenate([X.ravel() for X in factors.values()])
+    ranks = {}
+    for positions, index in _unfolding_plan(shapes, requests):
+        # the batched call runs the same LAPACK routine on each matrix as a
+        # call on that matrix alone
+        found = _svd_ranks(np.linalg.svd(flat[index], compute_uv=False), tol)
+        ranks.update(zip((nodes[j] for j in positions), found.tolist()))
     return ranks
 
 

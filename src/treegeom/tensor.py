@@ -249,6 +249,12 @@ def svd_rank(s, tol):
     return int(np.sum(s > tol * s[0]))
 
 
+def _svd_ranks(s, tol):
+    """:func:`svd_rank` of each row of a ``k x q`` array of singular
+    values, as one vectorised comparison."""
+    return (s > tol * s[:, :1]).sum(axis=1)
+
+
 def block_transpose_permutation(shape, alpha):
     """Flat-index permutation moving the modes of ``alpha`` in front.
 

@@ -530,13 +530,15 @@ def test_reconstruction_check_is_scale_free(c):
 
 
 @pytest.mark.parametrize("kind,shape,most", [
-    ("deep", (3, 3, 3, 3), 27),
-    ("tucker", (3, 3, 3, 3), 21),
-    ("mixed", (2, 2, 2, 2, 2, 2), 40),
+    ("deep", (3, 3, 3, 3), 12),
+    ("tucker", (3, 3, 3, 3), 10),
+    ("mixed", (2, 2, 2, 2, 2, 2), 17),
 ])
 def test_round_trip_svd_count(monkeypatch, kind, shape, most):
     # a point, its inverse and the point again factor each chart point once:
-    # one SVD per level-1 block and one per node inside it
+    # one SVD per level-1 unfolding of the point, one batched SVD per
+    # distinct shape of the small matrices every other rank is read off,
+    # and none for the second point, which the inverse has reconstructed
     v, r, chart = make_chart(anchor_case_tree(kind), shape, seed=35)
     gen = np.random.default_rng(36)
     coords = 0.1 * gen.standard_normal(chart.operator_basis.dim)
@@ -559,3 +561,194 @@ def test_round_trip_svd_count(monkeypatch, kind, shape, most):
         M = tg.matricize(w, b)
         assert sum(A.shape == M.shape and np.array_equal(A, M)
                    for A in inverse_inputs) == 1, b
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper and return its call list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestChartInputErrors:
+    """Malformed chart inputs are input errors, raised before any SVD."""
+
+    @pytest.fixture
+    def chart(self):
+        return make_chart(anchor_case_tree("deep"), (3, 3, 3, 3), seed=37)[2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_core(self, monkeypatch, chart, bad):
+        core = chart.core.copy()
+        core[0, 1] = bad
+        svds = _counting(monkeypatch, np.linalg, "svd")
+        with pytest.raises(InvalidArgumentError, match="core entries"):
+            tg.tree_chart_point(chart, np.zeros(chart.operator_basis.dim),
+                                core)
+        assert svds == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates(self, monkeypatch, chart, bad):
+        coords = np.zeros(chart.operator_basis.dim)
+        coords[-1] = bad
+        # a kept reconstruction does not let them through either
+        w = tg.tree_chart_point(chart, np.zeros_like(coords), chart.core)
+        tg.tree_chart_inverse(chart, w)
+        svds = _counting(monkeypatch, np.linalg, "svd")
+        with pytest.raises(InvalidArgumentError, match="coordinates"):
+            tg.tree_chart_point(chart, coords, chart.core)
+        assert svds == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tucker_core(self, bad):
+        tree, r, v, blocks, splits = tucker_setup((3, 3, 3), (2, 2, 2))
+        L = LaplacianLike(partition=blocks, parts={
+            b: np.zeros((splits[b].corank, splits[b].rank)) for b in blocks})
+        core = np.ones((2, 2, 2))
+        core[1, 0, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="core entries"):
+            tg.tucker_chart_point(L, core, splits, v.shape)
+
+    @pytest.mark.parametrize("k", [-1, 0, 4])
+    def test_level_out_of_range(self, monkeypatch, chart, k):
+        assert len(chart.level_partitions) == 3
+        svds = _counting(monkeypatch, np.linalg, "svd")
+        with pytest.raises(InvalidArgumentError, match=r"out of range 1\.\.3"):
+            tg.level_inverse_operator(chart, chart.anchor, k)
+        assert svds == []
+
+    @pytest.mark.parametrize("call", [
+        lambda chart, w: tg.tree_chart_inverse(chart, w),
+        lambda chart, w: tg.level_inverse_operator(chart, w, 2),
+    ], ids=["inverse", "level_operator"])
+    def test_point_of_another_shape(self, monkeypatch, chart, call):
+        w = np.random.default_rng(38).standard_normal((2, 3, 3, 3))
+        svds = _counting(monkeypatch, np.linalg, "svd")
+        with pytest.raises(InvalidArgumentError,
+                           match=r"\(2, 3, 3, 3\).*\(3, 3, 3, 3\)"):
+            call(chart, w)
+        assert svds == []
+
+
+def test_inverses_scan_the_point_once(monkeypatch):
+    # the point is validated once; each block's subspace is factored with
+    # no second finiteness scan
+    from treegeom import charts, subspaces
+
+    _, _, chart = make_chart(anchor_case_tree("mixed"), (2,) * 6, seed=39)
+    w = tg.tree_chart_point(chart, 0.1 * np.ones(chart.operator_basis.dim),
+                            chart.core)
+    tree, r, v, blocks, splits = tucker_setup((3, 3, 3), (2, 2, 2))
+    calls = []
+    for module in (charts, subspaces):
+        scan = module.check_tensor
+
+        def counted(*args, scan=scan, **kwargs):
+            calls.append(1)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(module, "check_tensor", counted)
+    for k in range(1, len(chart.level_partitions) + 1):
+        calls.clear()
+        tg.level_inverse_operator(chart, w, k)
+        assert len(calls) == 1, k
+    calls.clear()
+    tg.tucker_chart_inverse(v, blocks, splits, {b: 2 for b in blocks})
+    assert len(calls) == 1
+
+
+class TestReconstructionReuse:
+    """The point a successful inverse reconstructs is kept with its chart
+    and returned again for the same coordinates and core."""
+
+    @pytest.fixture
+    def setup(self):
+        v, r, chart = make_chart(anchor_case_tree("deep"), (3, 3, 3, 3),
+                                 seed=40)
+        gen = np.random.default_rng(41)
+        coords = 0.1 * gen.standard_normal(chart.operator_basis.dim)
+        core = chart.core * (1 + 0.01 * gen.standard_normal(chart.core.shape))
+        w = tg.tree_chart_point(chart, coords, core)
+        rc, rcore = tg.tree_chart_inverse(chart, w)
+        return v, r, chart, w, rc, rcore
+
+    @staticmethod
+    def _fresh(chart, coords, core):
+        """The forward map recomputed, with nothing kept."""
+        from treegeom import charts
+
+        blocks = chart.level_partitions[0]
+        charts._check_core_in_domain(chart, core)
+        return charts._push_forward(core, chart.operator_basis.parts(coords),
+                                    chart.splits, blocks, chart.shape)
+
+    def test_hit_is_the_forward_map_bitwise(self, monkeypatch, setup):
+        from treegeom import charts
+
+        v, r, chart, w, rc, rcore = setup
+        expected = self._fresh(chart, rc, rcore)
+        pushes = _counting(monkeypatch, charts, "_push_forward")
+        svds = _counting(monkeypatch, np.linalg, "svd")
+        # equal arrays, not the returned objects, are what hits
+        got = tg.tree_chart_point(chart, rc.copy(), list(rcore.copy()))
+        assert pushes == [] and svds == []
+        assert got.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(got, w, rtol=0,
+                                   atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("which", ["coords", "core"])
+    def test_changed_entry_recomputes(self, monkeypatch, setup, which):
+        from treegeom import charts
+
+        v, r, chart, w, rc, rcore = setup
+        rc, rcore = rc.copy(), rcore.copy()
+        if which == "coords":
+            rc[0] += 1e-3
+        else:
+            rcore[0, 0] *= 1.001
+        pushes = _counting(monkeypatch, charts, "_push_forward")
+        got = tg.tree_chart_point(chart, rc, rcore)
+        assert len(pushes) == 1
+        assert got.tobytes() == self._fresh(chart, rc, rcore).tobytes()
+
+    def test_writes_to_returned_arrays_change_nothing_kept(self, setup):
+        v, r, chart, w, rc, rcore = setup
+        expected = self._fresh(chart, rc, rcore)
+        saved_rc, saved_core = rc.copy(), rcore.copy()
+        first = tg.tree_chart_point(chart, rc, rcore)
+        first[...] = 0.0
+        rc[...] = 0.0
+        rcore[...] = 0.0
+        again = tg.tree_chart_point(chart, saved_rc, saved_core)
+        assert again.tobytes() == expected.tobytes()
+
+    def test_another_chart_at_the_same_anchor_recomputes(self, monkeypatch,
+                                                         setup):
+        from treegeom import charts
+
+        v, r, chart, w, rc, rcore = setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            other = tg.tree_chart(v, chart.tree, r)
+        assert other.splits is chart.splits
+        pushes = _counting(monkeypatch, charts, "_push_forward")
+        got = tg.tree_chart_point(other, rc, rcore)
+        assert len(pushes) == 1
+        assert got.tobytes() == self._fresh(chart, rc, rcore).tobytes()
+
+    def test_failed_inverse_keeps_nothing(self, monkeypatch, setup):
+        from treegeom import charts
+
+        v, r, chart, w, rc, rcore = setup
+        off_image = tg.random_tree_tensor(chart.tree, r, v.shape, seed=1)
+        with pytest.raises(OutsideChartImageError):
+            tg.tree_chart_inverse(chart, off_image)
+        pushes = _counting(monkeypatch, charts, "_push_forward")
+        tg.tree_chart_point(chart, rc, rcore)
+        assert len(pushes) == 1

@@ -4,7 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 import treegeom as tg
 from treegeom.errors import DegenerateInputError, InvalidArgumentError
-from treegeom.subspaces import TreeRank, _ranks, ranks_from_json, ranks_to_json
+from treegeom.formats import member_subspaces
+from treegeom.subspaces import (
+    TreeRank,
+    _kept_plan,
+    _nested_ranks,
+    _nested_requests,
+    _ranks,
+    _unfolding_plan,
+    ranks_from_json,
+    ranks_to_json,
+)
+from treegeom.tensor import svd_rank
 
 from helpers import (
     KRONECKER_CASES,
@@ -153,10 +164,112 @@ class TestRankProfile:
                 for node in tree.nodes:
                     assert profile[node] == tg.minimal_subspace(
                         v, node, tol).rank
+                # member_subspaces reads the nodes inside each level-1
+                # block off that block's factor, not off v
+                report, subs = member_subspaces(v, tree, profile, tol)
+                computed = {b: c for chk in report.per_level.values()
+                            for b, c in zip(chk.partition, chk.computed)}
+                assert report.member
+                assert computed == {n: profile[n] for n in tree.nodes
+                                    if n != tree.root}
+                assert {b: s.rank for b, s in subs.items()} == \
+                    {b: profile[b] for b in tg.level_partition(tree, 1)}
 
     def test_nonpositive_tolerance_rejected(self, deep_tree_d4, rng):
         with pytest.raises(InvalidArgumentError):
             tg.tree_rank(rng.standard_normal((2, 2, 2, 2)), deep_tree_d4, 0.0)
+
+
+def _node_unfoldings(tree, factors, shape):
+    """Each node strictly inside a block of ``factors`` and its unfolding of
+    that block's factor, one matrix at a time."""
+    out = {}
+    for b, X in factors.items():
+        T = X.reshape([shape[m - 1] for m in b] + [X.shape[1]])
+        for node in tree.nodes:
+            if len(node) < len(b) and set(node) <= set(b):
+                axes = [b.index(m) for m in node]
+                out[node] = np.moveaxis(T, axes, range(len(axes))).reshape(
+                    int(np.prod([shape[m - 1] for m in node])), -1)
+    return out
+
+
+class TestNestedRanks:
+    """The batched rank read of the nodes inside level-1 blocks decides as
+    the per-matrix loop does, on the same singular values bit for bit."""
+
+    TOL = tg.DEFAULT_TOL
+
+    def _check(self, tree, factors, shape):
+        mats = _node_unfoldings(tree, factors, shape)
+        loop = {node: svd_rank(np.linalg.svd(M, compute_uv=False), self.TOL)
+                for node, M in mats.items()}
+        assert _nested_ranks(tree, factors, shape, self.TOL) == loop
+        columns = tuple((b, X.shape[1]) for b, X in factors.items())
+        nodes, shapes, requests = _nested_requests(tree, shape, columns)
+        plan = _unfolding_plan(shapes, requests)
+        assert sorted(nodes) == sorted(mats)
+        flat = np.concatenate([X.ravel() for X in factors.values()])
+        for positions, index in plan:
+            stacked = np.linalg.svd(flat[index], compute_uv=False)
+            for j, s in zip(positions, stacked):
+                M = mats[nodes[j]]
+                assert index.shape[1:] == M.shape
+                assert np.array_equal(flat[index[positions.index(j)]], M)
+                assert s.tobytes() == np.linalg.svd(
+                    M, compute_uv=False).tobytes()
+        return loop, plan
+
+    def test_mixed_shapes_and_a_stack_of_one(self, mixed_tree_d6, rng):
+        # {1,2,3} of (2,3,2,3,2,2) has inner nodes {1}, {2}, {3}, {2,3}:
+        # unfoldings 2 x 6p, 3 x 4p, 2 x 6p and 6 x 2p; {4,5} has 3 x 2p
+        # and 2 x 3p
+        shape = (2, 3, 2, 3, 2, 2)
+        for p in (1, 2, 3):
+            factors = {
+                (1, 2, 3): rng.standard_normal((12, p)),
+                (4, 5): rng.standard_normal((6, p)),
+                (6,): rng.standard_normal((2, p)),
+            }
+            loop, plan = self._check(mixed_tree_d6, factors, shape)
+            assert set(loop) == {(1,), (2,), (3,), (2, 3), (4,), (5,)}
+            assert 1 in [len(positions) for positions, _ in plan]
+
+    def test_ranks_near_the_threshold(self, deep_tree_d4, rng):
+        # a block factor whose unfolding at an inner node has the singular
+        # values 1 and ratio, just above and just below tol
+        shape = (3, 3, 3, 3)
+        for node in ((1,), (2, 3)):
+            for ratio, extra in ((1e2 * self.TOL, 1), (1e-2 * self.TOL, 0)):
+                X = _with_tail((3, 3, 3, 2), node, ratio, rng).reshape(27, 2)
+                loop, _ = self._check(deep_tree_d4, {(1, 2, 3): X,
+                                                     (4,): np.eye(3)}, shape)
+                assert loop[node] == 1 + extra
+
+    def test_zero_size_and_all_zero_factors(self, deep_tree_d4):
+        shape = (2, 2, 2, 3)
+        for X in (np.zeros((8, 0)), np.zeros((8, 2))):
+            loop, _ = self._check(deep_tree_d4, {(1, 2, 3): X,
+                                                 (4,): np.ones((3, 1))}, shape)
+            assert loop == {(1,): 0, (2,): 0, (3,): 0, (2, 3): 0}
+
+    def test_large_factors_are_planned_afresh(self, deep_tree_d4, rng):
+        # 4 inner nodes of a 512 x 40 factor: 81920 index entries, above
+        # what the plan cache keeps
+        shape = (8, 8, 8, 2)
+        before = _kept_plan.cache_info().currsize
+        loop, _ = self._check(deep_tree_d4, {
+            (1, 2, 3): rng.standard_normal((512, 40)),
+            (4,): np.eye(2),
+        }, shape)
+        assert loop == {(1,): 8, (2,): 8, (3,): 8, (2, 3): 64}
+        assert _kept_plan.cache_info().currsize == before
+
+    def test_blocks_with_no_inner_node(self, monkeypatch, rng):
+        tree = tg.tucker_tree(3)
+        factors = {(m,): rng.standard_normal((3, 2)) for m in (1, 2, 3)}
+        monkeypatch.setattr(np.linalg, "svd", None)
+        assert _nested_ranks(tree, factors, (3, 3, 3), self.TOL) == {}
 
 
 class TestNestedness:
