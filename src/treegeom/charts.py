@@ -15,7 +15,10 @@ The chart's operator basis is factored over the level-1 blocks
 to level-1 coefficients, and the inverse reads the level-1 coefficients off
 one level-1 inverse and projects them straight back to coordinates, so
 neither direction builds an ``N x N`` operator.  Only
-:func:`level_inverse_operator` returns one, as a cross-level check.
+:func:`level_inverse_operator` returns one, as a cross-level check; it is
+written block by block through flat embedding indexes
+(:func:`~treegeom.operators.assemble_laplacian`), with no Kronecker
+product.
 
 Each point is factored once.  The inverse reads the point's level-1 minimal
 subspaces and its membership verdict off one factorization ``U S V^T`` per

@@ -12,7 +12,11 @@ the generic matrix exponential.
 
 :func:`assemble_laplacian` and :func:`decompose_laplacian` work with dense
 ``N x N`` matrices on the full tensor space (``N`` the total dimension).
-They are oracles and cross-checks; the chart and tangent paths use only the
+Both read one flat index per block, the positions of ``M (x) I_rest`` in
+the output (:func:`~treegeom.tensor._embedding_index`): assembly adds each
+block's lifted part there in place, and the partial trace is a gather
+through it, so no Kronecker product with an identity is formed.  They are
+oracles and cross-checks; the chart and tangent paths use only the
 per-block pieces (:func:`split`, :func:`tree_splits`, :func:`lifted_part`)
 and work in level-1 block spaces, and of the chart functions only
 ``level_inverse_operator`` returns an ``N x N`` operator.
@@ -28,10 +32,9 @@ import numpy as np
 from .errors import InvalidArgumentError, NotInSpaceError
 from .subspaces import DEFAULT_TOL, _minimal_subspace
 from .tensor import (
+    _embedding_index,
     _svd,
-    block_transpose_permutation,
     check_tensor,
-    embed_block_operator,
     normalize_modes,
     sorted_blocks,
 )
@@ -163,30 +166,24 @@ def _check_splits(L, splits):
 
 def assemble_laplacian(L, splits, shape):
     """Dense matrix of the Laplacian-like operator on the full tensor space:
-    the sum over blocks of the lifted part embedded with identities."""
+    the sum over blocks of the lifted part embedded with identities.
+
+    Each block's entries are added in place through its embedding index
+    (:func:`~treegeom.tensor._embedding_index`), in partition order; blocks
+    share only the diagonal, so the output is the only ``N x N`` array."""
     splits = _check_splits(L, splits)
     N = prod(shape)
-    out = np.zeros((N, N))
+    out = np.zeros(N * N)
     for b in L.partition:
         s = splits[b]
-        if s.ambient_dim != prod(shape[m - 1] for m in b):
+        alpha = normalize_modes(b, len(shape))
+        if s.ambient_dim != prod(shape[m - 1] for m in alpha):
             raise InvalidArgumentError(
                 f"split at {b} does not match tensor shape {shape}"
             )
-        out += embed_block_operator(lifted_part(s, L.parts[b]), b, shape)
-    return out
-
-
-def _block_partial_trace(Lop, alpha, shape):
-    """Partial trace of a dense operator over all modes outside ``alpha``:
-    the unique block matrix ``T`` with <Lop, M (x) id> = <T, M> for every
-    block operator M."""
-    N = prod(shape)
-    n_alpha = prod(shape[m - 1] for m in alpha)
-    n_rest = N // n_alpha
-    perm = block_transpose_permutation(shape, alpha)
-    P = Lop[np.ix_(perm, perm)]
-    return np.einsum("arbr->ab", P.reshape(n_alpha, n_rest, n_alpha, n_rest))
+        out[_embedding_index(shape, alpha)] += \
+            lifted_part(s, L.parts[b])[:, :, None]
+    return out.reshape(N, N)
 
 
 def decompose_laplacian(Lop, partition, splits, shape, tol=DEFAULT_TOL):
@@ -196,8 +193,9 @@ def decompose_laplacian(Lop, partition, splits, shape, tol=DEFAULT_TOL):
     the Frobenius inner product, so the least-squares coefficients are
     obtained block by block from partial traces.  The decomposition is then
     verified: if reassembling misses ``Lop`` by more than ``tol`` relative,
-    the operator is not in the space and an error carrying the residual is
-    raised.
+    both measured on the operators divided by ``max|Lop|`` so that the
+    verdict does not depend on scale, the operator is not in the space and
+    an error carrying the (absolute) residual is raised.
     """
     Lop = np.asarray(Lop, dtype=float)
     N = prod(shape)
@@ -208,15 +206,21 @@ def decompose_laplacian(Lop, partition, splits, shape, tol=DEFAULT_TOL):
     for b in blocks:
         s = splits[b]
         n_rest = N // s.ambient_dim
-        T = _block_partial_trace(Lop, b, shape)
+        # partial trace over the modes outside b: the block matrix T with
+        # <Lop, M (x) id> = <T, M> for every block operator M
+        T = Lop.reshape(-1)[_embedding_index(shape, b)].sum(axis=2)
         parts[b] = (s.w.T @ T @ s.u) / n_rest
     L = LaplacianLike(partition=blocks, parts=parts)
-    nrm = np.linalg.norm(Lop)
-    residual = float(np.linalg.norm(assemble_laplacian(L, splits, shape) - Lop))
-    if residual > tol * max(nrm, 1e-300):
+    # decided on the operators divided by max|Lop|, so that neither norm
+    # overflows or underflows; the residual carried by the error is absolute
+    scale = np.max(np.abs(Lop))
+    if scale == 0.0:
+        return L
+    diff = float(np.linalg.norm((assemble_laplacian(L, splits, shape) - Lop)
+                                / scale))
+    if not diff <= tol * np.linalg.norm(Lop / scale):
         raise NotInSpaceError(
             f"operator is not in the level operator space for partition "
-            f"{[set(b) for b in blocks]}", residual
+            f"{[set(b) for b in blocks]}", float(scale * diff)
         )
     return L
-

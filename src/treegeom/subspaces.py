@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
 from .tensor import (
+    _planned,
     _svd,
     _svd_ranks,
     _unfold,
@@ -192,12 +193,10 @@ def _unfolding_plan(shapes, requests):
     shape, in order of first request: the requests' positions and the
     read-only ``k x m x n`` flat index of their stacked matrices.
 
-    A plan of at most :data:`_KEPT_PLAN_ENTRIES` index entries is kept
-    (:func:`_kept_plan`); a larger one is built afresh on every call."""
-    if sum(prod(shapes[piece]) for piece, _ in requests) \
-            <= _KEPT_PLAN_ENTRIES:
-        return _kept_plan(shapes, requests)
-    return _build_plan(shapes, requests)
+    The plan is kept or built afresh by the size rule of
+    :func:`~treegeom.tensor._planned`."""
+    entries = sum(prod(shapes[piece]) for piece, _ in requests)
+    return _planned(_kept_plan, _build_plan, entries, shapes, requests)
 
 
 def _build_plan(shapes, requests):
@@ -217,12 +216,6 @@ def _build_plan(shapes, requests):
     return tuple(plan)
 
 
-# A chart reads its ranks off a few matrices of at most n_b x r_b entries
-# each, so one process meets few plans, each a few KiB, and rebuilding one
-# costs more than the batched SVDs it feeds.  A plan over a large tensor's
-# factors (up to the tensor's size per inner node) is not kept: the bound
-# keeps the cache below 32 MiB.
-_KEPT_PLAN_ENTRIES = 2 ** 14
 _kept_plan = lru_cache(maxsize=256)(_build_plan)
 
 

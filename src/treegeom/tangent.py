@@ -77,9 +77,9 @@ from .formats import (
 from .operators import SplitSpace, lifted_part
 from .subspaces import DEFAULT_TOL
 from .tensor import (
+    _embedding_index,
     _svd,
     block_transpose_permutation,
-    embed_block_operator,
     pull_blocks,
     sorted_blocks,
     svd_rank,
@@ -145,8 +145,6 @@ def level_operator_basis(partition, splits, shape):
     blocks = sorted_blocks(partition)
     dims = [splits[b].rank * splits[b].corank for b in blocks]
     vectors = np.zeros((N * N, sum(dims)))
-    # row-major (N, N, dim) view: entry [x, y, c] of column c's operator
-    ops = vectors.reshape(N, N, -1)
     start = 0
     for b, dim in zip(blocks, dims):
         s = splits[b]
@@ -154,16 +152,13 @@ def level_operator_basis(partition, splits, shape):
             raise InvalidArgumentError(
                 f"split at {b} does not match tensor shape {shape}"
             )
-        n_rest = N // s.ambient_dim
-        # flat index of (block index, rest index) in the tensor's layout
-        flat = block_transpose_permutation(shape, b).reshape(-1, n_rest)
         # E[x, y, j * corank + i] = w_i[x] u_j[y]: the elementary operators
         # in the order (j, i), each acting as identity on the other modes
         E = np.einsum("xi,yj->xyji", s.w, s.u).reshape(
             s.ambient_dim, s.ambient_dim, dim
         )
-        ops[flat[:, None, :], flat[None, :, :], start:start + dim] = (
-            E[:, :, None, :] / np.sqrt(n_rest)
+        vectors[_embedding_index(shape, b), start:start + dim] = (
+            E[:, :, None, :] / np.sqrt(N // s.ambient_dim)
         )
         start += dim
     return OperatorSpaceBasis(vectors=vectors)
@@ -502,17 +497,18 @@ class BlockOperatorBasis:
     @property
     def vectors(self):
         """Dense ``N^2 x dim`` orthonormal basis (oracle; built on every
-        access, never cached)."""
+        access, never cached).  Each space's columns are written in one
+        indexed write through its block's embedding index."""
         N = prod(self.shape)
-        columns = []
-        for space, Q, _ in self._slices():
+        out = np.zeros((N * N, self.dim))
+        for space, Q, sl in self._slices():
             s = space.split
-            for c in Q.T:
-                C = c.reshape(s.rank, s.corank).T / np.sqrt(space.n_rest)
-                columns.append(embed_block_operator(
-                    lifted_part(s, C), space.block, self.shape
-                ).ravel())
-        return np.column_stack(columns) if columns else np.zeros((N * N, 0))
+            lifted = [lifted_part(s, c.reshape(s.rank, s.corank).T
+                                  / np.sqrt(space.n_rest)) for c in Q.T]
+            if lifted:
+                out[_embedding_index(self.shape, space.block), sl] = \
+                    np.stack(lifted, axis=-1)[:, :, None, :]
+        return out
 
 
 def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):

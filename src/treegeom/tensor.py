@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
+from functools import lru_cache
 from math import prod
 from pathlib import Path
 
@@ -174,7 +175,7 @@ def push_blocks(core, bases, blocks, shape):
     need not cover every mode), then the trailing axes."""
     t = core
     for B in bases:
-        t = np.tensordot(t, B, axes=([0], [1]))
+        t = _contract_lead(t, B.T)
     # the trailing axes now lead, then one fused axis per block
     lead = t.ndim - len(blocks)
     modes = [m for b in blocks for m in b]
@@ -195,10 +196,20 @@ def pull_blocks(w, bases, blocks, shape):
     t = t.reshape([prod(shape[m - 1] for m in b) for b in blocks]
                   + [w.shape[i] for i in trailing])
     for B in bases:
-        t = np.tensordot(t, B, axes=([0], [0]))
+        t = _contract_lead(t, B)
     # the trailing axes now lead, then one r_b axis per block
     return np.transpose(t, list(range(len(trailing), t.ndim))
                         + list(range(len(trailing))))
+
+
+def _contract_lead(t, B):
+    """``np.tensordot(t, B, axes=([0], [0]))`` without its wrapper: one
+    ``np.dot`` on the operands it builds (``t``'s leading axis moved last
+    and the rest fused, and ``B``), so the result is bitwise the same."""
+    rest = t.shape[1:]
+    at = t.transpose(tuple(range(1, t.ndim)) + (0,)).reshape(
+        prod(rest), t.shape[0])
+    return np.dot(at, B).reshape(rest + B.shape[1:])
 
 
 def _fix_signs(U, Vt):
@@ -272,23 +283,65 @@ def embed_block_operator(M, alpha, shape):
     """Dense operator acting as ``M`` on the mode block ``alpha`` of a tensor
     with the given shape and as identity on all other modes.
 
-    The result is the full matrix on the flattened tensor space, i.e. the
-    Kronecker embedding of ``M`` conjugated by the mode permutation that
-    groups ``alpha`` in front.
+    The result is the full matrix on the flattened tensor space: entry
+    ``(i, j)`` is ``M[a, a']`` when ``i`` and ``j`` have block indices
+    ``a`` and ``a'`` and agree on every other mode, and zero otherwise.  It
+    is written through :func:`_embedding_index` in one indexed write.
     """
     M = np.asarray(M, dtype=float)
-    d = len(shape)
-    alpha = normalize_modes(alpha, d)
+    alpha = normalize_modes(alpha, len(shape))
     n_alpha = prod(shape[a - 1] for a in alpha)
     if M.shape != (n_alpha, n_alpha):
         raise InvalidArgumentError(
             f"block operator must be {n_alpha}x{n_alpha} for block {alpha}"
         )
-    n_rest = prod(shape) // n_alpha
-    K = np.kron(M, np.eye(n_rest))
-    perm = block_transpose_permutation(shape, alpha)
-    inv = np.argsort(perm)
-    return K[np.ix_(inv, inv)]
+    N = prod(shape)
+    out = np.zeros(N * N)
+    out[_embedding_index(shape, alpha)] = M[:, :, None]
+    return out.reshape(N, N)
+
+
+def _embedding_index(shape, alpha):
+    """Flat positions, in the ``N x N`` operator on the flattened tensor
+    space, of the entries of an ``n_alpha x n_alpha`` block operator
+    tensored with the identity on the other modes (``alpha`` normalized).
+
+    Entry ``[a, a', r]`` of the ``n_alpha x n_alpha x N / n_alpha`` result
+    is the position of row ``(a, r)`` and column ``(a', r)``, ``r`` running
+    over the other modes' multi-indices; writing ``M[:, :, None]`` there
+    embeds ``M``, and summing a gather over the last axis is the partial
+    trace over the other modes.  The index is read-only and kept under the
+    size rule of :func:`_planned`."""
+    shape = tuple(shape)
+    entries = prod(shape) * prod(shape[a - 1] for a in alpha)
+    return _planned(_kept_index, _build_index, entries, shape, alpha)
+
+
+def _build_index(shape, alpha):
+    N = prod(shape)
+    perm = block_transpose_permutation(shape, alpha).reshape(
+        prod(shape[a - 1] for a in alpha), -1)
+    index = perm[:, None, :] * N + perm[None, :, :]
+    index.flags.writeable = False
+    return index
+
+
+def _planned(kept, build, entries, *args):
+    """``build(*args)``, an index plan of ``entries`` entries: read from
+    ``kept``, the bounded ``lru_cache`` of ``build``, when it has at most
+    :data:`_KEPT_PLAN_ENTRIES` entries, built afresh on every call
+    otherwise, so a large tensor's plans leave nothing behind."""
+    return (kept if entries <= _KEPT_PLAN_ENTRIES else build)(*args)
+
+
+# Chart reads index a few small arrays (unfoldings of matrices of at most
+# n_b x r_b entries, block embeddings on spaces of a few dozen entries), so
+# one process meets few plans, each a few KiB, and rebuilding one costs more
+# than the work it feeds.  A plan over a large tensor (N n_alpha entries
+# for a block embedding) is not kept: the bound keeps each cache below
+# 32 MiB.
+_KEPT_PLAN_ENTRIES = 2 ** 14
+_kept_index = lru_cache(maxsize=256)(_build_index)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: ranks via Gaussian
 elimination, subspace intersections via full complement projectors, mode
 operators via explicit index loops, properness by sampling the level Tucker
 sets, tree networks and the Jacobian via Kronecker products of the sons'
-bases.
+bases, dense block operators via Kronecker products with identities, and
+block contractions via ``np.tensordot``.
 """
 
 from fractions import Fraction
@@ -296,6 +297,77 @@ def kron_network_parameters(v, tree, splits):
         for node in tree.sons
     }
     return {leaf: bases[leaf] for leaf in tree.leaves}, transfers
+
+
+def kron_embed_block_operator(M, alpha, shape):
+    """Reference block embedding: the Kronecker product ``M (x) I_rest``
+    conjugated by the mode permutation that groups ``alpha`` in front."""
+    from treegeom.tensor import block_transpose_permutation
+
+    n_rest = prod(shape) // M.shape[0]
+    inv = np.argsort(block_transpose_permutation(shape, alpha))
+    return np.kron(M, np.eye(n_rest))[np.ix_(inv, inv)]
+
+
+def kron_assemble_laplacian(L, splits, shape):
+    """Reference dense Laplacian-like operator: the sum, in partition
+    order, of every block's lifted part through
+    :func:`kron_embed_block_operator`."""
+    from treegeom.operators import lifted_part
+
+    N = prod(shape)
+    out = np.zeros((N, N))
+    for b in L.partition:
+        out += kron_embed_block_operator(
+            lifted_part(splits[b], L.parts[b]), b, shape)
+    return out
+
+
+def kron_basis_vectors(basis):
+    """Reference dense ``N^2 x dim`` basis of a factored operator basis:
+    one :func:`kron_embed_block_operator` column per coordinate, in the
+    order of :meth:`~treegeom.tangent.BlockOperatorBasis.parts`."""
+    from treegeom.operators import lifted_part
+
+    N = prod(basis.shape)
+    columns = []
+    for space, Q in zip(basis.spaces, basis.null):
+        s = space.split
+        for c in Q.T:
+            C = c.reshape(s.rank, s.corank).T / np.sqrt(space.n_rest)
+            columns.append(kron_embed_block_operator(
+                lifted_part(s, C), space.block, basis.shape).ravel())
+    return np.column_stack(columns) if columns else np.zeros((N * N, 0))
+
+
+def tensordot_push_blocks(core, bases, blocks, shape):
+    """Reference :func:`~treegeom.tensor.push_blocks`: one
+    ``np.tensordot`` per block, then the modes unfused and put in order,
+    the trailing axes last."""
+    t = core
+    for B in bases:
+        t = np.tensordot(t, B, axes=([0], [1]))
+    lead = t.ndim - len(blocks)
+    modes = [m for b in blocks for m in b]
+    t = t.reshape(t.shape[:lead] + tuple(shape[m - 1] for m in modes))
+    order = sorted(range(len(modes)), key=modes.__getitem__)
+    return np.ascontiguousarray(np.transpose(
+        t, [lead + i for i in order] + list(range(lead))))
+
+
+def tensordot_pull_blocks(w, bases, blocks, shape):
+    """Reference :func:`~treegeom.tensor.pull_blocks`: the blocks' modes
+    fused, then one ``np.tensordot`` per block."""
+    modes = [m for b in blocks for m in b]
+    axis = {m: i for i, m in enumerate(sorted(modes))}
+    trailing = list(range(len(modes), w.ndim))
+    t = np.transpose(w, [axis[m] for m in modes] + trailing)
+    t = t.reshape([prod(shape[m - 1] for m in b) for b in blocks]
+                  + [w.shape[i] for i in trailing])
+    for B in bases:
+        t = np.tensordot(t, B, axes=([0], [0]))
+    return np.transpose(t, list(range(len(trailing), t.ndim))
+                        + list(range(len(trailing))))
 
 
 def dense_projection(v, bases):

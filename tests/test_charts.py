@@ -12,11 +12,18 @@ from treegeom.errors import (
     OutsideChartDomainError,
     OutsideChartImageError,
 )
+from treegeom.charts import _graph_parts
 from treegeom.operators import LaplacianLike
-from treegeom.subspaces import TreeRank
+from treegeom.subspaces import TreeRank, _minimal_subspace
 from treegeom.tensor import sorted_blocks
 
-from helpers import capped_rank_tuple, lift_core, random_tucker_tensor
+from helpers import (
+    capped_rank_tuple,
+    kind_tree,
+    kron_assemble_laplacian,
+    lift_core,
+    random_tucker_tensor,
+)
 
 
 def make_chart(tree, shape, seed=0, cap=2):
@@ -407,7 +414,7 @@ def test_inverse_coordinates_are_the_dense_projection(kind, shape):
 
 
 def test_inverse_pulls_back_once_and_assembles_nothing(monkeypatch):
-    from treegeom import charts, tangent
+    from treegeom import charts, operators, tangent
 
     v, r, chart = make_chart(anchor_case_tree("deep"), (3, 3, 3, 3), seed=28)
     gen = np.random.default_rng(29)
@@ -428,8 +435,11 @@ def test_inverse_pulls_back_once_and_assembles_nothing(monkeypatch):
 
     monkeypatch.setattr(charts, "_pull_back",
                         counting("pull_back", charts._pull_back))
-    monkeypatch.setattr(tangent, "embed_block_operator",
-                        counting("embed", tangent.embed_block_operator))
+    # every dense N x N operator or basis is written through a block
+    # embedding index
+    for module in (tangent, operators):
+        monkeypatch.setattr(module, "_embedding_index",
+                            counting("embed", module._embedding_index))
     for w in points:
         tg.tree_chart_inverse(chart, w)
     assert calls == {"pull_back": len(points), "embed": 0}
@@ -752,3 +762,67 @@ class TestReconstructionReuse:
         pushes = _counting(monkeypatch, charts, "_push_forward")
         tg.tree_chart_point(chart, rc, rcore)
         assert len(pushes) == 1
+
+
+# the chart_roundtrip benchmark ladder: every tree kind, N <= 81
+ROUNDTRIP_LADDER = [
+    ("tucker", (3, 3, 3)),
+    ("tucker", (3, 3, 3, 3)),
+    ("deep", (2, 2, 2, 3)),
+    ("deep", (3, 3, 3, 3)),
+    ("linear", (3, 2, 2, 3)),
+    ("linear", (3, 3, 3, 3)),
+    ("binary", (3, 3, 3, 3)),
+    ("binary", (2, 3, 3, 2)),
+    ("mixed", (2,) * 6),
+]
+
+
+def ladder_point(chart, seed):
+    """A chart point at coordinates of norm 0.1 and a core perturbed by
+    1%, as the benchmark's cross-level checks draw them."""
+    gen = np.random.default_rng(seed)
+    coords = gen.standard_normal(chart.operator_basis.dim)
+    if coords.size:
+        coords *= 0.1 / np.linalg.norm(coords)
+    core = chart.core * (1 + 0.01 * gen.standard_normal(chart.core.shape))
+    return tg.tree_chart_point(chart, coords, core)
+
+
+@pytest.mark.parametrize("kind,shape", ROUNDTRIP_LADDER)
+def test_level_operators_equal_the_kronecker_reference(kind, shape):
+    for seed in range(5):
+        v, r, chart = make_chart(kind_tree(kind, len(shape)), shape,
+                                 seed=seed)
+        w = ladder_point(chart, 100 + seed)
+        for k, blocks in enumerate(chart.level_partitions, start=1):
+            subs = {b: _minimal_subspace(w, b, chart.tol) for b in blocks}
+            L = LaplacianLike(partition=blocks, parts=_graph_parts(
+                subs, chart.splits, chart.ranks))
+            assert np.array_equal(
+                tg.level_inverse_operator(chart, w, k),
+                kron_assemble_laplacian(L, chart.splits, shape))
+
+
+def test_dense_operators_form_no_kronecker_product(monkeypatch):
+    tree = tg.linear_tree(4)
+    v, r, chart = make_chart(tree, (3, 3, 3, 3), seed=3)
+    w = ladder_point(chart, 4)
+    L = LaplacianLike(
+        partition=chart.level_partitions[0],
+        parts=chart.operator_basis.parts(
+            np.ones(chart.operator_basis.dim)),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    ops = [tg.level_inverse_operator(chart, w, k)
+           for k in range(1, len(chart.level_partitions) + 1)]
+    assert chart.operator_basis.dim > 0
+    assert all(op.shape == (81, 81) for op in ops)
+    assert tg.assemble_laplacian(L, chart.splits, chart.shape).shape \
+        == (81, 81)
+    assert chart.operator_basis.vectors.shape \
+        == (81 * 81, chart.operator_basis.dim)

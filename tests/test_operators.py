@@ -6,7 +6,14 @@ import treegeom as tg
 from treegeom.errors import InvalidArgumentError, NotInSpaceError
 from treegeom.operators import LaplacianLike, lifted_part
 
-from helpers import capped_rank_tuple, gauss_rank_float, lift_core
+from helpers import (
+    KRONECKER_CASES,
+    capped_rank_tuple,
+    gauss_rank_float,
+    kind_tree,
+    kron_assemble_laplacian,
+    lift_core,
+)
 
 
 def anchored_splits(tree, shape, seed=0, cap=2):
@@ -113,6 +120,26 @@ class TestAssemble:
                 assert np.linalg.norm(comm) <= bound
 
 
+    @pytest.mark.parametrize("kind,shape", KRONECKER_CASES)
+    def test_equals_the_kronecker_sum(self, kind, shape):
+        tree = kind_tree(kind, len(shape))
+        v, r, splits = anchored_splits(tree, shape, seed=9)
+        for k in range(1, tg.levels(tree).depth + 1):
+            P = tg.level_partition(tree, k)
+            L = random_laplacian(splits, P, seed=k)
+            assert np.array_equal(tg.assemble_laplacian(L, splits, shape),
+                                  kron_assemble_laplacian(L, splits, shape))
+
+    def test_modes_of_size_one(self, rng):
+        shape = (3, 1, 4)
+        v = rng.standard_normal(shape)
+        P = ((1, 2), (3,))
+        splits = {b: tg.split(v, b) for b in P}
+        L = random_laplacian(splits, P, seed=3)
+        assert np.array_equal(tg.assemble_laplacian(L, splits, shape),
+                              kron_assemble_laplacian(L, splits, shape))
+
+
 class TestDecompose:
     def test_roundtrip(self, deep_tree_d4):
         shape = (2, 2, 2, 3)
@@ -139,6 +166,31 @@ class TestDecompose:
         with pytest.raises(NotInSpaceError) as exc:
             tg.decompose_laplacian(np.eye(24), P1, splits, shape)
         assert exc.value.residual > 1.0
+
+    @pytest.mark.parametrize("c", [1.0, 2.0 ** 600, 2.0 ** -600])
+    def test_verdict_does_not_depend_on_scale(self, c):
+        # at 2^600 the squared entries overflow and at 2^-600 they
+        # underflow: a generic operator is still rejected, and a member of
+        # the space is still accepted with its parts scaled by c (exactly,
+        # as c is a power of two)
+        tree = tg.tucker_tree(3)
+        shape = (3, 3, 3)
+        v, r, splits = anchored_splits(tree, shape, seed=0)
+        P1 = tg.level_partition(tree, 1)
+        generic = np.random.default_rng(0).standard_normal((27, 27))
+        residuals = []
+        for scale in (1.0, c):
+            with pytest.raises(NotInSpaceError) as exc:
+                tg.decompose_laplacian(scale * generic, P1, splits, shape)
+            residuals.append(exc.value.residual)
+        # the residual stays absolute
+        assert residuals[1] / c == pytest.approx(residuals[0], rel=1e-12)
+        L = random_laplacian(splits, P1, seed=1)
+        Op = tg.assemble_laplacian(L, splits, shape)
+        rec = tg.decompose_laplacian(c * Op, P1, splits, shape)
+        for b in P1:
+            np.testing.assert_allclose(rec.parts[b] / c, L.parts[b],
+                                       rtol=0, atol=1e-10)
 
 
 def random_core(splits, partition, seed=0):

@@ -21,6 +21,7 @@ from helpers import (
     capped_rank_tuple,
     intersection_dim_bruteforce,
     kind_tree,
+    kron_basis_vectors,
     kron_network_parameters,
     per_entry_jacobian,
     principal_angle_residual,
@@ -406,6 +407,11 @@ class TestBlockSpacesMatchDenseOracle:
             vecs.T @ vecs, np.eye(block.dim), atol=1e-12
         )
         assert principal_angle_residual(vecs, dense.vectors) <= 1e-10
+
+    def test_vectors_equal_the_kronecker_columns(self, kind, shape):
+        tree, v, r, splits = block_case(kind, shape, seed=32)
+        block = tg.tree_operator_basis(tree, splits, shape)
+        assert np.array_equal(block.vectors, kron_basis_vectors(block))
 
     def test_immersion_matches_dense(self, kind, shape):
         tree, v, r, splits = block_case(kind, shape, seed=31)

@@ -7,10 +7,15 @@ from hypothesis import given, settings, strategies as st
 import treegeom as tg
 from treegeom.errors import InvalidArgumentError, ParseError
 from treegeom.tensor import (
+    _KEPT_PLAN_ENTRIES,
+    _embedding_index,
     _fix_signs,
+    _kept_index,
     check_tensor,
     complement_modes,
     normalize_modes,
+    pull_blocks,
+    push_blocks,
 )
 
 from helpers import (
@@ -18,6 +23,9 @@ from helpers import (
     fix_signs_loop,
     gauss_rank_exact,
     gauss_rank_float,
+    kron_embed_block_operator,
+    tensordot_pull_blocks,
+    tensordot_push_blocks,
 )
 
 
@@ -265,6 +273,96 @@ class TestEmbedBlockOperator:
     def test_identity_embeds_to_identity(self):
         Op = tg.embed_block_operator(np.eye(6), (2, 3), (2, 2, 3))
         np.testing.assert_allclose(Op, np.eye(12))
+
+    # all modes >= 3, a non-contiguous block, the full-mode block, modes of
+    # size 1, and a list shape
+    CASES = [
+        ((3, 4, 3), (2,)),
+        ((3, 4, 3), (1, 3)),
+        ((3, 4, 3), (1, 2, 3)),
+        ((3, 3, 4, 3), (2, 4)),
+        ((3, 1, 4), (2,)),
+        ((3, 1, 4), (1, 2)),
+        ([1, 3], (1,)),
+    ]
+
+    @pytest.mark.parametrize("shape,alpha", CASES)
+    def test_equals_the_kronecker_embedding(self, shape, alpha, rng):
+        n = int(np.prod([shape[a - 1] for a in alpha]))
+        M = rng.standard_normal((n, n))
+        # np.kron writes -0.0 where the index leaves +0.0: equal values,
+        # not equal bytes
+        assert np.array_equal(tg.embed_block_operator(M, alpha, shape),
+                              kron_embed_block_operator(M, alpha, shape))
+
+    def test_rejects_a_mismatched_block_operator(self):
+        with pytest.raises(InvalidArgumentError):
+            tg.embed_block_operator(np.eye(3), (1, 3), (3, 4, 3))
+
+    def test_kept_index_is_read_only_and_shared(self):
+        shape, alpha = (3, 4, 3), (1, 3)
+        index = _embedding_index(shape, alpha)
+        assert index.size <= _KEPT_PLAN_ENTRIES
+        assert _embedding_index(list(shape), alpha) is index
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0, 0] = 0
+
+    def test_large_index_is_built_on_every_call(self):
+        # 729 x 243 index entries on a level-1 block of linear 3^6, above
+        # what the index cache keeps
+        shape, alpha = (3,) * 6, (2, 3, 4, 5, 6)
+        before = _kept_index.cache_info()
+        first = _embedding_index(shape, alpha)
+        second = _embedding_index(shape, alpha)
+        assert first.size > _KEPT_PLAN_ENTRIES
+        assert first is not second and np.array_equal(first, second)
+        assert not first.flags.writeable
+        after = _kept_index.cache_info()
+        assert (after.hits, after.misses, after.currsize) == \
+            (before.hits, before.misses, before.currsize)
+
+    def test_forms_no_kronecker_product(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        Op = tg.embed_block_operator(np.eye(12), (1, 2), (3, 4, 3))
+        assert np.array_equal(Op, np.eye(36))
+
+
+class TestBlockContraction:
+    """push_blocks and pull_blocks make the np.dot calls np.tensordot
+    makes, on the same operands: bitwise the same results."""
+
+    # (shape, blocks, ranks): blocks in any order, rank-1 blocks, blocks
+    # that leave a mode out
+    CASES = [
+        ((3, 4, 3), ((1, 3), (2,)), (2, 1)),
+        ((3, 3, 4, 3), ((1,), (2, 3), (4,)), (1, 2, 3)),
+        ((2, 3, 2, 3), ((2, 4), (1,)), (1, 1)),
+        ((3, 4, 3), ((1, 2, 3),), (2,)),
+    ]
+
+    @pytest.mark.parametrize("shape,blocks,ranks", CASES)
+    @pytest.mark.parametrize("trailing", [(), (2,), (1, 3)])
+    def test_push_and_pull_equal_tensordot(self, shape, blocks, ranks,
+                                           trailing, rng):
+        bases = [rng.standard_normal(
+            (int(np.prod([shape[m - 1] for m in b])), r))
+            for b, r in zip(blocks, ranks)]
+        core = rng.standard_normal(ranks + trailing)
+        got = push_blocks(core, bases, blocks, shape)
+        want = tensordot_push_blocks(core, bases, blocks, shape)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        modes = sorted(m for b in blocks for m in b)
+        w = rng.standard_normal(tuple(shape[m - 1] for m in modes)
+                                + trailing)
+        got = pull_blocks(w, bases, blocks, shape)
+        want = tensordot_pull_blocks(w, bases, blocks, shape)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(want).tobytes()
 
 
 class TestTensorIO:
