@@ -18,7 +18,7 @@ neither direction builds an ``N x N`` operator.  Only
 :func:`level_inverse_operator` returns one, as a cross-level check; it is
 written block by block through flat embedding indexes
 (:func:`~treegeom.operators.assemble_laplacian`), with no Kronecker
-product.
+product.  Each function validates its arguments once, on entry.
 
 Each point is factored once.  The inverse reads the point's level-1 minimal
 subspaces and its membership verdict off one factorization ``U S V^T`` per
@@ -48,22 +48,23 @@ from .errors import (
     OutsideChartDomainError,
     OutsideChartImageError,
 )
-from .formats import _member_subspaces, dimension_margins
+from .formats import dimension_margins, member_subspaces
 from .operators import LaplacianLike, assemble_laplacian
 from .subspaces import (
     DEFAULT_TOL,
-    _minimal_subspace,
-    _nested_ranks,
-    _unfolding_plan,
+    factored_subspace,
+    nested_ranks,
+    unfolding_plan,
 )
-from .tangent import BlockOperatorBasis, _anchor
+from .tangent import BlockOperatorBasis, anchor_state
 from .tensor import (
-    _svd_ranks,
     check_tensor,
+    check_tol,
     normalize_modes,
     pull_blocks,
     push_blocks,
     sorted_blocks,
+    svd_rank,
 )
 from .trees import level_partition, levels
 
@@ -110,14 +111,14 @@ def _check_full_core(core, blocks, ranks, tol):
     distinct shape."""
     if not np.any(core):
         raise InvalidCoreError("core is identically zero")
-    plan = _unfolding_plan((core.shape,),
+    plan = unfolding_plan((core.shape,),
                            tuple((0, (i,)) for i in range(core.ndim)))
     flat = core.ravel()
     weighted = [None] * len(blocks)
     found = [0] * len(blocks)
     for positions, index in plan:
         U, s, _ = np.linalg.svd(flat[index], full_matrices=False)
-        for i, US, r in zip(positions, U * s[:, None, :], _svd_ranks(s, tol)):
+        for i, US, r in zip(positions, U * s[:, None, :], svd_rank(s, tol)):
             weighted[i], found[i] = US, int(r)
     for i, b in enumerate(blocks):
         if found[i] != ranks[i]:
@@ -136,6 +137,7 @@ def tucker_chart_point(L, core, splits, shape, tol=DEFAULT_TOL):
     but evaluated structurally as one ``basis + complement @ coefficients``
     matrix per block.  The output has the same blockwise ranks as the core.
     """
+    check_tol(tol)
     blocks = L.partition
     ranks = [splits[b].rank for b in blocks]
     core = _core_array(core, ranks)
@@ -163,9 +165,10 @@ def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
     (not on the manifold) or when some ``A`` is numerically singular (the
     point is outside this chart's domain).
     """
+    check_tol(tol)
     w = check_tensor(w, allow_zero=False)
     blocks = sorted_blocks(normalize_modes(b, w.ndim) for b in partition)
-    subs = {b: _minimal_subspace(w, b, tol) for b in blocks}
+    subs = {b: factored_subspace(w, b, tol)[0] for b in blocks}
     return (LaplacianLike(partition=blocks,
                           parts=_graph_parts(subs, splits, ranks)),
             _pull_back(w, splits, blocks))
@@ -237,13 +240,11 @@ def tree_chart(v, tree, r, tol=DEFAULT_TOL):
     warning notes that the fixed-rank set is not proper.
 
     The splits and the operator basis are the anchor's
-    (:func:`~treegeom.tangent._anchor`): a chart, tangent report or
+    (:func:`~treegeom.tangent.anchor_state`): a chart, tangent report or
     immersion check at the same tensor, tree, ranks and ``tol`` shares them,
     so they are read-only.  ``anchor`` is the caller's own array.
     """
-    if tol is None or tol <= 0:
-        raise InvalidArgumentError("chart tolerance must be positive")
-    v, anchor = _anchor(v, tree, r, tol)
+    v, anchor = anchor_state(v, tree, r, tol)
     splits = anchor.splits
     depth = levels(tree).depth
     partitions = tuple(level_partition(tree, k) for k in range(1, depth + 1))
@@ -271,7 +272,7 @@ def _check_core_in_domain(chart, core):
     lifted core's b-unfolding is ``X_b Q^T`` with ``X_b = u_b U S``
     (``n_b x r_b``) and ``Q`` orthonormal (the other blocks' bases times
     ``V``).  So the rank at every node inside ``b`` is read off ``X_b``
-    (:func:`~treegeom.subspaces._nested_ranks`), and no ``N``-sized tensor
+    (:func:`~treegeom.subspaces.nested_ranks`), and no ``N``-sized tensor
     is formed.  Both reads stack their matrices by shape: one SVD per
     distinct shape of the core's unfoldings, one per distinct shape of the
     unfoldings of the ``X_b``.
@@ -279,7 +280,7 @@ def _check_core_in_domain(chart, core):
     blocks = chart.level_partitions[0]
     ranks = [chart.splits[b].rank for b in blocks]
     weighted = _check_full_core(core, blocks, ranks, chart.tol)
-    found = _nested_ranks(
+    found = nested_ranks(
         chart.tree,
         {b: chart.splits[b].u @ US for b, US in zip(blocks, weighted)},
         chart.shape, chart.tol,
@@ -349,7 +350,7 @@ def level_inverse_operator(chart, w, k):
         raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
     w = _chart_point_arg(chart, w)
     blocks = chart.level_partitions[k - 1]
-    subs = {b: _minimal_subspace(w, b, chart.tol) for b in blocks}
+    subs = {b: factored_subspace(w, b, chart.tol)[0] for b in blocks}
     L = LaplacianLike(partition=blocks,
                       parts=_graph_parts(subs, chart.splits, chart.ranks))
     return assemble_laplacian(L, chart.splits, chart.shape)
@@ -383,7 +384,7 @@ def tree_chart_inverse(chart, w):
     tol = chart.tol
     object.__setattr__(chart, "_last_inverse", None)
     w = _chart_point_arg(chart, w)
-    membership, subs = _member_subspaces(w, chart.tree, chart.ranks, tol)
+    membership, subs = member_subspaces(w, chart.tree, chart.ranks, tol)
     if not membership.member:
         raise OutsideChartImageError(
             "point does not have the anchor's rank profile; failing levels "

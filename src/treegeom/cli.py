@@ -33,7 +33,7 @@ from .errors import (
     TreeValidationError,
 )
 from .formats import is_admissible, is_member, is_proper
-from .subspaces import _chain_residuals, minimal_subspace, ranks_from_json
+from .subspaces import chain_residuals, minimal_subspace, ranks_from_json
 from .tangent import tangent_dimension
 from .tensor import load_tensor, save_tensor
 from .trees import (
@@ -277,7 +277,7 @@ def cmd_analyze(args):
     tree = _load_tree(args.tree, v.ndim)
     nodes = sorted(tree.nodes, key=lambda b: (len(b), b))
     subs = [minimal_subspace(v, node, args.tol) for node in nodes]
-    residuals = _chain_residuals(
+    residuals = chain_residuals(
         v, tree, {sub.alpha: sub.basis for sub in subs}
     )
     report = {

@@ -13,9 +13,9 @@ This module owns the tree network (:func:`contract_network`, shared by the
 sampler and the Jacobian oracle of :mod:`treegeom.tangent`, and its
 dimension :func:`network_dimension_formula`), contracted node by node with
 no Kronecker product of the sons' bases; the membership precondition of
-everything anchored at a point (:func:`require_member`), and the membership
+everything anchored at a point (:func:`member_splits`), and the membership
 verdict together with the level-1 bases a chart inverse reads
-(:func:`member_subspaces`).
+(:func:`member_subspaces`), both on arguments :func:`member_args` checked.
 
 Admissibility (is some tensor realizing the tuple?) is decided by a list of
 necessary conditions followed by randomized realization attempts, and
@@ -38,16 +38,17 @@ from .errors import (
     InvalidArgumentError,
     NotOnManifoldError,
 )
-from .operators import _tree_splits
+from .operators import tree_splits
 from .subspaces import (
     DEFAULT_TOL,
-    _factored_subspace,
-    _nested_ranks,
-    _ranks,
+    factored_subspace,
+    nested_ranks,
+    node_ranks,
     tree_rank,
 )
 from .tensor import (
     check_tensor,
+    check_tol,
     complement_modes,
     normalize_modes,
     push_blocks,
@@ -62,8 +63,6 @@ __all__ = [
     "PropernessReport",
     "tucker_membership",
     "is_member",
-    "member_subspaces",
-    "require_member",
     "bounded_rank_member",
     "necessary_rank_conditions",
     "is_admissible",
@@ -150,16 +149,23 @@ def _check_covers(tree, r):
         )
 
 
-def _check_member_args(v, tree, r):
-    """The validated tensor, checked against a tree and a rank tuple
-    covering it."""
-    v = check_tensor(v, allow_zero=False)
+def _check_rank_args(tree, r, shape):
+    """A valid tree, a shape with one size per mode and a rank tuple
+    covering the tree."""
     tree.ensure_valid()
-    _check_covers(tree, r)
-    if tree.ndim != v.ndim:
+    if len(shape) != tree.ndim:
         raise InvalidArgumentError(
-            f"tree has {tree.ndim} modes, tensor has {v.ndim}"
-        )
+            f"tree has {tree.ndim} modes, shape {tuple(shape)} has "
+            f"{len(shape)}")
+    _check_covers(tree, r)
+
+
+def member_args(v, tree, r, tol):
+    """The validated tensor, checked against a tree and a rank tuple
+    covering it, and ``tol``."""
+    check_tol(tol)
+    v = check_tensor(v, allow_zero=False)
+    _check_rank_args(tree, r, v.shape)
     return v
 
 
@@ -169,12 +175,16 @@ def tucker_membership(v, partition, ranks, tol=DEFAULT_TOL):
     ``ranks`` maps each partition block to a positive integer.  Returns the
     boolean verdict and the computed dimensions, in block order.
     """
+    check_tol(tol)
     v = check_tensor(v, allow_zero=False)
     blocks = sorted_blocks(normalize_modes(b, v.ndim) for b in partition)
+    missing = [set(b) for b in blocks if b not in ranks]
+    if missing:
+        raise InvalidArgumentError(f"ranks are missing blocks {missing}")
     expected = tuple(int(ranks[b]) for b in blocks)
     if any(e < 1 for e in expected):
         raise InvalidArgumentError("expected ranks must be positive")
-    found = _ranks(v, blocks, tol)
+    found = node_ranks(v, blocks, tol)
     computed = tuple(found[b] for b in blocks)
     return computed == expected, computed
 
@@ -188,13 +198,14 @@ def is_member(v, tree, r, tol=DEFAULT_TOL):
     every tree node directly: every level reads its blocks off one rank
     profile of ``v``, one SVD per tree node.
     """
-    v = _check_member_args(v, tree, r)
-    return _membership_report(_ranks(v, tree.nodes, tol), tree, r, tol)
+    v = member_args(v, tree, r, tol)
+    return _membership_report(node_ranks(v, tree.nodes, tol), tree, r, tol)
 
 
-def member_subspaces(v, tree, r, tol=DEFAULT_TOL):
-    """:func:`is_member` of ``v`` together with the minimal subspace of
-    every level-1 block, keyed by block in level order.
+def member_subspaces(v, tree, r, tol):
+    """:func:`is_member` of a ``v`` already through :func:`member_args`,
+    together with the minimal subspace of every level-1 block, keyed by
+    block in level order.
 
     Each level-1 unfolding ``U S V^T`` is factored once, with its singular
     vectors, and its rank is that basis's dimension.  Every other non-root
@@ -202,20 +213,14 @@ def member_subspaces(v, tree, r, tol=DEFAULT_TOL):
     (``n_b`` rows), whose unfoldings have the singular values of the
     tensor's since ``V^T`` has orthonormal rows: one SVD without factors
     per distinct unfolding shape, and the tensor is unfolded at the level-1
-    blocks only (:func:`~treegeom.subspaces._nested_ranks`).  The root
+    blocks only (:func:`~treegeom.subspaces.nested_ranks`).  The root
     takes none: its verdict is the rank tuple's own root condition.
     """
-    return _member_subspaces(_check_member_args(v, tree, r), tree, r, tol)
-
-
-def _member_subspaces(v, tree, r, tol):
-    """:func:`member_subspaces` of a ``v`` already through
-    :func:`_check_member_args`: the tensor is not scanned again."""
     subs, weighted = {}, {}
     for b in level_partition(tree, 1):
-        subs[b], U, s = _factored_subspace(v, b, tol)
+        subs[b], U, s = factored_subspace(v, b, tol)
         weighted[b] = U * s
-    computed = {**_nested_ranks(tree, weighted, v.shape, tol),
+    computed = {**nested_ranks(tree, weighted, v.shape, tol),
                 **{b: sub.rank for b, sub in subs.items()}}
     return _membership_report(computed, tree, r, tol), subs
 
@@ -238,23 +243,13 @@ def _membership_report(computed, tree, r, tol):
     )
 
 
-def require_member(v, tree, r, tol=DEFAULT_TOL):
-    """The validated ``v`` and its splits at every non-root node (one
-    factorization each, none at the root); raises :class:`NotOnManifoldError`,
-    carrying the failing levels, unless the splits' ranks are ``r``.
-
-    Every call factors ``v`` afresh and returns writable arrays.  The chart,
-    tangent and immersion functions do not call it: they share one anchor's
-    splits through :func:`treegeom.tangent._anchor`, which runs the same
-    checks (:func:`_member_splits`) once per anchor."""
-    v = _check_member_args(v, tree, r)
-    return v, _member_splits(v, tree, r, tol)
-
-
-def _member_splits(v, tree, r, tol):
-    """The splits of :func:`require_member` at a ``v`` already through
-    :func:`_check_member_args`: the tensor is not scanned again."""
-    splits = _tree_splits(v, tree, tol)
+def member_splits(v, tree, r, tol):
+    """The splits of a ``v`` already through :func:`member_args` at every
+    non-root node (one factorization each, none at the root); raises
+    :class:`NotOnManifoldError`, carrying the failing levels, unless their
+    ranks are ``r``.  The membership precondition of everything anchored at
+    a point, run once per anchor (:func:`treegeom.tangent.anchor_state`)."""
+    splits = tree_splits(v, tree, tol)
     report = _membership_report(
         {node: s.rank for node, s in splits.items()}, tree, r, tol
     )
@@ -269,8 +264,8 @@ def _member_splits(v, tree, r, tol):
 
 def bounded_rank_member(v, tree, r, tol=DEFAULT_TOL):
     """True iff every node's minimal subspace dimension is at most its bound."""
-    v = _check_member_args(v, tree, r)
-    computed = _ranks(v, tree.nodes, tol)
+    v = member_args(v, tree, r, tol)
+    computed = node_ranks(v, tree.nodes, tol)
     return all(computed[node] <= r[node] for node in tree.nodes)
 
 
@@ -285,10 +280,7 @@ def necessary_rank_conditions(tree, r, shape):
     applied to the complement).  Returns a list of human-readable violations,
     empty when all conditions hold.
     """
-    tree.ensure_valid()
-    if len(shape) != tree.ndim:
-        raise InvalidArgumentError("shape does not match tree")
-    _check_covers(tree, r)
+    _check_rank_args(tree, r, shape)
     violations = []
     if r[tree.root] != 1:
         violations.append(f"root rank must be 1, got {r[tree.root]}")
@@ -356,7 +348,7 @@ def network_dimension_formula(tree, r, shape):
     """Closed-form parameter count of the tree network modulo per-node gauge:
     root coefficient block, plus one transfer block per interior node, plus
     the leaf factors, minus one general linear group per non-root node."""
-    tree.ensure_valid()
+    _check_rank_args(tree, r, shape)
     core = prod(r[b] for b in tree.sons_of(tree.root))
     interior = sum(
         r[node] * prod(r[b] for b in tree.sons_of(node))
@@ -409,8 +401,16 @@ def random_tree_tensor(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
     return generation_attempts(tree, r, shape, seed, max_retries, tol)[0]
 
 
+def _check_attempts(count, name):
+    """A generation attempt budget must allow at least one attempt."""
+    if count < 1:
+        raise InvalidArgumentError(f"{name} must be at least 1")
+
+
 def generation_attempts(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
     """Like :func:`random_tree_tensor` but also reports the attempt count."""
+    _check_attempts(max_retries, "max_retries")
+    check_tol(tol)
     violations = necessary_rank_conditions(tree, r, shape)
     if violations:
         raise InvalidArgumentError(
@@ -438,8 +438,8 @@ def is_admissible(tree, r, shape, trials=20, seed=0, tol=DEFAULT_TOL):
     "unknown" (the conditions are necessary, not known to be sufficient, and
     a sampling miss is not a proof).
     """
-    if trials < 1:
-        raise InvalidArgumentError("trials must be at least 1")
+    _check_attempts(trials, "trials")
+    check_tol(tol)
     violations = necessary_rank_conditions(tree, r, shape)
     if violations:
         return AdmissibilityVerdict(

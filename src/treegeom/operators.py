@@ -13,7 +13,7 @@ the generic matrix exponential.
 :func:`assemble_laplacian` and :func:`decompose_laplacian` work with dense
 ``N x N`` matrices on the full tensor space (``N`` the total dimension).
 Both read one flat index per block, the positions of ``M (x) I_rest`` in
-the output (:func:`~treegeom.tensor._embedding_index`): assembly adds each
+the output (:func:`~treegeom.tensor.embedding_index`): assembly adds each
 block's lifted part there in place, and the partial trace is a gather
 through it, so no Kronecker product with an identity is formed.  They are
 oracles and cross-checks; the chart and tangent paths use only the
@@ -30,20 +30,20 @@ from math import prod
 import numpy as np
 
 from .errors import InvalidArgumentError, NotInSpaceError
-from .subspaces import DEFAULT_TOL, _minimal_subspace
+from .subspaces import DEFAULT_TOL, factored_subspace
 from .tensor import (
-    _embedding_index,
-    _svd,
     check_tensor,
+    check_tol,
+    embedding_index,
     normalize_modes,
     sorted_blocks,
+    svd,
 )
 
 __all__ = [
     "SplitSpace",
     "LaplacianLike",
     "split",
-    "tree_splits",
     "lifted_part",
     "assemble_laplacian",
     "decompose_laplacian",
@@ -115,29 +115,21 @@ def split(v, alpha, tol=DEFAULT_TOL):
     ``n_alpha x n_alpha`` is formed besides the unfolding's thin SVD.
     """
     v = check_tensor(v, allow_zero=False)
-    return _split(v, normalize_modes(alpha, v.ndim), tol)
+    return _split(v, normalize_modes(alpha, v.ndim), check_tol(tol))
+
+
+def tree_splits(v, tree, tol):
+    """:func:`split` at every non-root node of ``tree``, keyed by node, of
+    a ``v``, a tree over its modes and a ``tol`` already checked: each node
+    costs its two SVDs and nothing else."""
+    return {node: _split(v, node, tol) for node in tree.nodes
+            if node != tree.root}
 
 
 def _split(v, alpha, tol):
-    """:func:`split` of a ``v`` already passed through :func:`check_tensor`
-    with ``allow_zero=False``, at a normalized ``alpha``."""
-    sub = _minimal_subspace(v, alpha, tol)
-    U_full, _, _ = _svd(sub.basis, full_matrices=True)
+    sub = factored_subspace(v, alpha, tol)[0]
+    U_full, _, _ = svd(sub.basis, full_matrices=True)
     return SplitSpace(alpha=alpha, u=sub.basis, w=U_full[:, sub.rank:])
-
-
-def tree_splits(v, tree, tol=DEFAULT_TOL):
-    """:func:`split` at every non-root node of ``tree``, keyed by node."""
-    return {node: split(v, node, tol) for node in tree.nodes
-            if node != tree.root}
-
-
-def _tree_splits(v, tree, tol):
-    """:func:`tree_splits` of a ``v`` already passed through
-    :func:`check_tensor` with ``allow_zero=False``, for a valid tree over
-    ``v``'s modes: each node costs its two SVDs and nothing else."""
-    return {node: _split(v, node, tol) for node in tree.nodes
-            if node != tree.root}
 
 
 def lifted_part(s, C):
@@ -154,9 +146,9 @@ def lifted_part(s, C):
     return s.w @ C @ s.u.T
 
 
-def _check_splits(L, splits):
+def _check_splits(blocks, splits):
     out = {}
-    for b in L.partition:
+    for b in blocks:
         key = tuple(sorted(b))
         if key not in splits:
             raise InvalidArgumentError(f"no split available for block {key}")
@@ -169,9 +161,9 @@ def assemble_laplacian(L, splits, shape):
     the sum over blocks of the lifted part embedded with identities.
 
     Each block's entries are added in place through its embedding index
-    (:func:`~treegeom.tensor._embedding_index`), in partition order; blocks
+    (:func:`~treegeom.tensor.embedding_index`), in partition order; blocks
     share only the diagonal, so the output is the only ``N x N`` array."""
-    splits = _check_splits(L, splits)
+    splits = _check_splits(L.partition, splits)
     N = prod(shape)
     out = np.zeros(N * N)
     for b in L.partition:
@@ -181,7 +173,7 @@ def assemble_laplacian(L, splits, shape):
             raise InvalidArgumentError(
                 f"split at {b} does not match tensor shape {shape}"
             )
-        out[_embedding_index(shape, alpha)] += \
+        out[embedding_index(shape, alpha)] += \
             lifted_part(s, L.parts[b])[:, :, None]
     return out.reshape(N, N)
 
@@ -197,18 +189,20 @@ def decompose_laplacian(Lop, partition, splits, shape, tol=DEFAULT_TOL):
     verdict does not depend on scale, the operator is not in the space and
     an error carrying the (absolute) residual is raised.
     """
+    check_tol(tol)
     Lop = np.asarray(Lop, dtype=float)
     N = prod(shape)
     if Lop.shape != (N, N):
         raise InvalidArgumentError(f"operator must be {N}x{N}")
     blocks = sorted_blocks(partition)
+    splits = _check_splits(blocks, splits)
     parts = {}
     for b in blocks:
         s = splits[b]
         n_rest = N // s.ambient_dim
         # partial trace over the modes outside b: the block matrix T with
         # <Lop, M (x) id> = <T, M> for every block operator M
-        T = Lop.reshape(-1)[_embedding_index(shape, b)].sum(axis=2)
+        T = Lop.reshape(-1)[embedding_index(shape, b)].sum(axis=2)
         parts[b] = (s.w.T @ T @ s.u) / n_rest
     L = LaplacianLike(partition=blocks, parts=parts)
     # decided on the operators divided by max|Lop|, so that neither norm

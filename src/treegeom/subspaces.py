@@ -20,7 +20,7 @@ matrix, whose squaring would push the default tolerance below machine
 precision.  Where a level-1 block's factor is at hand (a chart point's or
 a chart core's), the nodes inside the block are read off that ``n_b``-row
 factor instead of the tensor, their small unfoldings stacked by shape into
-one batched SVD each (:func:`_nested_ranks`).  Bases are computed only
+one batched SVD each (:func:`nested_ranks`).  Bases are computed only
 where a caller needs one, and a projection onto a product of block bases
 (the chain and nestedness residuals) pulls back onto the bases and pushes
 forward again, with no ``n_b x n_b`` projector.
@@ -37,16 +37,16 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
 from .tensor import (
-    _planned,
-    _svd,
-    _svd_ranks,
-    _unfold,
     check_tensor,
+    check_tol,
     normalize_modes,
+    planned,
     pull_blocks,
     push_blocks,
     sorted_blocks,
+    svd,
     svd_rank,
+    unfold,
 )
 from .trees import level_partition, levels
 
@@ -130,24 +130,18 @@ def minimal_subspace(v, alpha, tol=DEFAULT_TOL):
     exceed ``tol`` times the largest one.
     """
     v = check_tensor(v, allow_zero=False)
-    return _minimal_subspace(v, normalize_modes(alpha, v.ndim), tol)
+    alpha = normalize_modes(alpha, v.ndim)
+    return factored_subspace(v, alpha, check_tol(tol))[0]
 
 
-def _minimal_subspace(v, alpha, tol):
+def factored_subspace(v, alpha, tol):
     """:func:`minimal_subspace` of a ``v`` already passed through
     :func:`check_tensor` with ``allow_zero=False``, at a normalized
-    ``alpha``: the unfolding is factored with no second finiteness scan."""
-    return _factored_subspace(v, alpha, tol)[0]
-
-
-def _factored_subspace(v, alpha, tol):
-    """:func:`_minimal_subspace` together with the factors ``U`` and ``s``
-    of the unfolding's thin SVD, every singular value kept: ``U * s`` is
-    the factor :func:`_nested_ranks` reads the nodes inside ``alpha``
+    ``alpha`` and a checked ``tol``, together with the factors ``U`` and
+    ``s`` of the unfolding's thin SVD, every singular value kept: ``U * s``
+    is the factor :func:`nested_ranks` reads the nodes inside ``alpha``
     off."""
-    if tol <= 0:
-        raise InvalidArgumentError("rank tolerance must be positive")
-    U, s, _ = _svd(_unfold(v, alpha))
+    U, s, _ = svd(unfold(v, alpha))
     r = svd_rank(s, tol)
     sub = SubspaceBasis(
         alpha=alpha, basis=U[:, :r], singular_values=s[:r], tol=tol
@@ -163,28 +157,26 @@ def tree_rank(v, tree, tol=DEFAULT_TOL):
         raise InvalidArgumentError(
             f"tree has {tree.ndim} modes, tensor has {v.ndim}"
         )
-    return TreeRank(_ranks(v, tree.nodes, tol))
+    return TreeRank(node_ranks(v, tree.nodes, check_tol(tol)))
 
 
-def _ranks(v, blocks, tol):
+def node_ranks(v, blocks, tol):
     """Minimal subspace dimension of ``v`` at each distinct block.
 
-    ``v`` must have passed :func:`check_tensor` with ``allow_zero=False``
-    and the blocks must be normalized.  Each block costs one SVD without
-    factors, thresholded as in :func:`minimal_subspace`.
+    ``v`` must have passed :func:`check_tensor` with ``allow_zero=False``,
+    the blocks must be normalized and ``tol`` checked.  Each block costs
+    one SVD without factors, thresholded as in :func:`minimal_subspace`.
     """
-    if tol <= 0:
-        raise InvalidArgumentError("rank tolerance must be positive")
     ranks = {}
     for b in blocks:
         if b not in ranks:
             ranks[b] = svd_rank(
-                np.linalg.svd(_unfold(v, b), compute_uv=False), tol
+                np.linalg.svd(unfold(v, b), compute_uv=False), tol
             )
     return ranks
 
 
-def _unfolding_plan(shapes, requests):
+def unfolding_plan(shapes, requests):
     """Gather plan of unfoldings of arrays of the given ``shapes`` laid end
     to end in one flat vector.  ``requests`` holds ``(piece, axes)`` pairs:
     the unfolding of array ``piece`` with ``axes`` as its row index, the
@@ -194,9 +186,9 @@ def _unfolding_plan(shapes, requests):
     read-only ``k x m x n`` flat index of their stacked matrices.
 
     The plan is kept or built afresh by the size rule of
-    :func:`~treegeom.tensor._planned`."""
+    :func:`~treegeom.tensor.planned`."""
     entries = sum(prod(shapes[piece]) for piece, _ in requests)
-    return _planned(_kept_plan, _build_plan, entries, shapes, requests)
+    return planned(_kept_plan, _build_plan, entries, shapes, requests)
 
 
 def _build_plan(shapes, requests):
@@ -223,7 +215,7 @@ _kept_plan = lru_cache(maxsize=256)(_build_plan)
 def _nested_requests(tree, shape, columns):
     """The nodes strictly inside each level-1 block of ``columns`` (pairs
     ``(b, p)``, one ``n_b x p`` factor per block), the factors' shapes
-    (``b``'s mode sizes, then ``p``) and each node's :func:`_unfolding_plan`
+    (``b``'s mode sizes, then ``p``) and each node's :func:`unfolding_plan`
     request."""
     nodes, shapes, requests = [], [], []
     for piece, (b, p) in enumerate(columns):
@@ -235,7 +227,7 @@ def _nested_requests(tree, shape, columns):
     return tuple(nodes), tuple(shapes), tuple(requests)
 
 
-def _nested_ranks(tree, factors, shape, tol):
+def nested_ranks(tree, factors, shape, tol):
     """Rank at every tree node strictly inside each level-1 block ``b`` of
     ``factors`` (``{b: X_b}``, ``X_b`` an ``n_b x p`` factor of the
     tensor's ``b``-unfolding ``X_b Q^T`` with ``Q`` orthonormal, such as
@@ -253,10 +245,10 @@ def _nested_ranks(tree, factors, shape, tol):
         return {}
     flat = np.concatenate([X.ravel() for X in factors.values()])
     ranks = {}
-    for positions, index in _unfolding_plan(shapes, requests):
+    for positions, index in unfolding_plan(shapes, requests):
         # the batched call runs the same LAPACK routine on each matrix as a
         # call on that matrix alone
-        found = _svd_ranks(np.linalg.svd(flat[index], compute_uv=False), tol)
+        found = svd_rank(np.linalg.svd(flat[index], compute_uv=False), tol)
         ranks.update(zip((nodes[j] for j in positions), found.tolist()))
     return ranks
 
@@ -277,9 +269,10 @@ def check_nestedness(v, alpha, sub_partition, tol=DEFAULT_TOL):
         raise InvalidArgumentError(
             f"{list(blocks)} is not a partition of {alpha}"
         )
-    big = minimal_subspace(v, alpha, tol)
+    check_tol(tol)
+    big = factored_subspace(v, alpha, tol)[0]
     W = big.basis.reshape([v.shape[a - 1] for a in alpha] + [big.rank])
-    fine = [minimal_subspace(v, b, tol).basis for b in blocks]
+    fine = [factored_subspace(v, b, tol)[0].basis for b in blocks]
     proj = push_blocks(pull_blocks(W, fine, blocks, v.shape), fine, blocks,
                        v.shape)
     return float(np.linalg.norm(W - proj))
@@ -296,16 +289,17 @@ def check_chain(v, tree, tol=DEFAULT_TOL):
     """
     v = check_tensor(v, allow_zero=False)
     tree.ensure_valid()
+    check_tol(tol)
     blocks = {
         b for k in range(1, levels(tree).depth + 1)
         for b in level_partition(tree, k)
     }
-    return _chain_residuals(
-        v, tree, {b: minimal_subspace(v, b, tol).basis for b in blocks}
+    return chain_residuals(
+        v, tree, {b: factored_subspace(v, b, tol)[0].basis for b in blocks}
     )
 
 
-def _chain_residuals(v, tree, bases):
+def chain_residuals(v, tree, bases):
     """:func:`check_chain` of a validated ``v`` given the minimal subspace
     basis of (at least) every level block."""
     residuals = {}

@@ -40,22 +40,23 @@ numbers side by side instead of reconciling them.
 
 Every entry point anchored at a tensor (:func:`tangent_dimension`,
 :func:`immersion_check`, the two Jacobian oracles and
-:func:`~treegeom.charts.tree_chart`) reads one anchor state: the membership
-precondition of :func:`~treegeom.formats.require_member`, the splits it
-decides on, and the operator intersection, built on first use.  The state
-of the last anchor is kept, keyed by the content of the validated tensor,
-the tree, the rank tuple and ``tol``, so the chart, the tangent report and
-the immersion check at every level of one anchor factor it once; its arrays
-are read-only.  The arguments are validated on every call, a tensor
-changed in place is a new anchor, and a failed membership check keeps
-nothing.  The Jacobian oracles build no operator intersection: the oracle
-pulls its network parameters back off the splits, checks through the
-tree-network contraction of :mod:`treegeom.formats` that they reproduce
-the tensor, and writes each node's block of columns in closed form: the
-tensor is linear in each node's parameters, so a node's block is its lift
-(the identity at a leaf, the sons' bases pushed through the identity
-inside) times its coefficients on the modes outside it, one Kronecker
-product that is the block itself.
+:func:`~treegeom.charts.tree_chart`) reads one anchor state
+(:func:`anchor_state`): the membership precondition of
+:func:`~treegeom.formats.member_splits`, the splits it decides on, and the
+operator intersection, built on first use.  The state of the last anchor is
+kept, keyed by the content of the validated tensor, the tree, the rank
+tuple and ``tol``, so the chart, the tangent report and the immersion check
+at every level of one anchor factor it once; its arrays are read-only.  The
+arguments are validated once on every call
+(:func:`~treegeom.formats.member_args`), a tensor changed in place is a new
+anchor, and a failed membership check keeps nothing.  The Jacobian oracles
+build no operator intersection: the oracle pulls its network parameters
+back off the splits, checks through the tree-network contraction of
+:mod:`treegeom.formats` that they reproduce the tensor, and writes each
+node's block of columns in closed form: the tensor is linear in each node's
+parameters, so a node's block is its lift (the identity at a leaf, the
+sons' bases pushed through the identity inside) times its coefficients on
+the modes outside it, one Kronecker product that is the block itself.
 """
 
 from __future__ import annotations
@@ -68,20 +69,21 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .formats import (
-    _check_member_args,
-    _member_splits,
     contract_network,
+    member_args,
+    member_splits,
     network_dimension_formula,
     node_basis,
 )
 from .operators import SplitSpace, lifted_part
 from .subspaces import DEFAULT_TOL
 from .tensor import (
-    _embedding_index,
-    _svd,
     block_transpose_permutation,
+    check_tol,
+    embedding_index,
     pull_blocks,
     sorted_blocks,
+    svd,
     svd_rank,
 )
 from .trees import level_partition, levels
@@ -157,7 +159,7 @@ def level_operator_basis(partition, splits, shape):
         E = np.einsum("xi,yj->xyji", s.w, s.u).reshape(
             s.ambient_dim, s.ambient_dim, dim
         )
-        vectors[_embedding_index(shape, b), start:start + dim] = (
+        vectors[embedding_index(shape, b), start:start + dim] = (
             E[:, :, None, :] / np.sqrt(N // s.ambient_dim)
         )
         start += dim
@@ -184,7 +186,7 @@ def _factor_spectrum(factors, dim):
         return np.zeros(0), np.eye(dim)
     if len(R) > dim:
         R = np.linalg.qr(R, mode="r")
-    _, s, Vt = _svd(R, full_matrices=True)
+    _, s, Vt = svd(R, full_matrices=True)
     return s, Vt
 
 
@@ -209,6 +211,7 @@ def intersect_operator_spaces(bases, tol=DEFAULT_TOL):
     nullspace, at the given tolerance, of those complement projectors
     restricted to the first basis, read off their residual factors.
     """
+    check_tol(tol)
     if not bases:
         raise InvalidArgumentError("need at least one operator space")
     first = bases[0]
@@ -506,7 +509,7 @@ class BlockOperatorBasis:
             lifted = [lifted_part(s, c.reshape(s.rank, s.corank).T
                                   / np.sqrt(space.n_rest)) for c in Q.T]
             if lifted:
-                out[_embedding_index(self.shape, space.block), sl] = \
+                out[embedding_index(self.shape, space.block), sl] = \
                     np.stack(lifted, axis=-1)[:, :, None, :]
         return out
 
@@ -520,6 +523,7 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     singular values are those of :func:`intersect_operator_spaces` on the
     full level bases, up to the recorded nestedness defect.
     """
+    check_tol(tol)
     spaces = _block_spaces(tree, splits, shape)
     factors, defects = zip(*(space.residual_factors() for space in spaces))
     spectra = [_factor_spectrum(f, f[0].shape[1]) for f in factors]
@@ -582,13 +586,14 @@ def _clear_anchor():
     _anchor_slot = None
 
 
-def _anchor(v, tree, r, tol):
+def anchor_state(v, tree, r, tol):
     """The validated ``v`` and the :class:`_AnchorState` at it.
 
-    The arguments are checked on every call.  The state is reused when the
+    The arguments are checked on every call
+    (:func:`~treegeom.formats.member_args`).  The state is reused when the
     digest of the validated float64 entries, the shape, the tree, the rank
     items and ``tol`` all match the slot's; otherwise ``v`` is factored and
-    its membership required (:func:`~treegeom.formats.require_member`)
+    its membership required (:func:`~treegeom.formats.member_splits`)
     before the new state takes the slot.  A hit returns the caller's own
     array with the kept splits and basis.
     """
@@ -597,13 +602,13 @@ def _anchor(v, tree, r, tol):
     import hashlib
 
     global _anchor_slot
-    v = _check_member_args(v, tree, r)
+    v = member_args(v, tree, r, tol)
     key = (hashlib.blake2b(np.ascontiguousarray(v)).digest(), v.shape, tree,
            tuple(r.items()), tol)
     state = _anchor_slot
     if state is None or state.key != key:
         _anchor_slot = None
-        splits = _member_splits(v, tree, r, tol)
+        splits = member_splits(v, tree, r, tol)
         _read_only(*(a for s in splits.values() for a in (s.u, s.w)))
         state = _AnchorState(key=key, tree=tree, shape=v.shape, tol=tol,
                              splits=splits)
@@ -678,7 +683,7 @@ def parametrization_jacobian(v, tree, r, tol=DEFAULT_TOL):
     tensor.  Reads the anchor's splits as :func:`tangent_dimension` does,
     and builds no operator intersection.
     """
-    v, anchor = _anchor(v, tree, r, tol)
+    v, anchor = anchor_state(v, tree, r, tol)
     return _jacobian(v, tree, anchor.splits)
 
 
@@ -687,7 +692,7 @@ def tangent_dimension_oracle(v, tree, r, tol=DEFAULT_TOL):
     Jacobian, at the threshold ``tol`` relative to its largest singular
     value, as every rank decision of the library is read.  Reads the
     anchor's splits and builds no operator intersection."""
-    v, anchor = _anchor(v, tree, r, tol)
+    v, anchor = anchor_state(v, tree, r, tol)
     return _jacobian_rank(v, tree, anchor.splits, tol)
 
 
@@ -732,11 +737,11 @@ def tangent_dimension(v, tree, r, tol=DEFAULT_TOL):
 
     Raises :class:`NotOnManifoldError` unless ``v`` has the rank profile
     ``r``.  The operator intersection and the splits the Jacobian oracle
-    reads are the anchor's (:func:`_anchor`): after
+    reads are the anchor's (:func:`anchor_state`): after
     :func:`~treegeom.charts.tree_chart` or :func:`immersion_check` at the
     same anchor, only the Jacobian's rank is computed.
     """
-    v, anchor = _anchor(v, tree, r, tol)
+    v, anchor = anchor_state(v, tree, r, tol)
     inter = anchor.operator_basis()
     dim_core = prod(r[b] for b in level_partition(tree, 1))
     dim_total = inter.dim + dim_core
@@ -784,7 +789,7 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     anything is factored.  Requires membership: like
     :func:`tangent_dimension` and :func:`~treegeom.charts.tree_chart`, it
     raises :class:`NotOnManifoldError` unless ``v`` has the rank profile
-    ``r``.  Reads the anchor's intersection (:func:`_anchor`), so checking
+    ``r``.  Reads the anchor's intersection (:func:`anchor_state`), so checking
     every level of one anchor, after its chart or tangent report or not,
     factors it once.  Verifies that
     every basis vector lies in the level-k space (projector residual), that
@@ -800,7 +805,7 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     depth = levels(tree).depth
     if not 1 <= k <= depth:
         raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
-    v, anchor = _anchor(v, tree, r, tol)
+    v, anchor = anchor_state(v, tree, r, tol)
     splits = anchor.splits
     inter = anchor.operator_basis()
     blocks_k = level_partition(tree, k)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import struct
 from functools import lru_cache
-from math import prod
+from math import inf, prod
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +90,10 @@ def matricize(v, alpha):
     Frobenius norm is preserved.
     """
     v = check_tensor(v)
-    return _unfold(v, normalize_modes(alpha, v.ndim))
+    return unfold(v, normalize_modes(alpha, v.ndim))
 
 
-def _unfold(v, alpha):
+def unfold(v, alpha):
     """:func:`matricize` of a float array already passed through
     :func:`check_tensor`, at a mode subset already normalized."""
     row_axes = [a - 1 for a in alpha]
@@ -135,7 +135,7 @@ def apply_mode_operator(A, alpha, partition, v):
     blocks = _check_partition(partition, v.ndim)
     if alpha not in blocks:
         raise InvalidArgumentError(f"partition does not contain block {alpha}")
-    M = _unfold(v, alpha)
+    M = unfold(v, alpha)
     if A.shape[1] != M.shape[0]:
         raise InvalidArgumentError(
             f"operator has {A.shape[1]} columns, block {alpha} has size {M.shape[0]}"
@@ -237,33 +237,35 @@ def svd(M, full_matrices=False):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise InvalidArgumentError("svd expects a matrix")
-    if not np.all(np.isfinite(M)):
+    # the method, not np.all: every internal SVD pays this scan
+    if not np.isfinite(M).all():
         raise InvalidArgumentError("svd input has non-finite entries")
-    return _svd(M, full_matrices)
-
-
-def _svd(M, full_matrices=False):
-    """:func:`svd` of a float matrix already known to be finite: an
-    unfolding of a tensor passed through :func:`check_tensor`, or a basis
-    read off such an unfolding."""
     U, s, Vt = np.linalg.svd(M, full_matrices=full_matrices)
     U, Vt = _fix_signs(U, Vt)
     return U, s, Vt
 
 
+def check_tol(tol):
+    """``tol`` if it is a finite real number > 0; ``None``, NaN, an
+    infinity, zero or a negative number is an input error."""
+    # one comparison, not an isinstance check on an abstract class: every
+    # svd_rank call pays it; what does not compare with numbers raises
+    try:
+        if 0 < tol < inf:
+            return tol
+    except (TypeError, ValueError):
+        pass
+    raise InvalidArgumentError(f"tol must be a finite number > 0, got {tol!r}")
+
+
 def svd_rank(s, tol):
     """Number of singular values above the rank tolerance ``tol``, relative
-    to the largest singular value."""
+    to the largest singular value: an ``int`` for a nonincreasing vector,
+    an integer array with one count per row for a stack of them."""
+    check_tol(tol)
     s = np.asarray(s, dtype=float)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
-def _svd_ranks(s, tol):
-    """:func:`svd_rank` of each row of a ``k x q`` array of singular
-    values, as one vectorised comparison."""
-    return (s > tol * s[:, :1]).sum(axis=1)
+    found = (s > tol * s[..., :1]).sum(axis=-1)
+    return int(found) if s.ndim == 1 else found
 
 
 def block_transpose_permutation(shape, alpha):
@@ -286,7 +288,7 @@ def embed_block_operator(M, alpha, shape):
     The result is the full matrix on the flattened tensor space: entry
     ``(i, j)`` is ``M[a, a']`` when ``i`` and ``j`` have block indices
     ``a`` and ``a'`` and agree on every other mode, and zero otherwise.  It
-    is written through :func:`_embedding_index` in one indexed write.
+    is written through :func:`embedding_index` in one indexed write.
     """
     M = np.asarray(M, dtype=float)
     alpha = normalize_modes(alpha, len(shape))
@@ -297,11 +299,11 @@ def embed_block_operator(M, alpha, shape):
         )
     N = prod(shape)
     out = np.zeros(N * N)
-    out[_embedding_index(shape, alpha)] = M[:, :, None]
+    out[embedding_index(shape, alpha)] = M[:, :, None]
     return out.reshape(N, N)
 
 
-def _embedding_index(shape, alpha):
+def embedding_index(shape, alpha):
     """Flat positions, in the ``N x N`` operator on the flattened tensor
     space, of the entries of an ``n_alpha x n_alpha`` block operator
     tensored with the identity on the other modes (``alpha`` normalized).
@@ -311,10 +313,10 @@ def _embedding_index(shape, alpha):
     over the other modes' multi-indices; writing ``M[:, :, None]`` there
     embeds ``M``, and summing a gather over the last axis is the partial
     trace over the other modes.  The index is read-only and kept under the
-    size rule of :func:`_planned`."""
+    size rule of :func:`planned`."""
     shape = tuple(shape)
     entries = prod(shape) * prod(shape[a - 1] for a in alpha)
-    return _planned(_kept_index, _build_index, entries, shape, alpha)
+    return planned(_kept_index, _build_index, entries, shape, alpha)
 
 
 def _build_index(shape, alpha):
@@ -326,7 +328,7 @@ def _build_index(shape, alpha):
     return index
 
 
-def _planned(kept, build, entries, *args):
+def planned(kept, build, entries, *args):
     """``build(*args)``, an index plan of ``entries`` entries: read from
     ``kept``, the bounded ``lru_cache`` of ``build``, when it has at most
     :data:`_KEPT_PLAN_ENTRIES` entries, built afresh on every call

@@ -142,7 +142,7 @@ def test_warm_and_cold_reports_match_the_reference(name, empty_anchor_slot):
 def test_warm_anchor_factors_nothing(monkeypatch, empty_anchor_slot):
     v, tree, r = deep_case()
     quiet_chart(v, tree, r)
-    subspaces_run = counter(monkeypatch, operators, "_minimal_subspace")
+    subspaces_run = counter(monkeypatch, operators, "factored_subspace")
     bases_built = counter(monkeypatch, tangent, "tree_operator_basis")
     svds = counter(monkeypatch, np.linalg, "svd")
     tg.tangent_dimension(v, tree, r)
@@ -188,7 +188,7 @@ def test_any_changed_argument_misses(monkeypatch, what, empty_anchor_slot):
     v, tree, r = deep_case()
     before = tg.tangent_dimension(v, tree, r)
     state = tangent._anchor_slot
-    subspaces_run = counter(monkeypatch, operators, "_minimal_subspace")
+    subspaces_run = counter(monkeypatch, operators, "factored_subspace")
     if what == "in place":
         v *= 2.0
         assert tg.tangent_dimension(v, tree, r) == before
@@ -268,7 +268,7 @@ def test_oracle_path_builds_no_operator_basis(monkeypatch, empty_anchor_slot):
 def test_out_of_range_level_factors_nothing(monkeypatch, k, empty_anchor_slot):
     v, tree, r = deep_case()
     svds = counter(monkeypatch, np.linalg, "svd")
-    unfolded = counter(monkeypatch, operators, "_minimal_subspace")
+    unfolded = counter(monkeypatch, operators, "factored_subspace")
     with pytest.raises(InvalidArgumentError, match="out of range"):
         tg.immersion_check(v, tree, r, k)
     assert (svds, unfolded) == ([], [])

@@ -14,7 +14,7 @@ from treegeom.errors import (
 )
 from treegeom.charts import _graph_parts
 from treegeom.operators import LaplacianLike
-from treegeom.subspaces import TreeRank, _minimal_subspace
+from treegeom.subspaces import TreeRank, factored_subspace
 from treegeom.tensor import sorted_blocks
 
 from helpers import (
@@ -438,8 +438,8 @@ def test_inverse_pulls_back_once_and_assembles_nothing(monkeypatch):
     # every dense N x N operator or basis is written through a block
     # embedding index
     for module in (tangent, operators):
-        monkeypatch.setattr(module, "_embedding_index",
-                            counting("embed", module._embedding_index))
+        monkeypatch.setattr(module, "embedding_index",
+                            counting("embed", module.embedding_index))
     for w in points:
         tg.tree_chart_inverse(chart, w)
     assert calls == {"pull_back": len(points), "embed": 0}
@@ -796,7 +796,7 @@ def test_level_operators_equal_the_kronecker_reference(kind, shape):
                                  seed=seed)
         w = ladder_point(chart, 100 + seed)
         for k, blocks in enumerate(chart.level_partitions, start=1):
-            subs = {b: _minimal_subspace(w, b, chart.tol) for b in blocks}
+            subs = {b: factored_subspace(w, b, chart.tol)[0] for b in blocks}
             L = LaplacianLike(partition=blocks, parts=_graph_parts(
                 subs, chart.splits, chart.ranks))
             assert np.array_equal(

@@ -80,13 +80,13 @@ class TestAnalyze:
         from treegeom import subspaces
 
         calls = []
-        unfold = subspaces._unfold
+        unfold = subspaces.unfold
 
         def counted(v, alpha):
             calls.append(alpha)
             return unfold(v, alpha)
 
-        monkeypatch.setattr(subspaces, "_unfold", counted)
+        monkeypatch.setattr(subspaces, "unfold", counted)
         code = run([
             "analyze", "--tensor", workspace["tensor"],
             "--tree", workspace["tree"],
@@ -244,6 +244,28 @@ def test_oversized_shape_exits_two(tmp_path, capsys, command):
     assert code == 2
     assert "estimated memory" in capsys.readouterr().err
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "analyze", "membership", "generate", "chart-check", "tangent", "proper",
+])
+def test_nan_tolerance_exits_two_with_no_report(workspace, capsys, command):
+    # a NaN tolerance is an input error on every subcommand: no report (a
+    # report would carry "tol": NaN, which is no JSON) and no tensor file
+    out = workspace["dir"] / "out.json"
+    args = [command, "--tree", workspace["tree"], "--tol", "nan"]
+    if command in ("generate", "proper"):
+        args += ["--shape", ",".join(map(str, workspace["shape"]))]
+    else:
+        args += ["--tensor", workspace["tensor"]]
+    if command != "analyze":
+        args += ["--ranks", workspace["ranks"]]
+    capsys.readouterr()
+    assert run(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol must be a finite number > 0" in captured.err
+    assert not out.exists()
 
 
 class TestGenerate:

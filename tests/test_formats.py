@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from math import prod
 
 import numpy as np
@@ -15,7 +16,6 @@ from treegeom.formats import (
     contract_network,
     generation_attempts,
     necessary_rank_conditions,
-    require_member,
 )
 from treegeom.subspaces import TreeRank
 
@@ -69,6 +69,11 @@ class TestTuckerMembership:
     def test_zero_tensor_rejected(self):
         with pytest.raises(tg.DegenerateInputError):
             tg.tucker_membership(np.zeros((2, 2)), [(1,), (2,)], {(1,): 1, (2,): 1})
+
+    def test_ranks_missing_a_block_rejected(self):
+        v = elementary((2, 2, 2, 2), seed=1)
+        with pytest.raises(InvalidArgumentError, match=r"\{3, 4\}"):
+            tg.tucker_membership(v, [(1, 2), (3, 4)], {(1, 2): 1})
 
 
 class TestIsMember:
@@ -128,20 +133,25 @@ class TestIsMember:
         with pytest.raises(InvalidArgumentError, match="tree has 4 modes"):
             tg.is_member(rng.standard_normal((2,) * 5), deep_tree_d4, r)
 
-    def test_require_member_decides_on_its_splits(self, mixed_tree_d6):
+    def test_anchored_calls_decide_on_their_splits(self, mixed_tree_d6,
+                                                   empty_anchor_slot):
         shape = (2,) * 6
         r = capped_rank_tuple(mixed_tree_d6, shape)
         v = tg.random_tree_tensor(mixed_tree_d6, r, shape, seed=0)
-        v_checked, splits = require_member(v, mixed_tree_d6, r)
-        assert np.array_equal(v_checked, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            chart = tg.tree_chart(v, mixed_tree_d6, r)
+        assert np.array_equal(chart.anchor, v)
+        splits = chart.splits
         assert set(splits) == mixed_tree_d6.nodes - {mixed_tree_d6.root}
         assert all(splits[n].rank == r[n] for n in splits)
         r_bad = bump(r, (2, 3))
-        with pytest.raises(NotOnManifoldError,
-                           match=r"failing levels \[2\]") as err:
-            require_member(v, mixed_tree_d6, r_bad)
-        assert err.value.levels == \
-            tg.is_member(v, mixed_tree_d6, r_bad).failing_levels()
+        for call in (tg.tree_chart, tg.tangent_dimension):
+            with pytest.raises(NotOnManifoldError,
+                               match=r"failing levels \[2\]") as err:
+                call(v, mixed_tree_d6, r_bad)
+            assert err.value.levels == \
+                tg.is_member(v, mixed_tree_d6, r_bad).failing_levels()
 
     def test_one_singular_value_solve_per_node(self, monkeypatch):
         # a leaf of the linear tree sits in every level partition below its
@@ -374,6 +384,17 @@ class TestRandomTreeTensor:
         v = tg.random_tree_tensor(deep_tree_d4, r, shape, seed=0)
         assert tg.tree_rank(v, deep_tree_d4) == r
 
+    def test_no_attempt_is_an_input_error(self, deep_tree_d4):
+        # like is_admissible(trials=0), not a generation failure after
+        # zero attempts
+        r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
+        with pytest.raises(InvalidArgumentError,
+                           match="max_retries must be at least 1"):
+            tg.random_tree_tensor(deep_tree_d4, r, (2, 2, 2, 2), max_retries=0)
+        with pytest.raises(InvalidArgumentError,
+                           match="trials must be at least 1"):
+            tg.is_admissible(deep_tree_d4, r, (2, 2, 2, 2), trials=0)
+
     def test_violating_tuple_raises_immediately(self, deep_tree_d4):
         ranks = {n: 1 for n in deep_tree_d4.nodes}
         ranks[(2, 3)] = 2  # exceeds the son product 1*1
@@ -570,6 +591,20 @@ class TestNetworkContraction:
         assert np.array_equal(
             contract_network(tree, shape, leaves, scaled),
             v * 2.0 ** exponent)
+
+
+class TestNetworkDimensionFormula:
+    def test_rank_tuple_missing_a_node_rejected(self, deep_tree_d4):
+        incomplete = TreeRank({n: 1 for n in deep_tree_d4.nodes
+                               if n != (1,)})
+        with pytest.raises(InvalidArgumentError, match=r"missing tree nodes"):
+            tg.network_dimension_formula(deep_tree_d4, incomplete,
+                                         (2, 2, 2, 2))
+
+    def test_shape_of_the_wrong_length_rejected(self, deep_tree_d4):
+        r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
+        with pytest.raises(InvalidArgumentError, match="tree has 4 modes"):
+            tg.network_dimension_formula(deep_tree_d4, r, (2, 2, 2))
 
 
 class TestNecessaryConditions:

@@ -167,6 +167,22 @@ class TestDecompose:
             tg.decompose_laplacian(np.eye(24), P1, splits, shape)
         assert exc.value.residual > 1.0
 
+    def test_missing_split_is_an_input_error(self):
+        # the Tucker 3^3 partition with no split at {3}: the same error as
+        # assemble_laplacian's, not a KeyError
+        tree = tg.tucker_tree(3)
+        shape = (3, 3, 3)
+        v, r, splits = anchored_splits(tree, shape, seed=2)
+        P1 = tg.level_partition(tree, 1)
+        L = random_laplacian(splits, P1, seed=3)
+        Op = tg.assemble_laplacian(L, splits, shape)
+        del splits[(3,)]
+        for call in (lambda: tg.assemble_laplacian(L, splits, shape),
+                     lambda: tg.decompose_laplacian(Op, P1, splits, shape)):
+            with pytest.raises(InvalidArgumentError,
+                               match=r"no split available for block \(3,\)"):
+                call()
+
     @pytest.mark.parametrize("c", [1.0, 2.0 ** 600, 2.0 ** -600])
     def test_verdict_does_not_depend_on_scale(self, c):
         # at 2^600 the squared entries overflow and at 2^-600 they

@@ -8,12 +8,12 @@ from treegeom.formats import member_subspaces
 from treegeom.subspaces import (
     TreeRank,
     _kept_plan,
-    _nested_ranks,
     _nested_requests,
-    _ranks,
-    _unfolding_plan,
+    nested_ranks,
+    node_ranks,
     ranks_from_json,
     ranks_to_json,
+    unfolding_plan,
 )
 from treegeom.tensor import svd_rank
 
@@ -160,7 +160,7 @@ class TestRankProfile:
                 v = _with_tail(shape, alpha, ratio, rng)
                 profile = tg.tree_rank(v, tree, tol)
                 assert profile[alpha] == 1 + extra
-                assert _ranks(v, tree.nodes, tol) == profile.ranks
+                assert node_ranks(v, tree.nodes, tol) == profile.ranks
                 for node in tree.nodes:
                     assert profile[node] == tg.minimal_subspace(
                         v, node, tol).rank
@@ -204,10 +204,10 @@ class TestNestedRanks:
         mats = _node_unfoldings(tree, factors, shape)
         loop = {node: svd_rank(np.linalg.svd(M, compute_uv=False), self.TOL)
                 for node, M in mats.items()}
-        assert _nested_ranks(tree, factors, shape, self.TOL) == loop
+        assert nested_ranks(tree, factors, shape, self.TOL) == loop
         columns = tuple((b, X.shape[1]) for b, X in factors.items())
         nodes, shapes, requests = _nested_requests(tree, shape, columns)
-        plan = _unfolding_plan(shapes, requests)
+        plan = unfolding_plan(shapes, requests)
         assert sorted(nodes) == sorted(mats)
         flat = np.concatenate([X.ravel() for X in factors.values()])
         for positions, index in plan:
@@ -269,7 +269,7 @@ class TestNestedRanks:
         tree = tg.tucker_tree(3)
         factors = {(m,): rng.standard_normal((3, 2)) for m in (1, 2, 3)}
         monkeypatch.setattr(np.linalg, "svd", None)
-        assert _nested_ranks(tree, factors, (3, 3, 3), self.TOL) == {}
+        assert nested_ranks(tree, factors, (3, 3, 3), self.TOL) == {}
 
 
 class TestNestedness:

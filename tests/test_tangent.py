@@ -727,13 +727,13 @@ def test_anchor_is_factored_once_per_node(tree, shape, call, monkeypatch):
     r = capped_rank_tuple(tree, shape)
     v = tg.random_tree_tensor(tree, r, shape, seed=2)
     unfolded = Counter()
-    unfold = subspaces._unfold
+    unfold = subspaces.unfold
 
     def counted(v, alpha):
         unfolded[alpha] += 1
         return unfold(v, alpha)
 
-    monkeypatch.setattr(subspaces, "_unfold", counted)
+    monkeypatch.setattr(subspaces, "unfold", counted)
     call(v, tree, r)
     assert unfolded == Counter(n for n in tree.nodes if n != tree.root)
 

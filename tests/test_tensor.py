@@ -8,7 +8,7 @@ import treegeom as tg
 from treegeom.errors import InvalidArgumentError, ParseError
 from treegeom.tensor import (
     _KEPT_PLAN_ENTRIES,
-    _embedding_index,
+    embedding_index,
     _fix_signs,
     _kept_index,
     check_tensor,
@@ -301,9 +301,9 @@ class TestEmbedBlockOperator:
 
     def test_kept_index_is_read_only_and_shared(self):
         shape, alpha = (3, 4, 3), (1, 3)
-        index = _embedding_index(shape, alpha)
+        index = embedding_index(shape, alpha)
         assert index.size <= _KEPT_PLAN_ENTRIES
-        assert _embedding_index(list(shape), alpha) is index
+        assert embedding_index(list(shape), alpha) is index
         assert not index.flags.writeable
         with pytest.raises(ValueError):
             index[0, 0, 0] = 0
@@ -313,8 +313,8 @@ class TestEmbedBlockOperator:
         # what the index cache keeps
         shape, alpha = (3,) * 6, (2, 3, 4, 5, 6)
         before = _kept_index.cache_info()
-        first = _embedding_index(shape, alpha)
-        second = _embedding_index(shape, alpha)
+        first = embedding_index(shape, alpha)
+        second = embedding_index(shape, alpha)
         assert first.size > _KEPT_PLAN_ENTRIES
         assert first is not second and np.array_equal(first, second)
         assert not first.flags.writeable
