@@ -41,10 +41,10 @@ from .errors import (
 from .operators import tree_splits
 from .subspaces import (
     DEFAULT_TOL,
+    TreeRank,
     factored_subspace,
     nested_ranks,
     node_ranks,
-    tree_rank,
 )
 from .tensor import (
     check_tensor,
@@ -142,16 +142,25 @@ class PropernessReport:
 
 
 def _check_covers(tree, r):
-    missing = tree.nodes - r.nodes()
+    """The rank tuple names every tree node and no other block."""
+    named = r.nodes()
+    missing = tree.nodes - named
     if missing:
         raise InvalidArgumentError(
             f"rank tuple is missing tree nodes {[set(b) for b in sorted(missing)]}"
+        )
+    extra = named - tree.nodes
+    if extra:
+        raise InvalidArgumentError(
+            f"rank tuple names blocks that are no tree nodes "
+            f"{[set(b) for b in sorted(extra)]}"
         )
 
 
 def _check_rank_args(tree, r, shape):
     """A valid tree, a shape with one size per mode and a rank tuple
-    covering the tree."""
+    naming exactly the tree's nodes.  Each public call that takes a rank
+    tuple runs it once; the kernels it calls take checked arguments."""
     tree.ensure_valid()
     if len(shape) != tree.ndim:
         raise InvalidArgumentError(
@@ -278,7 +287,9 @@ def necessary_rank_conditions(tree, r, shape):
     of its sons' ranks; and every non-root rank is at most the parent rank
     times the product of the sibling ranks (the same transpose argument
     applied to the complement).  Returns a list of human-readable violations,
-    empty when all conditions hold.
+    empty when all conditions hold.  The arguments are checked here, once
+    for :func:`is_admissible`, :func:`generation_attempts` and
+    :func:`is_proper`.
     """
     _check_rank_args(tree, r, shape)
     violations = []
@@ -349,6 +360,11 @@ def network_dimension_formula(tree, r, shape):
     root coefficient block, plus one transfer block per interior node, plus
     the leaf factors, minus one general linear group per non-root node."""
     _check_rank_args(tree, r, shape)
+    return _network_dimension(tree, r, shape)
+
+
+def _network_dimension(tree, r, shape):
+    """:func:`network_dimension_formula` on checked arguments."""
     core = prod(r[b] for b in tree.sons_of(tree.root))
     interior = sum(
         r[node] * prod(r[b] for b in tree.sons_of(node))
@@ -407,25 +423,40 @@ def _check_attempts(count, name):
         raise InvalidArgumentError(f"{name} must be at least 1")
 
 
+def _violations(tree, r, shape, count, name, tol):
+    """The checked attempt budget, ``tol`` and arguments of a generator,
+    and the rank tuple's violated necessary conditions."""
+    _check_attempts(count, name)
+    check_tol(tol)
+    return necessary_rank_conditions(tree, r, shape)
+
+
 def generation_attempts(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
     """Like :func:`random_tree_tensor` but also reports the attempt count."""
-    _check_attempts(max_retries, "max_retries")
-    check_tol(tol)
-    violations = necessary_rank_conditions(tree, r, shape)
+    violations = _violations(tree, r, shape, max_retries, "max_retries", tol)
     if violations:
         raise InvalidArgumentError(
             "rank tuple violates necessary conditions: " + "; ".join(violations)
         )
-    last = None
+    return sample_attempts(tree, r, shape, seed, max_retries, tol)
+
+
+def sample_attempts(tree, r, shape, seed, max_retries, tol):
+    """The sampling loop of :func:`generation_attempts` on checked
+    arguments.  Each sample's rank profile, one SVD per tree node, is
+    compared with ``r`` at every node, the root included: a returned
+    tensor has the tree rank ``r`` and is a member of the fixed-rank set
+    at ``tol``, with no second check."""
     for attempt in range(max_retries):
         rng = np.random.default_rng(seed + attempt)
         v = _sample_network(tree, r, shape, rng)
-        last = tree_rank(v, tree, tol)
-        if last == r:
+        # a sampled network is finite and, normalized, nonzero
+        last = node_ranks(v, tree.nodes, tol)
+        if last == r.ranks:
             return v, attempt + 1
     raise GenerationFailureError(
         f"could not realize the requested ranks in {max_retries} attempts; "
-        f"last profile {last}"
+        f"last profile {TreeRank(last)}"
     )
 
 
@@ -438,17 +469,13 @@ def is_admissible(tree, r, shape, trials=20, seed=0, tol=DEFAULT_TOL):
     "unknown" (the conditions are necessary, not known to be sufficient, and
     a sampling miss is not a proof).
     """
-    _check_attempts(trials, "trials")
-    check_tol(tol)
-    violations = necessary_rank_conditions(tree, r, shape)
+    violations = _violations(tree, r, shape, trials, "trials", tol)
     if violations:
         return AdmissibilityVerdict(
             verdict="inadmissible", violated_conditions=tuple(violations)
         )
     try:
-        witness, attempts = generation_attempts(
-            tree, r, shape, seed=seed, max_retries=trials, tol=tol
-        )
+        witness, attempts = sample_attempts(tree, r, shape, seed, trials, tol)
         return AdmissibilityVerdict(
             verdict="admissible", violated_conditions=(), witness=witness,
             attempts=attempts,
@@ -464,8 +491,9 @@ def dimension_margins(tree, r, shape):
     (:func:`network_dimension_formula`) and, for every level ``k``, the
     margin ``dim_k - f``, where ``dim_k = prod_b r_b + sum_b r_b (n_b - r_b)``
     over the level-k blocks ``b`` (``n_b`` the product of their mode sizes)
-    is the dimension of the level-k Tucker set."""
-    f = network_dimension_formula(tree, r, shape)
+    is the dimension of the level-k Tucker set.  The arguments must have
+    been checked, as :func:`member_args` or :func:`is_admissible` do."""
+    f = _network_dimension(tree, r, shape)
     margins = {}
     for k in range(1, levels(tree).depth + 1):
         blocks = level_partition(tree, k)

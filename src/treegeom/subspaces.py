@@ -101,11 +101,21 @@ class TreeRank:
             {tuple(sorted(k)): int(v) for k, v in self.ranks.items()},
         )
 
+    def _key(self, node):
+        """A node's key: a sorted tuple as it stands, anything else
+        sorted."""
+        try:
+            if node in self.ranks:
+                return node
+        except TypeError:  # unhashable
+            pass
+        return tuple(sorted(node))
+
     def __getitem__(self, node):
-        return self.ranks[tuple(sorted(node))]
+        return self.ranks[self._key(node)]
 
     def __contains__(self, node):
-        return tuple(sorted(node)) in self.ranks
+        return self._key(node) in self.ranks
 
     def nodes(self):
         return set(self.ranks)
@@ -151,13 +161,20 @@ def factored_subspace(v, alpha, tol):
 
 def tree_rank(v, tree, tol=DEFAULT_TOL):
     """Tree-based rank: minimal subspace dimensions at every tree node."""
+    v = _tree_tensor(v, tree)
+    return TreeRank(node_ranks(v, tree.nodes, check_tol(tol)))
+
+
+def _tree_tensor(v, tree):
+    """The validated nonzero tensor ``v``, checked against a valid tree
+    over as many modes."""
     v = check_tensor(v, allow_zero=False)
     tree.ensure_valid()
     if tree.ndim != v.ndim:
         raise InvalidArgumentError(
             f"tree has {tree.ndim} modes, tensor has {v.ndim}"
         )
-    return TreeRank(node_ranks(v, tree.nodes, check_tol(tol)))
+    return v
 
 
 def node_ranks(v, blocks, tol):
@@ -287,8 +304,7 @@ def check_chain(v, tree, tol=DEFAULT_TOL):
     residuals are numerical noise: the chain of inclusions holds for every
     tensor.
     """
-    v = check_tensor(v, allow_zero=False)
-    tree.ensure_valid()
+    v = _tree_tensor(v, tree)
     check_tol(tol)
     blocks = {
         b for k in range(1, levels(tree).depth + 1)

@@ -71,8 +71,8 @@ def normalize_modes(alpha, ndim):
 
 def complement_modes(alpha, ndim):
     """Modes of 1..ndim not in alpha, sorted."""
-    rest = tuple(m for m in range(1, ndim + 1) if m not in set(alpha))
-    return rest
+    alpha = set(alpha)
+    return tuple(m for m in range(1, ndim + 1) if m not in alpha)
 
 
 def sorted_blocks(blocks):

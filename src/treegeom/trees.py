@@ -90,16 +90,29 @@ class DimensionTree:
         self.leaves = tuple(
             sorted(n for n in self.nodes if n not in self.sons)
         )
+        # every node's sons and parent, looked up by its canonical tuple;
+        # the first son list naming a node gives its parent, as a scan of
+        # the son lists in order would
+        self._sons_of = {**dict.fromkeys(self.nodes, ()), **self.sons}
+        self._parent = {}
+        for parent, kids in self.sons.items():
+            for kid in kids:
+                self._parent.setdefault(kid, parent)
+
+    def _lookup(self, table, node, default):
+        """``table`` at a node given as a canonical tuple, read directly,
+        or as any iterable of modes, canonicalized first."""
+        try:
+            return table[node]
+        except (KeyError, TypeError):  # not canonical, or unhashable
+            pass
+        return table.get(_canon(node), default)
 
     def sons_of(self, node):
-        return self.sons.get(_canon(node), ())
+        return self._lookup(self._sons_of, node, ())
 
     def parent_of(self, node):
-        node = _canon(node)
-        for parent, kids in self.sons.items():
-            if node in kids:
-                return parent
-        return None
+        return self._lookup(self._parent, node, None)
 
     def __eq__(self, other):
         if not isinstance(other, DimensionTree):

@@ -174,12 +174,13 @@ def test_chart_tangent_and_immersion_share_one_state(empty_anchor_slot):
 
 def _miss_cases(v, tree, r):
     """Calls at the anchor ``v`` of ``r`` on ``tree`` with one argument
-    changed; each is a member."""
+    changed; each is a member but the one with other ranks (a rank tuple
+    names exactly the tree's nodes, so other ranks on the same tree are
+    another profile)."""
     tucker_tree = tg.tucker_tree(v.ndim)
     yield "tol", (v, tree, r), {"tol": 1e-9}
-    extra = TreeRank({**r.ranks, (1, 2): tg.tree_rank(
-        v, tg.tree_from_nested([[[1], [2]], [[3], [4]]]))[(1, 2)]})
-    yield "ranks", (v, tree, extra), {}
+    lower = TreeRank({**r.ranks, (1,): r[(1,)] - 1})
+    yield "ranks", (v, tree, lower), {}
     yield "tree", (v, tucker_tree, tg.tree_rank(v, tucker_tree)), {}
 
 
@@ -195,7 +196,12 @@ def test_any_changed_argument_misses(monkeypatch, what, empty_anchor_slot):
     else:
         case = {name: (args, kw) for name, args, kw in _miss_cases(v, tree, r)}
         args, kw = case[what]
-        quiet_chart(*args, **kw)
+        if what == "ranks":
+            # a hit would return the kept chart without a membership check
+            with pytest.raises(NotOnManifoldError):
+                quiet_chart(*args, **kw)
+        else:
+            quiet_chart(*args, **kw)
     assert subspaces_run, what
     assert tangent._anchor_slot is not state
 

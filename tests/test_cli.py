@@ -268,6 +268,117 @@ def test_nan_tolerance_exits_two_with_no_report(workspace, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    "membership", "generate", "chart-check", "tangent", "proper",
+])
+def test_rank_file_naming_a_non_tree_block_exits_two(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # Tucker 3^3 with an extra entry for {1, 2}: an input error before any
+    # sampling or SVD, and no report or tensor is written (before, generate
+    # and proper burned every attempt and exited 3, membership exited 0)
+    from treegeom import formats
+
+    tree = tg.tucker_tree(3)
+    r = capped_rank_tuple(tree, (3, 3, 3))
+    ranks = tmp_path / "ranks.json"
+    ranks.write_text(ranks_to_json(TreeRank({**r.ranks, (1, 2): 2})))
+    tensor = tmp_path / "v.json"
+    tg.save_tensor(tensor, tg.random_tree_tensor(tree, r, (3, 3, 3)))
+    out = tmp_path / "out.json"
+    args = [command, "--tree", "tucker", "--ranks", str(ranks)]
+    if command in ("generate", "proper"):
+        args += ["--shape", "3,3,3"]
+    else:
+        args += ["--tensor", str(tensor)]
+    monkeypatch.setattr(np.linalg, "svd", None)
+    monkeypatch.setattr(formats, "_sample_network", None)
+    capsys.readouterr()
+    assert run(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no tree nodes [{1, 2}]" in captured.err
+    assert not out.exists()
+
+
+class TestWorkCounts:
+    """Each verdict subcommand computes each fact once per call, counted by
+    wrapping functions on a linear 3^6 instance: one SVD per tree node for
+    ``generate`` (the generation loop's rank profile is the verification),
+    one evaluation of the necessary conditions and one rank-tuple check
+    for ``generate`` and ``proper``, and two finiteness scans for
+    ``analyze`` (the file's and the nonzero check)."""
+
+    @pytest.fixture
+    def linear6(self, tmp_path):
+        tree = tg.linear_tree(6)
+        shape = (3,) * 6
+        r = capped_rank_tuple(tree, shape)
+        ranks = tmp_path / "ranks.json"
+        ranks.write_text(ranks_to_json(r))
+        tensor = tmp_path / "v.json"
+        tg.save_tensor(tensor, tg.random_tree_tensor(tree, r, shape, seed=1))
+        return tmp_path, str(ranks), str(tensor), len(tree.nodes)
+
+    @staticmethod
+    def count(monkeypatch, module, name, calls):
+        """Count the calls of ``module.name`` under ``name`` in ``calls``,
+        there and in every treegeom module that binds the same function."""
+        import importlib
+
+        inner = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        for mod in [module] + [
+                importlib.import_module("treegeom." + m)
+                for m in ("tensor", "trees", "subspaces", "formats",
+                          "operators", "charts", "tangent", "cli")]:
+            if getattr(mod, name, None) is inner:
+                monkeypatch.setattr(mod, name, counted)
+
+    def run_counted(self, monkeypatch, args, names):
+        from treegeom import formats, tensor
+
+        calls = {}
+        owners = {"svd": np.linalg, "check_tensor": tensor}
+        for name in names:
+            self.count(monkeypatch, owners.get(name, formats), name, calls)
+        code = run([str(a) for a in args])
+        return code, calls
+
+    def test_generate(self, linear6, monkeypatch, capsys):
+        d, ranks, _, n_nodes = linear6
+        code, calls = self.run_counted(monkeypatch, [
+            "generate", "--tree", "linear", "--ranks", ranks,
+            "--shape", "3,3,3,3,3,3", "--seed", "1", "--out", d / "g.json",
+        ], ["svd", "necessary_rank_conditions", "_check_rank_args"])
+        assert code == 0 and read_json(capsys)["verified"] is True
+        assert calls == {"svd": n_nodes, "necessary_rank_conditions": 1,
+                         "_check_rank_args": 1}
+
+    def test_proper(self, linear6, monkeypatch, capsys):
+        d, ranks, _, _ = linear6
+        code, calls = self.run_counted(monkeypatch, [
+            "proper", "--tree", "linear", "--ranks", ranks,
+            "--shape", "3,3,3,3,3,3", "--out", d / "p.json",
+        ], ["necessary_rank_conditions", "_check_rank_args"])
+        assert code == 0
+        assert calls == {"necessary_rank_conditions": 1,
+                         "_check_rank_args": 1}
+
+    def test_analyze(self, linear6, monkeypatch, capsys):
+        d, _, tensor, n_nodes = linear6
+        code, calls = self.run_counted(monkeypatch, [
+            "analyze", "--tensor", tensor, "--tree", "linear",
+            "--out", d / "a.json",
+        ], ["check_tensor", "svd"])
+        assert code == 0
+        assert calls == {"check_tensor": 2, "svd": n_nodes}
+
+
 class TestGenerate:
     def test_tucker_60_at_leaf_rank_30(self, tmp_path, capsys):
         # the tree network is contracted node by node: a 60^3 Kronecker
@@ -315,13 +426,13 @@ class TestGenerate:
         from treegeom import formats
 
         calls = []
-        attempts = formats.generation_attempts
+        attempts = formats.sample_attempts
 
         def counted(*args, **kwargs):
             calls.append(args)
             return attempts(*args, **kwargs)
 
-        monkeypatch.setattr(formats, "generation_attempts", counted)
+        monkeypatch.setattr(formats, "sample_attempts", counted)
         out = workspace["dir"] / "gen.bin"
         code = run([
             "generate", "--tree", workspace["tree"],

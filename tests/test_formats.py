@@ -619,3 +619,54 @@ class TestNecessaryConditions:
             deep_tree_d4, TreeRank(ranks), (2, 2, 2, 2)
         )
         assert msgs and all("{2, 3}" in m for m in msgs)
+
+
+class TestRankTupleNamesOnlyTreeNodes:
+    """A rank tuple with an entry for a block that is no tree node is an
+    input error on every call that takes one, raised before any sampling
+    or SVD: before, ``generate``/``proper`` burned every attempt (the
+    profile could never equal the tuple) and ``is_member`` ignored it."""
+
+    @staticmethod
+    def case():
+        tree = tg.tucker_tree(3)
+        shape = (3, 3, 3)
+        r = capped_rank_tuple(tree, shape)
+        extra = TreeRank({**r.ranks, (1, 2): 2})
+        v = tg.random_tree_tensor(tree, r, shape, seed=0)
+        return tree, shape, extra, v
+
+    CALLS = {
+        "is_member": lambda t, s, r, v: tg.is_member(v, t, r),
+        "bounded_rank_member": lambda t, s, r, v: tg.bounded_rank_member(
+            v, t, r),
+        "necessary_rank_conditions": lambda t, s, r, v:
+            necessary_rank_conditions(t, r, s),
+        "is_admissible": lambda t, s, r, v: tg.is_admissible(t, r, s),
+        "is_proper": lambda t, s, r, v: tg.is_proper(t, r, s),
+        "random_tree_tensor": lambda t, s, r, v: tg.random_tree_tensor(
+            t, r, s),
+        "generation_attempts": lambda t, s, r, v: generation_attempts(
+            t, r, s),
+        "network_dimension_formula": lambda t, s, r, v:
+            tg.network_dimension_formula(t, r, s),
+        "tree_chart": lambda t, s, r, v: tg.tree_chart(v, t, r),
+        "tangent_dimension": lambda t, s, r, v: tg.tangent_dimension(v, t, r),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejected_before_any_work(self, name, monkeypatch,
+                                      empty_anchor_slot):
+        tree, shape, extra, v = self.case()
+        monkeypatch.setattr(np.linalg, "svd", None)
+        monkeypatch.setattr(formats, "_sample_network", None)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"no tree nodes \[\{1, 2\}\]"):
+            self.CALLS[name](tree, shape, extra, v)
+
+    def test_missing_node_still_named_first(self):
+        tree, shape, extra, _ = self.case()
+        both = TreeRank({b: k for b, k in extra.ranks.items() if b != (3,)})
+        with pytest.raises(InvalidArgumentError, match="missing tree nodes"):
+            necessary_rank_conditions(tree, both, shape)
+

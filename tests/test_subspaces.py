@@ -401,3 +401,25 @@ def test_tree_rank_equality_and_lookup():
     assert r[(2, 1)] == 1
     assert (1,) in r
     assert r == TreeRank({(1,): 2, (2,): 2, (1, 2): 1})
+
+
+class TestTreeOrder:
+    """``check_chain`` compares the tree's order with the tensor's, as
+    ``tree_rank`` does; ``check_nestedness`` rejects modes out of range."""
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2,) * 5])
+    def test_check_chain_rejects_another_order(self, shape, rng):
+        v = rng.standard_normal(shape)
+        with pytest.raises(InvalidArgumentError, match="tree has 4 modes"):
+            tg.check_chain(v, tg.linear_tree(4))
+
+    @pytest.mark.parametrize("alpha, parts", [
+        ((1, 2, 3, 4), [(1, 2), (3, 4)]),
+        ((1, 2), [(1,), (5,)]),
+        ((0, 1), [(0,), (1,)]),
+    ])
+    def test_check_nestedness_rejects_modes_out_of_range(self, alpha, parts,
+                                                         rng):
+        v = rng.standard_normal((2, 2, 2))
+        with pytest.raises(InvalidArgumentError, match="not contained"):
+            tg.check_nestedness(v, alpha, parts)

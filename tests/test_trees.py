@@ -272,3 +272,68 @@ def test_equality_is_structural(deep_tree_d4):
     rebuilt = tree_from_nested([[[1], [[2], [3]]], [4]])
     assert rebuilt == deep_tree_d4
     assert rebuilt != tucker_tree(4)
+
+
+def _lookup_trees(d, seed):
+    """Every builtin tree over ``d`` modes and a random tree read back from
+    its JSON form."""
+    trees = [linear_tree(d), balanced_binary_tree(d), tucker_tree(d)]
+    return trees + [tree_from_json(tree_to_json(random_tree(d, seed)))]
+
+
+def _spellings(node, rng):
+    """A node as a canonical tuple, a list, an unsorted tuple, numpy ints
+    and a numpy array."""
+    shuffled = tuple(rng.permutation(node).tolist())
+    return [node, list(node), tuple(reversed(node)), shuffled,
+            tuple(np.int64(m) for m in node), np.array(shuffled)]
+
+
+def _non_nodes(tree, rng):
+    """Mode sets that are no tree node, modes out of range among them."""
+    d = tree.ndim
+    subsets = [tuple(sorted(rng.choice(np.arange(1, d + 1), size=k,
+                                       replace=False).tolist()))
+               for k in range(1, d + 1) for _ in range(3)]
+    return [b for b in subsets if b not in tree.nodes] + [(d + 1,), (0, 1)]
+
+
+class TestLookups:
+    """``sons_of``, ``parent_of``, ``complement_modes`` and a rank tuple's
+    lookups read canonical keys directly; every other spelling of a node,
+    and every non-node, gives what a scan over canonical forms gives."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(2, 8), seed=st.integers(0, 2 ** 16))
+    def test_against_brute_force(self, d, seed):
+        from treegeom.subspaces import TreeRank
+        from treegeom.tensor import complement_modes
+
+        rng = np.random.default_rng(seed)
+        for tree in _lookup_trees(d, seed):
+            ranks = TreeRank({n: len(n) for n in tree.nodes})
+            for node in sorted(tree.nodes) + _non_nodes(tree, rng):
+                canon = tuple(sorted(node))
+                sons = next((kids for b, kids in tree.sons.items()
+                             if b == canon), ())
+                parent = next((b for b, kids in tree.sons.items()
+                               if canon in kids), None)
+                rest = tuple(m for m in range(1, d + 1) if m not in canon)
+                for spelled in _spellings(node, rng):
+                    assert tree.sons_of(spelled) == sons
+                    assert tree.parent_of(spelled) == parent
+                    assert complement_modes(spelled, d) == rest
+                    assert (spelled in ranks) == (canon in tree.nodes)
+                    if canon in tree.nodes:
+                        assert ranks[spelled] == len(canon)
+                    else:
+                        with pytest.raises(KeyError):
+                            ranks[spelled]
+
+    def test_an_unvalidated_tree_gives_the_first_son_list(self):
+        # a node named in two son lists: the first names its parent
+        tree = DimensionTree(3, {(1, 2, 3): [(1, 2), (3,)],
+                                 (1, 2): [(1,), (2,)], (2, 3): [(2,), (3,)]})
+        assert tree.parent_of((3,)) == (1, 2, 3)
+        assert tree.parent_of([2]) == (1, 2)
+        assert tree.sons_of([3, 2]) == ((2,), (3,))
