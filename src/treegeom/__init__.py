@@ -12,7 +12,6 @@ from .errors import (
     GenerationFailureError,
     InvalidArgumentError,
     InvalidCoreError,
-    NotInSpaceError,
     NotOnManifoldError,
     OutsideChartDomainError,
     OutsideChartImageError,
@@ -21,14 +20,11 @@ from .errors import (
     TreeValidationError,
 )
 from .tensor import (
-    apply_mode_operator,
-    embed_block_operator,
     load_tensor,
     matricize,
     save_tensor,
     svd,
     svd_rank,
-    tensor_product,
 )
 from .trees import (
     DimensionTree,
@@ -70,18 +66,14 @@ from .operators import (
     LaplacianLike,
     SplitSpace,
     assemble_laplacian,
-    decompose_laplacian,
     lifted_part,
     split,
 )
 from .tangent import (
     BlockOperatorBasis,
     ImmersionReport,
-    OperatorSpaceBasis,
     TangentReport,
     immersion_check,
-    intersect_operator_spaces,
-    level_operator_basis,
     parametrization_jacobian,
     tangent_dimension,
     tangent_dimension_oracle,

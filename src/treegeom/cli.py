@@ -35,7 +35,13 @@ from .errors import (
 from .formats import is_admissible, is_member, is_proper
 from .subspaces import chain_residuals, factored_subspace, ranks_from_json
 from .tangent import tangent_dimension
-from .tensor import check_tensor, check_tol, load_tensor, save_tensor
+from .tensor import (
+    check_integer,
+    check_tensor,
+    check_tol,
+    load_tensor,
+    save_tensor,
+)
 from .trees import (
     balanced_binary_tree,
     level_partition,
@@ -335,6 +341,7 @@ def cmd_generate(args):
 def cmd_chart_check(args):
     if args.trials < 1:
         raise InvalidArgumentError("trials must be at least 1")
+    check_integer(args.seed, "seed", 0)
     v = load_tensor(args.tensor)
     tree = _load_tree(args.tree, v.ndim)
     r = _load_ranks(args.ranks)

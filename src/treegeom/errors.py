@@ -55,14 +55,6 @@ class OutsideChartDomainError(TreegeomError):
         )
 
 
-class NotInSpaceError(TreegeomError):
-    """An operator does not lie in the requested operator space."""
-
-    def __init__(self, message, residual):
-        self.residual = residual
-        super().__init__(f"{message} (residual {residual:.3e})")
-
-
 class InvalidCoreError(TreegeomError):
     """A coefficient core is rank-deficient at some level."""
 

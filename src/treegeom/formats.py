@@ -47,6 +47,7 @@ from .subspaces import (
     node_ranks,
 )
 from .tensor import (
+    check_integer,
     check_tensor,
     check_tol,
     complement_modes,
@@ -237,8 +238,6 @@ def member_subspaces(v, tree, r, tol):
 def _membership_report(computed, tree, r, tol):
     """The level-by-level verdict on the ranks ``computed`` at (at least)
     every non-root node."""
-    if any(r[b] < 1 for b in tree.nodes if b != tree.root):
-        raise InvalidArgumentError("expected ranks must be positive")
     per_level = {}
     for k in range(1, levels(tree).depth + 1):
         blocks = level_partition(tree, k)
@@ -360,11 +359,12 @@ def network_dimension_formula(tree, r, shape):
     root coefficient block, plus one transfer block per interior node, plus
     the leaf factors, minus one general linear group per non-root node."""
     _check_rank_args(tree, r, shape)
-    return _network_dimension(tree, r, shape)
+    return network_dimension(tree, r, shape)
 
 
-def _network_dimension(tree, r, shape):
-    """:func:`network_dimension_formula` on checked arguments."""
+def network_dimension(tree, r, shape):
+    """:func:`network_dimension_formula` on arguments already checked, as
+    :func:`member_args` or :func:`necessary_rank_conditions` check them."""
     core = prod(r[b] for b in tree.sons_of(tree.root))
     interior = sum(
         r[node] * prod(r[b] for b in tree.sons_of(node))
@@ -423,9 +423,10 @@ def _check_attempts(count, name):
         raise InvalidArgumentError(f"{name} must be at least 1")
 
 
-def _violations(tree, r, shape, count, name, tol):
-    """The checked attempt budget, ``tol`` and arguments of a generator,
-    and the rank tuple's violated necessary conditions."""
+def _violations(tree, r, shape, seed, count, name, tol):
+    """The checked seed, attempt budget, ``tol`` and arguments of a
+    generator, and the rank tuple's violated necessary conditions."""
+    check_integer(seed, "seed", 0)
     _check_attempts(count, name)
     check_tol(tol)
     return necessary_rank_conditions(tree, r, shape)
@@ -433,7 +434,8 @@ def _violations(tree, r, shape, count, name, tol):
 
 def generation_attempts(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
     """Like :func:`random_tree_tensor` but also reports the attempt count."""
-    violations = _violations(tree, r, shape, max_retries, "max_retries", tol)
+    violations = _violations(tree, r, shape, seed, max_retries,
+                             "max_retries", tol)
     if violations:
         raise InvalidArgumentError(
             "rank tuple violates necessary conditions: " + "; ".join(violations)
@@ -469,7 +471,7 @@ def is_admissible(tree, r, shape, trials=20, seed=0, tol=DEFAULT_TOL):
     "unknown" (the conditions are necessary, not known to be sufficient, and
     a sampling miss is not a proof).
     """
-    violations = _violations(tree, r, shape, trials, "trials", tol)
+    violations = _violations(tree, r, shape, seed, trials, "trials", tol)
     if violations:
         return AdmissibilityVerdict(
             verdict="inadmissible", violated_conditions=tuple(violations)
@@ -493,7 +495,7 @@ def dimension_margins(tree, r, shape):
     over the level-k blocks ``b`` (``n_b`` the product of their mode sizes)
     is the dimension of the level-k Tucker set.  The arguments must have
     been checked, as :func:`member_args` or :func:`is_admissible` do."""
-    f = _network_dimension(tree, r, shape)
+    f = network_dimension(tree, r, shape)
     margins = {}
     for k in range(1, levels(tree).depth + 1):
         blocks = level_partition(tree, k)

@@ -10,16 +10,17 @@ commute, and the exponential of the sum factors into the product of
 (:func:`~treegeom.charts.tucker_chart_point`); the tests check it against
 the generic matrix exponential.
 
-:func:`assemble_laplacian` and :func:`decompose_laplacian` work with dense
-``N x N`` matrices on the full tensor space (``N`` the total dimension).
-Both read one flat index per block, the positions of ``M (x) I_rest`` in
-the output (:func:`~treegeom.tensor.embedding_index`): assembly adds each
-block's lifted part there in place, and the partial trace is a gather
-through it, so no Kronecker product with an identity is formed.  They are
-oracles and cross-checks; the chart and tangent paths use only the
-per-block pieces (:func:`split`, :func:`tree_splits`, :func:`lifted_part`)
-and work in level-1 block spaces, and of the chart functions only
-``level_inverse_operator`` returns an ``N x N`` operator.
+:func:`assemble_laplacian` is the one function here that builds a dense
+``N x N`` matrix on the full tensor space (``N`` the total dimension).  It
+adds each block's lifted part in place at one flat index per block, the
+positions of ``M (x) I_rest`` in the output
+(:func:`~treegeom.tensor.embedding_index`), so no Kronecker product with an
+identity is formed.  Of the library paths only
+:func:`~treegeom.charts.level_inverse_operator` calls it; the chart and
+tangent paths use only the per-block pieces (:func:`split`,
+:func:`tree_splits`, :func:`lifted_part`) and work in level-1 block spaces.
+Its inverse, the partial-trace decomposition of a dense operator, is a test
+oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotInSpaceError
+from .errors import InvalidArgumentError
 from .subspaces import DEFAULT_TOL, factored_subspace
 from .tensor import (
     check_tensor,
@@ -46,7 +47,6 @@ __all__ = [
     "split",
     "lifted_part",
     "assemble_laplacian",
-    "decompose_laplacian",
 ]
 
 
@@ -176,45 +176,3 @@ def assemble_laplacian(L, splits, shape):
         out[embedding_index(shape, alpha)] += \
             lifted_part(s, L.parts[b])[:, :, None]
     return out.reshape(N, N)
-
-
-def decompose_laplacian(Lop, partition, splits, shape, tol=DEFAULT_TOL):
-    """Recover the per-block coefficients of an operator in the level space.
-
-    The embedded elementary operators for distinct blocks are orthogonal in
-    the Frobenius inner product, so the least-squares coefficients are
-    obtained block by block from partial traces.  The decomposition is then
-    verified: if reassembling misses ``Lop`` by more than ``tol`` relative,
-    both measured on the operators divided by ``max|Lop|`` so that the
-    verdict does not depend on scale, the operator is not in the space and
-    an error carrying the (absolute) residual is raised.
-    """
-    check_tol(tol)
-    Lop = np.asarray(Lop, dtype=float)
-    N = prod(shape)
-    if Lop.shape != (N, N):
-        raise InvalidArgumentError(f"operator must be {N}x{N}")
-    blocks = sorted_blocks(partition)
-    splits = _check_splits(blocks, splits)
-    parts = {}
-    for b in blocks:
-        s = splits[b]
-        n_rest = N // s.ambient_dim
-        # partial trace over the modes outside b: the block matrix T with
-        # <Lop, M (x) id> = <T, M> for every block operator M
-        T = Lop.reshape(-1)[embedding_index(shape, b)].sum(axis=2)
-        parts[b] = (s.w.T @ T @ s.u) / n_rest
-    L = LaplacianLike(partition=blocks, parts=parts)
-    # decided on the operators divided by max|Lop|, so that neither norm
-    # overflows or underflows; the residual carried by the error is absolute
-    scale = np.max(np.abs(Lop))
-    if scale == 0.0:
-        return L
-    diff = float(np.linalg.norm((assemble_laplacian(L, splits, shape) - Lop)
-                                / scale))
-    if not diff <= tol * np.linalg.norm(Lop / scale):
-        raise NotInSpaceError(
-            f"operator is not in the level operator space for partition "
-            f"{[set(b) for b in blocks]}", float(scale * diff)
-        )
-    return L

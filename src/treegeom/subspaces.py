@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
 from .tensor import (
+    check_integer,
     check_tensor,
     check_tol,
     normalize_modes,
@@ -90,7 +91,9 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class TreeRank:
-    """Rank tuple indexed by the nodes of a dimension tree."""
+    """Rank tuple indexed by the nodes of a dimension tree.  Every rank is
+    an integer at least 1 (a numpy integer passes, a bool or a float does
+    not); anything else is an input error at construction."""
 
     ranks: dict
 
@@ -98,7 +101,8 @@ class TreeRank:
         object.__setattr__(
             self,
             "ranks",
-            {tuple(sorted(k)): int(v) for k, v in self.ranks.items()},
+            {tuple(sorted(k)): check_integer(v, "rank", 1)
+             for k, v in self.ranks.items()},
         )
 
     def _key(self, node):

@@ -24,9 +24,10 @@ its singular values move by at most the nestedness defect
 ``||U_b - Psi Psi^T U_b||_F``, recorded as
 :attr:`BlockOperatorBasis.defect`.  The intersection is the null space of
 the stacked factors; :func:`immersion_check` and the charts read the
-factors and the intersection from there.  :func:`level_operator_basis` and
-:func:`intersect_operator_spaces` give the dense ``N^2``-long form, kept as
-the test oracle.
+factors and the intersection from there.  No level basis is built here:
+the dense ``N^2``-long level bases and their intersection are test oracles
+(``tests/oracles.py``), and :attr:`BlockOperatorBasis.vectors` is the one
+dense form of the intersection, built on demand for them.
 
 The intersection of the level spaces over all levels composes, with the
 level-1 core space, the model space of the local charts.  Its dimension is
@@ -72,7 +73,7 @@ from .formats import (
     contract_network,
     member_args,
     member_splits,
-    network_dimension_formula,
+    network_dimension,
     node_basis,
 )
 from .operators import SplitSpace, lifted_part
@@ -82,95 +83,21 @@ from .tensor import (
     check_tol,
     embedding_index,
     pull_blocks,
-    sorted_blocks,
     svd,
     svd_rank,
 )
 from .trees import level_partition, levels
 
 __all__ = [
-    "OperatorSpaceBasis",
     "BlockOperatorBasis",
     "TangentReport",
     "ImmersionReport",
-    "level_operator_basis",
-    "intersect_operator_spaces",
     "tree_operator_basis",
-    "network_dimension_formula",
     "parametrization_jacobian",
     "tangent_dimension_oracle",
     "tangent_dimension",
     "immersion_check",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorSpaceBasis:
-    """Orthonormal basis of a space of operators on a tensor space.
-
-    ``vectors`` has one flattened n*n operator per column.
-    """
-
-    vectors: np.ndarray
-
-    @property
-    def dim(self):
-        return self.vectors.shape[1]
-
-    def operator(self, coords):
-        """Assemble the dense operator with the given coordinates."""
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.dim,):
-            raise InvalidArgumentError(
-                f"expected {self.dim} coordinates, got {coords.shape}"
-            )
-        n = int(round(np.sqrt(self.vectors.shape[0])))
-        return (self.vectors @ coords).reshape(n, n)
-
-    def coordinates(self, op):
-        """Orthogonal coordinates of a dense operator and the residual norm."""
-        vec = np.asarray(op, dtype=float).ravel()
-        coords = self.vectors.T @ vec
-        residual = float(np.linalg.norm(vec - self.vectors @ coords))
-        return coords, residual
-
-
-def level_operator_basis(partition, splits, shape):
-    """Orthonormal basis of the level operator space for one partition.
-
-    The elementary operators (one complement direction times one subspace
-    direction per block, identity elsewhere) are exactly orthogonal across
-    and within blocks, so the basis is obtained by normalization alone.  The
-    dimension is the sum over blocks of rank times corank.
-    """
-    N = prod(shape)
-    blocks = sorted_blocks(partition)
-    dims = [splits[b].rank * splits[b].corank for b in blocks]
-    vectors = np.zeros((N * N, sum(dims)))
-    start = 0
-    for b, dim in zip(blocks, dims):
-        s = splits[b]
-        if s.ambient_dim != prod(shape[m - 1] for m in b):
-            raise InvalidArgumentError(
-                f"split at {b} does not match tensor shape {shape}"
-            )
-        # E[x, y, j * corank + i] = w_i[x] u_j[y]: the elementary operators
-        # in the order (j, i), each acting as identity on the other modes
-        E = np.einsum("xi,yj->xyji", s.w, s.u).reshape(
-            s.ambient_dim, s.ambient_dim, dim
-        )
-        vectors[embedding_index(shape, b), start:start + dim] = (
-            E[:, :, None, :] / np.sqrt(N // s.ambient_dim)
-        )
-        start += dim
-    return OperatorSpaceBasis(vectors=vectors)
-
-
-def _residual_factor(first, other):
-    """R factor of the QR of the first basis's residual off the other's span:
-    it has the residual's singular values and right singular vectors."""
-    A = first.vectors - other.vectors @ (other.vectors.T @ first.vectors)
-    return np.linalg.qr(A, mode="r")
 
 
 def _factor_spectrum(factors, dim):
@@ -201,28 +128,6 @@ def _null_coefficients(s, Vt, reference, tol):
     else:
         null_mask = np.ones(Vt.shape[0], dtype=bool)
     return Vt[null_mask].T
-
-
-def intersect_operator_spaces(bases, tol=DEFAULT_TOL):
-    """Orthonormal basis of the intersection of operator spaces.
-
-    A vector of the first space lies in the intersection iff the complement
-    projector of every other space annihilates it; the intersection is the
-    nullspace, at the given tolerance, of those complement projectors
-    restricted to the first basis, read off their residual factors.
-    """
-    check_tol(tol)
-    if not bases:
-        raise InvalidArgumentError("need at least one operator space")
-    first = bases[0]
-    s, Vt = _factor_spectrum(
-        [_residual_factor(first, other)
-         for other in bases[1:] if other is not first],
-        first.dim,
-    )
-    reference = s[0] if s.size else 0.0
-    null = _null_coefficients(s, Vt, reference, tol)
-    return OperatorSpaceBasis(vectors=bases[0].vectors @ null)
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,9 +319,8 @@ class BlockOperatorBasis:
     ``null[i]`` holds, one column per basis vector, the coefficients of
     block ``spaces[i]``'s part of the intersection in that block's level-1
     basis: coefficient ``j * corank + i`` belongs to the elementary operator
-    ``w_i u_j^T`` of the split at the block (the column order of
-    ``level_operator_basis`` of the local root).  Coordinates are
-    concatenated block by block.  ``factors[i][k - 1]`` is ``R_{b,k}``, which
+    ``w_i u_j^T`` of the split at the block.  Coordinates are concatenated
+    block by block.  ``factors[i][k - 1]`` is ``R_{b,k}``, which
     maps those coefficients to their residual off level ``k`` up to an
     orthonormal factor (no rows at level 1, or where level ``k`` restricts
     to the level-1 block); it is computed in the nested coordinates of level
@@ -520,8 +424,8 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
 
     Reads each level-1 block's residual factors off its nested
     coordinates and intersects there; the dimension and the nonzero
-    singular values are those of :func:`intersect_operator_spaces` on the
-    full level bases, up to the recorded nestedness defect.
+    singular values are those of the dense intersection of the full level
+    bases, up to the recorded nestedness defect.
     """
     check_tol(tol)
     spaces = _block_spaces(tree, splits, shape)
@@ -746,7 +650,7 @@ def tangent_dimension(v, tree, r, tol=DEFAULT_TOL):
     dim_core = prod(r[b] for b in level_partition(tree, 1))
     dim_total = inter.dim + dim_core
     oracle = _jacobian_rank(v, tree, anchor.splits, tol)
-    formula = network_dimension_formula(tree, r, v.shape)
+    formula = network_dimension(tree, r, v.shape)
     return TangentReport(
         dim_e=inter.dim,
         dim_core=dim_core,

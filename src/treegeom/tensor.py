@@ -1,4 +1,4 @@
-"""Dense tensor primitives: matricization, mode operators, SVD, block order.
+"""Dense tensor primitives: matricization, block contractions, SVD, block order.
 
 Conventions used throughout the package:
 
@@ -12,11 +12,18 @@ The matricization ``matricize(v, alpha)`` has rows indexed by the multi-indices
 of the modes in ``alpha`` (row-major over the sorted subset) and columns by the
 multi-indices of the remaining modes, also row-major.  This fixes the bijection
 between a tensor and each of its unfoldings.
+
+Outer products and operators on the whole flattened space are left to
+numpy (``np.multiply.outer``, ``np.kron``): the library applies a block
+operator through :func:`push_blocks` and :func:`pull_blocks`, and the one
+dense embedding of a block operator it writes goes through
+:func:`embedding_index`.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from functools import lru_cache
 from math import inf, prod
@@ -29,13 +36,10 @@ from .errors import DegenerateInputError, InvalidArgumentError, ParseError
 __all__ = [
     "normalize_modes",
     "matricize",
-    "apply_mode_operator",
-    "tensor_product",
     "push_blocks",
     "pull_blocks",
     "svd",
     "svd_rank",
-    "embed_block_operator",
     "block_transpose_permutation",
     "check_tensor",
     "load_tensor",
@@ -100,71 +104,6 @@ def unfold(v, alpha):
     col_axes = [m - 1 for m in complement_modes(alpha, v.ndim)]
     rows = prod(v.shape[i] for i in row_axes)
     return np.transpose(v, row_axes + col_axes).reshape(rows, -1)
-
-
-def _check_partition(partition, ndim):
-    blocks = [normalize_modes(b, ndim) for b in partition]
-    seen = set()
-    for b in blocks:
-        if seen & set(b):
-            raise InvalidArgumentError(f"partition blocks overlap at {seen & set(b)}")
-        seen |= set(b)
-    if seen != set(range(1, ndim + 1)):
-        raise InvalidArgumentError(
-            f"partition {blocks} does not cover modes 1..{ndim}"
-        )
-    return sorted_blocks(blocks)
-
-
-def apply_mode_operator(A, alpha, partition, v):
-    """Apply ``A`` on the mode block ``alpha`` of ``v``, identity elsewhere.
-
-    ``partition`` must be a partition of the modes containing ``alpha``; it
-    documents with respect to which block structure the identity factors act
-    (the result does not depend on how the complement is partitioned).
-
-    If ``A`` is square the output has the shape of ``v``.  Otherwise the
-    block ``alpha`` is replaced by a single fused mode of size ``A.shape[0]``
-    located at the position of ``min(alpha)``.
-    """
-    v = check_tensor(v)
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise InvalidArgumentError("operator must be a matrix")
-    alpha = normalize_modes(alpha, v.ndim)
-    blocks = _check_partition(partition, v.ndim)
-    if alpha not in blocks:
-        raise InvalidArgumentError(f"partition does not contain block {alpha}")
-    M = unfold(v, alpha)
-    if A.shape[1] != M.shape[0]:
-        raise InvalidArgumentError(
-            f"operator has {A.shape[1]} columns, block {alpha} has size {M.shape[0]}"
-        )
-    Y = A @ M
-    row_axes = [a - 1 for a in alpha]
-    rest = complement_modes(alpha, v.ndim)
-    col_axes = [m - 1 for m in rest]
-    if A.shape[0] == M.shape[0]:
-        dims = [v.shape[i] for i in row_axes] + [v.shape[i] for i in col_axes]
-        out = Y.reshape(dims)
-        inv = np.argsort(row_axes + col_axes)
-        return np.ascontiguousarray(np.transpose(out, inv))
-    # fused output block
-    out = Y.reshape([A.shape[0]] + [v.shape[i] for i in col_axes])
-    pos = sum(1 for m in rest if m < alpha[0])
-    order = [1 + i for i in range(pos)] + [0] + [1 + i for i in range(pos, len(rest))]
-    return np.ascontiguousarray(np.transpose(out, order))
-
-
-def tensor_product(factors):
-    """Outer product of a list of tensors; shapes concatenate."""
-    if not factors:
-        raise InvalidArgumentError("tensor_product needs at least one factor")
-    factors = [check_tensor(f) for f in factors]
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.tensordot(out, f, axes=0)
-    return out
 
 
 def push_blocks(core, bases, blocks, shape):
@@ -258,6 +197,20 @@ def check_tol(tol):
     raise InvalidArgumentError(f"tol must be a finite number > 0, got {tol!r}")
 
 
+def check_integer(value, name, low):
+    """``value`` as an ``int`` if it is an integer at least ``low``:
+    Python and numpy integers pass, a bool, a float or anything else is an
+    input error."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if type(value) is bool or index is None or index < low:
+        raise InvalidArgumentError(
+            f"{name} must be an integer >= {low}, got {value!r}")
+    return index
+
+
 def svd_rank(s, tol):
     """Number of singular values above the rank tolerance ``tol``, relative
     to the largest singular value: an ``int`` for a nonincreasing vector,
@@ -279,28 +232,6 @@ def block_transpose_permutation(shape, alpha):
     axes = [a - 1 for a in alpha] + [m - 1 for m in complement_modes(alpha, d)]
     n = prod(shape)
     return np.transpose(np.arange(n).reshape(shape), axes).ravel()
-
-
-def embed_block_operator(M, alpha, shape):
-    """Dense operator acting as ``M`` on the mode block ``alpha`` of a tensor
-    with the given shape and as identity on all other modes.
-
-    The result is the full matrix on the flattened tensor space: entry
-    ``(i, j)`` is ``M[a, a']`` when ``i`` and ``j`` have block indices
-    ``a`` and ``a'`` and agree on every other mode, and zero otherwise.  It
-    is written through :func:`embedding_index` in one indexed write.
-    """
-    M = np.asarray(M, dtype=float)
-    alpha = normalize_modes(alpha, len(shape))
-    n_alpha = prod(shape[a - 1] for a in alpha)
-    if M.shape != (n_alpha, n_alpha):
-        raise InvalidArgumentError(
-            f"block operator must be {n_alpha}x{n_alpha} for block {alpha}"
-        )
-    N = prod(shape)
-    out = np.zeros(N * N)
-    out[embedding_index(shape, alpha)] = M[:, :, None]
-    return out.reshape(N, N)
 
 
 def embedding_index(shape, alpha):

@@ -5,7 +5,9 @@ elimination, subspace intersections via full complement projectors, mode
 operators via explicit index loops, properness by sampling the level Tucker
 sets, tree networks and the Jacobian via Kronecker products of the sons'
 bases, dense block operators via Kronecker products with identities, and
-block contractions via ``np.tensordot``.
+block contractions via ``np.tensordot``.  The dense operator-space oracles
+(level bases, their intersection, the partial-trace decomposition) are in
+``oracles.py``.
 """
 
 from fractions import Fraction
@@ -373,12 +375,14 @@ def tensordot_pull_blocks(w, bases, blocks, shape):
 def dense_projection(v, bases):
     """Reference projection of ``v`` onto the tensor product of the spans of
     orthonormal bases, keyed by mode block: one dense ``n_b x n_b``
-    projector per block, applied through ``apply_mode_operator``."""
-    import treegeom as tg
-
-    blocks = sorted(bases)
-    for b in blocks:
-        v = tg.apply_mode_operator(bases[b] @ bases[b].T, b, blocks, v)
+    projector per block, applied to ``v`` with the block's modes moved in
+    front and fused."""
+    for b, B in sorted(bases.items()):
+        axes = [m - 1 for m in b] + [m for m in range(v.ndim)
+                                     if m + 1 not in b]
+        t = np.transpose(v, axes)
+        t = (B @ B.T @ t.reshape(len(B), -1)).reshape(t.shape)
+        v = np.transpose(t, np.argsort(axes))
     return v
 
 

@@ -1,4 +1,5 @@
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from treegeom.subspaces import TreeRank, factored_subspace
 from treegeom.tensor import sorted_blocks
 
 from helpers import (
+    apply_single_mode_oracle,
     capped_rank_tuple,
     kind_tree,
     kron_assemble_laplacian,
@@ -114,9 +116,7 @@ class TestTuckerChart:
         # a point whose first-mode subspace is orthogonal to the anchor's
         s = splits[(2,)]
         Q = np.hstack([s.w[:, :2]])  # swap onto the complement
-        rot = tg.apply_mode_operator(
-            Q @ s.u.T + s.u @ Q.T, (2,), [(1,), (2,), (3,)], v
-        )
+        rot = apply_single_mode_oracle(Q @ s.u.T + s.u @ Q.T, 2, v)
         with pytest.raises((OutsideChartDomainError, NotOnManifoldError)):
             tg.tucker_chart_inverse(
                 rot, blocks, splits, {b: r[b] for b in blocks}
@@ -191,7 +191,8 @@ class TestTreeChart:
 
     def test_elementary_anchor_has_rank_one_splits(self, deep_tree_d4):
         gen = np.random.default_rng(14)
-        v = tg.tensor_product([gen.standard_normal(n) for n in (2, 2, 2, 3)])
+        v = reduce(np.multiply.outer,
+                   [gen.standard_normal(n) for n in (2, 2, 2, 3)])
         ones = TreeRank({n: 1 for n in deep_tree_d4.nodes})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -46,7 +47,8 @@ def read_json(capsys):
 class TestAnalyze:
     def test_elementary_all_ones(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
-        v = tg.tensor_product([rng.standard_normal(2) for _ in range(4)])
+        v = reduce(np.multiply.outer,
+                   [rng.standard_normal(2) for _ in range(4)])
         p = tmp_path / "v.json"
         tg.save_tensor(p, v)
         code = run(["analyze", "--tensor", str(p), "--tree", "binary"])
@@ -297,6 +299,32 @@ def test_rank_file_naming_a_non_tree_block_exits_two(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no tree nodes [{1, 2}]" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "proper", "chart-check"])
+def test_negative_seed_exits_two_with_no_report(workspace, capsys,
+                                                monkeypatch, command):
+    # numpy's generators refuse a negative seed with a ValueError of their
+    # own, which would exit 1 (a negative verdict); the seed is checked
+    # before any sampling or SVD, and chart-check checks it before loading
+    from treegeom import cli, formats
+
+    out = workspace["dir"] / "out.json"
+    args = [command, "--tree", workspace["tree"], "--ranks",
+            workspace["ranks"], "--seed", "-1", "--out", str(out)]
+    if command == "chart-check":
+        args += ["--tensor", workspace["tensor"]]
+        monkeypatch.setattr(cli, "load_tensor", None)
+    else:
+        args += ["--shape", ",".join(map(str, workspace["shape"]))]
+    monkeypatch.setattr(np.linalg, "svd", None)
+    monkeypatch.setattr(formats, "_sample_network", None)
+    capsys.readouterr()
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be an integer >= 0, got -1" in captured.err
     assert not out.exists()
 
 

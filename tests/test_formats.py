@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -31,7 +32,7 @@ from helpers import (
 
 def elementary(shape, seed=0):
     rng = np.random.default_rng(seed)
-    return tg.tensor_product([rng.standard_normal(n) for n in shape])
+    return reduce(np.multiply.outer, [rng.standard_normal(n) for n in shape])
 
 
 def bump(r, node, delta=1):
@@ -394,6 +395,25 @@ class TestRandomTreeTensor:
         with pytest.raises(InvalidArgumentError,
                            match="trials must be at least 1"):
             tg.is_admissible(deep_tree_d4, r, (2, 2, 2, 2), trials=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_seed_must_be_a_nonnegative_integer(self, deep_tree_d4,
+                                                monkeypatch, seed):
+        # every sampler takes its seed through one check, before any
+        # sampling: a negative seed would otherwise reach numpy's ValueError
+        r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
+        monkeypatch.setattr(formats, "_sample_network", None)
+        for call in (tg.random_tree_tensor, generation_attempts,
+                     tg.is_admissible, tg.is_proper):
+            with pytest.raises(InvalidArgumentError,
+                               match="seed must be an integer >= 0"):
+                call(deep_tree_d4, r, (2, 2, 2, 2), seed=seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self, deep_tree_d4):
+        r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
+        v = tg.random_tree_tensor(deep_tree_d4, r, (2, 2, 2, 2), seed=4)
+        assert np.array_equal(tg.random_tree_tensor(
+            deep_tree_d4, r, (2, 2, 2, 2), seed=np.int64(4)), v)
 
     def test_violating_tuple_raises_immediately(self, deep_tree_d4):
         ranks = {n: 1 for n in deep_tree_d4.nodes}

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from treegeom.tensor import svd_rank
 
 from helpers import (
     KRONECKER_CASES,
+    apply_single_mode_oracle,
     capped_rank_tuple,
     dense_projection,
     gauss_rank_float,
@@ -28,13 +31,13 @@ from helpers import (
 
 def elementary(shape, seed=0):
     rng = np.random.default_rng(seed)
-    return tg.tensor_product([rng.standard_normal(n) for n in shape])
+    return reduce(np.multiply.outer, [rng.standard_normal(n) for n in shape])
 
 
 class TestMinimalSubspace:
     def test_elementary_second_mode(self, rng):
         x, y, z = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(2)
-        v = tg.tensor_product([x, y, z])
+        v = reduce(np.multiply.outer, [x, y, z])
         sub = tg.minimal_subspace(v, (2,))
         assert sub.rank == 1
         yn = y / np.linalg.norm(y)
@@ -45,7 +48,8 @@ class TestMinimalSubspace:
 
     def test_two_term_sum_has_rank_two(self):
         e0, e1 = np.eye(2)
-        v = tg.tensor_product([e0, e0, e0]) + tg.tensor_product([e1, e1, e1])
+        v = reduce(np.multiply.outer, [e0, e0, e0]) \
+            + reduce(np.multiply.outer, [e1, e1, e1])
         sub = tg.minimal_subspace(v, (1,))
         assert sub.rank == 2
         assert gauss_rank_float(tg.matricize(v, (1,))) == 2
@@ -73,7 +77,7 @@ class TestMinimalSubspace:
     def test_basis_stable_under_orthogonal_change_of_other_modes(self, rng):
         v = rng.standard_normal((2, 3, 4))
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        w = tg.apply_mode_operator(Q, (3,), [(1,), (2,), (3,)], v)
+        w = apply_single_mode_oracle(Q, 3, v)
         b1 = tg.minimal_subspace(v, (1, 2)).basis
         b2 = tg.minimal_subspace(w, (1, 2)).basis
         assert b1.shape == b2.shape
@@ -394,6 +398,28 @@ class TestRankJson:
     def test_nonpositive_rank(self):
         with pytest.raises(tg.ParseError):
             ranks_from_json('{"ranks": [{"block": [1], "r": 0}]}')
+
+
+@pytest.mark.parametrize("rank", [0, -1, 2.7, 2.0, True, "2", None])
+def test_tree_rank_rejects_what_is_no_positive_integer(rank):
+    # a truncated (2.7 -> 2, True -> 1) or non-positive rank would fail
+    # later inside numpy or pass a verdict unchecked
+    with pytest.raises(InvalidArgumentError,
+                       match="rank must be an integer >= 1"):
+        TreeRank({(1,): rank, (2,): 1, (1, 2): 1})
+
+
+def test_negative_tucker_ranks_fail_at_construction():
+    # unchecked, this tuple passes necessary_rank_conditions and gives
+    # network_dimension_formula -7
+    with pytest.raises(InvalidArgumentError):
+        TreeRank({(1,): -1, (2,): -1, (1, 2): 1})
+
+
+def test_tree_rank_keeps_numpy_integers_as_int():
+    r = TreeRank({(1,): np.int64(2), (2,): np.uint8(2), (1, 2): 1})
+    assert r == TreeRank({(1,): 2, (2,): 2, (1, 2): 1})
+    assert all(type(k) is int for _, k in r.items())
 
 
 def test_tree_rank_equality_and_lookup():

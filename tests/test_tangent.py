@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 import treegeom as tg
-from treegeom import subspaces, tangent
-from treegeom.formats import contract_network
+from treegeom import formats, operators, subspaces, tangent
+from treegeom.formats import contract_network, network_dimension_formula
 from treegeom.operators import tree_splits
 from treegeom.subspaces import TreeRank
 from treegeom.tangent import (
     _network_parameters,
-    network_dimension_formula,
     parametrization_jacobian,
     tree_operator_basis,
 )
@@ -22,9 +21,16 @@ from helpers import (
     intersection_dim_bruteforce,
     kind_tree,
     kron_basis_vectors,
+    kron_embed_block_operator,
     kron_network_parameters,
     per_entry_jacobian,
     principal_angle_residual,
+)
+from oracles import (
+    decompose_laplacian,
+    intersect_operator_spaces,
+    level_operator_basis,
+    residual_factor,
 )
 
 
@@ -38,7 +44,7 @@ def anchored(tree, shape, seed=0, cap=2):
 def level_bases(tree, v, splits):
     depth = tg.levels(tree).depth
     return [
-        tg.level_operator_basis(tg.level_partition(tree, k), splits, v.shape)
+        level_operator_basis(tg.level_partition(tree, k), splits, v.shape)
         for k in range(1, depth + 1)
     ]
 
@@ -67,14 +73,14 @@ class TestLevelOperatorBasis:
     def test_matrix_case_dimension(self):
         tree, r, v = tucker_instance((2, 2), (1, 1))
         splits = tree_splits(v, tree, 1e-10)
-        basis = tg.level_operator_basis(((1,), (2,)), splits, v.shape)
+        basis = level_operator_basis(((1,), (2,)), splits, v.shape)
         assert basis.dim == 2  # 1*(2-1) per mode
 
     def test_deep_tree_level_one_count(self, deep_tree_d4):
         shape = (2, 2, 2, 2)
         v, r, splits = anchored(deep_tree_d4, shape, seed=1)
         blocks = tg.level_partition(deep_tree_d4, 1)
-        basis = tg.level_operator_basis(blocks, splits, shape)
+        basis = level_operator_basis(blocks, splits, shape)
         # r*(n^alpha - r) summed over {1,2,3} (2*(8-2)) and {4} (2*(2-2))
         assert basis.dim == 12
 
@@ -84,7 +90,7 @@ class TestLevelOperatorBasis:
         depth = tg.levels(mixed_tree_d6).depth
         for k in range(1, depth + 1):
             blocks = tg.level_partition(mixed_tree_d6, k)
-            basis = tg.level_operator_basis(blocks, splits, shape)
+            basis = level_operator_basis(blocks, splits, shape)
             expected = sum(
                 splits[b].rank * splits[b].corank for b in blocks
             )
@@ -93,7 +99,7 @@ class TestLevelOperatorBasis:
     def test_orthonormality(self, deep_tree_d4):
         shape = (2, 2, 2, 3)
         v, r, splits = anchored(deep_tree_d4, shape, seed=3)
-        basis = tg.level_operator_basis(
+        basis = level_operator_basis(
             tg.level_partition(deep_tree_d4, 2), splits, shape
         )
         G = basis.vectors.T @ basis.vectors
@@ -113,9 +119,9 @@ class TestLevelOperatorBasis:
                 for j in range(s.rank):
                     for i in range(s.corank):
                         E = np.outer(s.w[:, i], s.u[:, j])
-                        cols.append(tg.embed_block_operator(E, b, shape)
+                        cols.append(kron_embed_block_operator(E, b, shape)
                                     .ravel() / np.sqrt(n_rest))
-            basis = tg.level_operator_basis(blocks, splits, shape)
+            basis = level_operator_basis(blocks, splits, shape)
             np.testing.assert_allclose(
                 basis.vectors, np.column_stack(cols), rtol=0, atol=1e-15
             )
@@ -125,7 +131,7 @@ class TestLevelOperatorBasis:
         v, r, splits = anchored(deep_tree_d4, shape, seed=4)
         blocks = tg.level_partition(deep_tree_d4, 2)
         per_block = [
-            tg.level_operator_basis((b,) + tuple(
+            level_operator_basis((b,) + tuple(
                 c for c in blocks if c != b
             ), {**splits}, shape)
             for b in blocks
@@ -140,7 +146,7 @@ class TestLevelOperatorBasis:
                 for i in range(s.corank):
                     E = np.outer(s.w[:, i], s.u[:, j])
                     cols.append(
-                        tg.embed_block_operator(E, b, shape).ravel()
+                        kron_embed_block_operator(E, b, shape).ravel()
                         / np.sqrt(n_rest)
                     )
             single.append(np.column_stack(cols) if cols else None)
@@ -155,17 +161,17 @@ class TestIntersection:
     def test_single_space_is_preserved(self, deep_tree_d4):
         shape = (2, 2, 2, 3)
         v, r, splits = anchored(deep_tree_d4, shape, seed=5)
-        basis = tg.level_operator_basis(
+        basis = level_operator_basis(
             tg.level_partition(deep_tree_d4, 1), splits, shape
         )
-        inter = tg.intersect_operator_spaces([basis])
+        inter = intersect_operator_spaces([basis])
         assert inter.dim == basis.dim
 
     def test_depth_one_intersection_is_the_level_space(self):
         tree, r, v = tucker_instance((3, 3, 3), (2, 2, 2))
         splits = tree_splits(v, tree, 1e-10)
         bases = level_bases(tree, v, splits)
-        inter = tg.intersect_operator_spaces(bases)
+        inter = intersect_operator_spaces(bases)
         assert inter.dim == bases[0].dim
 
     def test_matches_bruteforce_projector_nullspace(self):
@@ -176,7 +182,7 @@ class TestIntersection:
         v = tg.random_tree_tensor(tree, r, shape, seed=6)
         splits = tree_splits(v, tree, 1e-10)
         bases = level_bases(tree, v, splits)
-        inter = tg.intersect_operator_spaces(bases)
+        inter = intersect_operator_spaces(bases)
         assert inter.dim == intersection_dim_bruteforce(bases)
 
     def test_dimension_is_the_root_son_leaf_count(self, mixed_tree_d6):
@@ -185,7 +191,7 @@ class TestIntersection:
         shape = (2, 2, 2, 2, 2, 3)
         v, r, splits = anchored(mixed_tree_d6, shape, seed=7)
         bases = level_bases(mixed_tree_d6, v, splits)
-        inter = tg.intersect_operator_spaces(bases)
+        inter = intersect_operator_spaces(bases)
         root_son_leaves = [
             b for b in mixed_tree_d6.sons_of(mixed_tree_d6.root)
             if len(b) == 1
@@ -199,7 +205,7 @@ class TestIntersection:
         shape = (2, 2, 2, 3)
         v, r, splits = anchored(deep_tree_d4, shape, seed=8)
         bases = level_bases(deep_tree_d4, v, splits)
-        inter = tg.intersect_operator_spaces(bases)
+        inter = intersect_operator_spaces(bases)
         assert inter.dim > 0
         for basis in bases:
             proj = basis.vectors @ (basis.vectors.T @ inter.vectors)
@@ -210,14 +216,14 @@ class TestIntersection:
         shape = (2, 2, 2, 3)
         v, r, splits = anchored(deep_tree_d4, shape, seed=9)
         bases = level_bases(deep_tree_d4, v, splits)
-        inter = tg.intersect_operator_spaces(bases)
+        inter = intersect_operator_spaces(bases)
         gen = np.random.default_rng(10)
         coords = gen.standard_normal(inter.dim)
         Lop = inter.operator(coords)
         depth = tg.levels(deep_tree_d4).depth
         for k in range(1, depth + 1):
             blocks = tg.level_partition(deep_tree_d4, k)
-            rec = tg.decompose_laplacian(Lop, blocks, splits, shape)
+            rec = decompose_laplacian(Lop, blocks, splits, shape)
             back = tg.assemble_laplacian(rec, splits, shape)
             assert np.linalg.norm(back - Lop) <= 1e-10 * np.linalg.norm(Lop)
 
@@ -242,7 +248,7 @@ class TestOracle:
         v, r, splits = anchored(deep_tree_d4, shape, seed=12)
         v = v / np.linalg.norm(v)
         bases = level_bases(deep_tree_d4, v, splits)
-        inter = tg.intersect_operator_spaces(bases)
+        inter = intersect_operator_spaces(bases)
         J = parametrization_jacobian(v, deep_tree_d4, r)
         U, s, _ = np.linalg.svd(J, full_matrices=False)
         rank = int(np.sum(s > 1e-6 * s[0]))
@@ -394,7 +400,7 @@ class TestBlockSpacesMatchDenseOracle:
     def test_dimension_and_spectrum(self, kind, shape):
         tree, v, r, splits = block_case(kind, shape, seed=30)
         bases = level_bases(tree, v, splits)
-        dense = tg.intersect_operator_spaces(bases)
+        dense = intersect_operator_spaces(bases)
         block = tg.tree_operator_basis(tree, splits, shape)
         assert block.dim == dense.dim
         s = dense_residual_spectrum(bases)
@@ -416,7 +422,7 @@ class TestBlockSpacesMatchDenseOracle:
     def test_immersion_matches_dense(self, kind, shape):
         tree, v, r, splits = block_case(kind, shape, seed=31)
         bases = level_bases(tree, v, splits)
-        dense = tg.intersect_operator_spaces(bases)
+        dense = intersect_operator_spaces(bases)
         for k, bk in enumerate(bases, start=1):
             report = tg.immersion_check(v, tree, r, k)
             assert report.passed
@@ -440,7 +446,7 @@ class TestBlockSpacesMatchDenseOracle:
         N = int(np.prod(shape))
         Lop = (block.vectors @ coords).reshape(N, N)
         level1 = tg.level_partition(tree, 1)
-        dec = tg.decompose_laplacian(Lop, level1, splits, shape)
+        dec = decompose_laplacian(Lop, level1, splits, shape)
         parts = block.parts(coords)
         assert set(parts) == set(level1)
         for b in level1:
@@ -450,14 +456,14 @@ class TestBlockSpacesMatchDenseOracle:
         # fed level-1 coefficients, as the inverse chart hands them over
         tree, v, r, splits = block_case(kind, shape, seed=34)
         bases = level_bases(tree, v, splits)
-        dense = tg.intersect_operator_spaces(bases)
+        dense = intersect_operator_spaces(bases)
         block = tg.tree_operator_basis(tree, splits, shape)
         level1 = tg.level_partition(tree, 1)
         gen = np.random.default_rng(35)
         # a member of the intersection: recovered exactly, no residual
         if dense.dim:
             Lop = dense.operator(gen.standard_normal(dense.dim))
-            dec = tg.decompose_laplacian(Lop, level1, splits, shape)
+            dec = decompose_laplacian(Lop, level1, splits, shape)
             coords, resid, nrm = block.part_coordinates(dec.parts)
             assert resid <= 1e-12 * nrm
             assert nrm == pytest.approx(np.linalg.norm(Lop), rel=1e-12)
@@ -488,12 +494,12 @@ class TestBlockSpacesMatchDenseOracle:
 
 def dense_block_factors(space):
     """The dense oracle of a block's residual factors: the level-1 and the
-    level bases of the block's sub-shape, one ``_residual_factor`` per
+    level bases of the block's sub-shape, one ``residual_factor`` per
     level below the first."""
-    first = tangent.level_operator_basis(
+    first = level_operator_basis(
         space.partitions[0], space.splits, space.shape)
     return [
-        tangent._residual_factor(first, tangent.level_operator_basis(
+        residual_factor(first, level_operator_basis(
             p, space.splits, space.shape))
         for p in space.partitions[1:]
     ]
@@ -523,7 +529,7 @@ def test_nested_factors_match_dense_oracle(kind, shape, seed):
                           initial=0.0) <= 1e-13
     bases = level_bases(tree, v, splits)
     block = tg.tree_operator_basis(tree, splits, shape)
-    assert block.dim == tg.intersect_operator_spaces(bases).dim
+    assert block.dim == intersect_operator_spaces(bases).dim
     dense = dense_residual_spectrum(bases)
     assert np.max(np.abs(padded_values(block.singular_values, dense.size)
                          - dense), initial=0.0) <= block.defect + 1e-13
@@ -549,7 +555,7 @@ def test_full_rank_blocks_match_dense_oracle(nested, shape, cap):
             np.testing.assert_allclose(R.T @ R, dense.T @ dense,
                                        rtol=0, atol=1e-13)
     block = tg.tree_operator_basis(tree, splits, shape)
-    assert block.dim == tg.intersect_operator_spaces(
+    assert block.dim == intersect_operator_spaces(
         level_bases(tree, v, splits)).dim
     for k in range(1, tg.levels(tree).depth + 1):
         assert tg.immersion_check(v, tree, r, k).passed
@@ -573,7 +579,7 @@ def test_defect_bounds_the_spectrum_near_tol(kind):
     block = tg.tree_operator_basis(tree, splits, v.shape, tol)
     assert block.defect > 1e-12
     bases = level_bases(tree, v, splits)
-    assert block.dim == tg.intersect_operator_spaces(bases, tol).dim
+    assert block.dim == intersect_operator_spaces(bases, tol).dim
     dense = dense_residual_spectrum(bases)
     assert np.max(np.abs(padded_values(block.singular_values, dense.size)
                          - dense)) <= block.defect + 1e-13
@@ -581,20 +587,20 @@ def test_defect_bounds_the_spectrum_near_tol(kind):
 
 @pytest.mark.filterwarnings("ignore:fixed-rank set is not proper")
 @pytest.mark.parametrize("kind", ["deep", "linear", "mixed"])
-def test_level_bases_are_built_once(kind, monkeypatch):
-    # no library path builds a level basis or a dense residual factor:
-    # the intersection is read off nested factors, and the immersion check,
-    # the tangent report, the chart and its inverse's level search read
-    # the factors it kept
+def test_library_paths_build_no_dense_operator(kind, monkeypatch):
+    # every dense N x N operator or N^2-long basis in the library is written
+    # through a block embedding index; the intersection is read off nested
+    # factors, and the immersion check, the tangent report, the chart and
+    # its inverse's level search read the factors it kept, so none of them
+    # reaches an embedding index
     shape = dict(BLOCK_CASES)[kind]
     tree, v, r, splits = block_case(kind, shape, seed=38)
-    built = []
-    for name in ("level_operator_basis", "_residual_factor"):
-        def counted(*args, _name=name, _call=getattr(tangent, name),
-                    **kwargs):
-            built.append(_name)
+    embedded = []
+    for module in (tangent, operators):
+        def counted(*args, _call=module.embedding_index, **kwargs):
+            embedded.append(args)
             return _call(*args, **kwargs)
-        monkeypatch.setattr(tangent, name, counted)
+        monkeypatch.setattr(module, "embedding_index", counted)
     block = tg.tree_operator_basis(tree, splits, shape)
     depth = tg.levels(tree).depth
     for k in range(1, depth + 1):
@@ -609,7 +615,10 @@ def test_level_bases_are_built_once(kind, monkeypatch):
     }
     for k in range(1, depth + 1):
         block.level_residual(parts, k)
-    assert built == []
+    assert embedded == []
+    # the counter sees the one chart path that assembles an N x N operator
+    tg.level_inverse_operator(chart, v, 1)
+    assert embedded
 
 
 @pytest.mark.parametrize("exponent", [-1000, -700, -300, 0, 300, 700, 1000])
@@ -736,6 +745,30 @@ def test_anchor_is_factored_once_per_node(tree, shape, call, monkeypatch):
     monkeypatch.setattr(subspaces, "unfold", counted)
     call(v, tree, r)
     assert unfolded == Counter(n for n in tree.nodes if n != tree.root)
+
+
+@pytest.mark.filterwarnings("ignore:fixed-rank set is not proper")
+@pytest.mark.parametrize("call", [
+    lambda v, tree, r: tg.tree_chart(v, tree, r),
+    lambda v, tree, r: tg.tangent_dimension(v, tree, r),
+    lambda v, tree, r: tg.immersion_check(v, tree, r, 1),
+], ids=["tree_chart", "tangent_dimension", "immersion_check"])
+def test_rank_tuple_is_checked_once_per_call(call, monkeypatch,
+                                             empty_anchor_slot):
+    # the anchor's arguments are checked once, and the tangent report's
+    # closed-form count reads them unchecked
+    tree, v, r, _ = block_case("deep", (3, 3, 3, 3), seed=2)
+    checks = []
+    check = formats._check_rank_args
+
+    def counted(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(formats, "_check_rank_args", counted)
+    call(v, tree, r)
+    call(v, tree, r)
+    assert len(checks) == 2
 
 
 def test_factor_spectrum_compresses_without_changing_the_spectrum():

@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ class TestMatricize:
     def test_elementary_basis_tensor(self):
         e = np.zeros(2)
         e[0] = 1.0
-        v = tg.tensor_product([e, e, e])
+        v = reduce(np.multiply.outer, [e, e, e])
         M = tg.matricize(v, (1,))
         assert M.shape == (2, 4)
         expected = np.zeros((2, 4))
@@ -49,7 +50,7 @@ class TestMatricize:
 
     def test_elementary_is_rank_one_for_every_subset(self, rng):
         x, y, z = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(4)
-        v = tg.tensor_product([x, y, z])
+        v = reduce(np.multiply.outer, [x, y, z])
         for alpha in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]:
             M = tg.matricize(v, alpha)
             s = np.linalg.svd(M, compute_uv=False)
@@ -94,93 +95,6 @@ class TestMatricize:
         for j in range(1, len(shape) + 1):
             entries = np.sort(tg.matricize(v, (j,)).ravel())
             assert np.array_equal(entries, reference)
-
-
-class TestApplyModeOperator:
-    def test_identity(self, rng):
-        v = rng.standard_normal((2, 3, 4))
-        out = tg.apply_mode_operator(np.eye(3), (2,), [(1,), (2,), (3,)], v)
-        assert np.array_equal(out, v)
-
-    def test_zero(self, rng):
-        v = rng.standard_normal((2, 3))
-        out = tg.apply_mode_operator(np.zeros((3, 3)), (2,), [(1,), (2,)], v)
-        assert np.array_equal(out, np.zeros((2, 3)))
-
-    def test_swap_matches_index_permutation(self, rng):
-        v = rng.standard_normal((2, 2))
-        A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = tg.apply_mode_operator(A, (1,), [(1,), (2,)], v)
-        assert np.array_equal(out, v[::-1, :])
-
-    def test_matches_index_loop_oracle(self, rng):
-        v = rng.standard_normal((2, 3, 2))
-        A = rng.standard_normal((3, 3))
-        out = tg.apply_mode_operator(A, (2,), [(1,), (2,), (3,)], v)
-        np.testing.assert_allclose(
-            out, apply_single_mode_oracle(A, 2, v), atol=1e-13
-        )
-
-    def test_block_operator_on_middle_block(self, rng):
-        v = rng.standard_normal((2, 2, 3, 2))
-        A = rng.standard_normal((6, 6))
-        out = tg.apply_mode_operator(A, (2, 3), [(1,), (2, 3), (4,)], v)
-        # reference through explicit matricization round trip
-        M = tg.matricize(v, (2, 3))
-        ref = (A @ M).reshape(2, 3, 2, 2).transpose(2, 0, 1, 3)
-        np.testing.assert_allclose(out, ref, atol=1e-13)
-
-    def test_disjoint_blocks_commute(self, rng):
-        v = rng.standard_normal((2, 3, 4))
-        A = rng.standard_normal((2, 2))
-        B = rng.standard_normal((4, 4))
-        part = [(1,), (2,), (3,)]
-        ab = tg.apply_mode_operator(
-            B, (3,), part, tg.apply_mode_operator(A, (1,), part, v)
-        )
-        ba = tg.apply_mode_operator(
-            A, (1,), part, tg.apply_mode_operator(B, (3,), part, v)
-        )
-        assert np.linalg.norm(ab - ba) <= 1e-13 * max(np.linalg.norm(ab), 1)
-
-    def test_rectangular_operator_fuses_the_block(self, rng):
-        v = rng.standard_normal((2, 3, 4))
-        A = rng.standard_normal((5, 12))
-        out = tg.apply_mode_operator(A, (2, 3), [(1,), (2, 3)], v)
-        assert out.shape == (2, 5)
-
-    def test_dimension_mismatch(self, rng):
-        v = rng.standard_normal((2, 3))
-        with pytest.raises(InvalidArgumentError):
-            tg.apply_mode_operator(np.eye(4), (2,), [(1,), (2,)], v)
-
-    def test_partition_must_contain_block(self, rng):
-        v = rng.standard_normal((2, 3))
-        with pytest.raises(InvalidArgumentError):
-            tg.apply_mode_operator(np.eye(3), (2,), [(1, 2)], v)
-
-
-class TestTensorProduct:
-    def test_single_factor(self, rng):
-        x = rng.standard_normal(5)
-        assert np.array_equal(tg.tensor_product([x]), x)
-
-    def test_hand_computed_two_by_two(self):
-        out = tg.tensor_product([np.array([1.0, 0.0]), np.array([0.0, 2.0])])
-        assert np.array_equal(out, np.array([[0.0, 2.0], [0.0, 0.0]]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            tg.tensor_product([])
-
-    @given(st.integers(0, 500))
-    @settings(max_examples=25, deadline=None)
-    def test_norm_is_product_of_norms(self, seed):
-        rng = np.random.default_rng(seed)
-        factors = [rng.standard_normal(n) for n in (2, 3, 4)]
-        v = tg.tensor_product(factors)
-        expected = np.prod([np.linalg.norm(f) for f in factors])
-        assert np.linalg.norm(v) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSvd:
@@ -259,20 +173,19 @@ class TestSvd:
                 assert np.array_equal(got, want)
 
 
-class TestEmbedBlockOperator:
-    def test_matches_apply_mode_operator_on_columns(self, rng):
-        shape = (2, 3, 2)
-        v = rng.standard_normal(shape)
-        A = rng.standard_normal((4, 4))
-        Op = tg.embed_block_operator(A, (1, 3), shape)
-        direct = tg.apply_mode_operator(A, (1, 3), [(1, 3), (2,)], v)
-        np.testing.assert_allclose(
-            (Op @ v.ravel()).reshape(shape), direct, atol=1e-12
-        )
+def embed(M, alpha, shape):
+    """``M`` on the block ``alpha`` tensored with the identity elsewhere,
+    written through the block's embedding index."""
+    N = int(np.prod(shape))
+    out = np.zeros(N * N)
+    out[embedding_index(shape, alpha)] = M[:, :, None]
+    return out.reshape(N, N)
 
+
+class TestEmbeddingIndex:
     def test_identity_embeds_to_identity(self):
-        Op = tg.embed_block_operator(np.eye(6), (2, 3), (2, 2, 3))
-        np.testing.assert_allclose(Op, np.eye(12))
+        np.testing.assert_allclose(embed(np.eye(6), (2, 3), (2, 2, 3)),
+                                   np.eye(12))
 
     # all modes >= 3, a non-contiguous block, the full-mode block, modes of
     # size 1, and a list shape
@@ -292,12 +205,49 @@ class TestEmbedBlockOperator:
         M = rng.standard_normal((n, n))
         # np.kron writes -0.0 where the index leaves +0.0: equal values,
         # not equal bytes
-        assert np.array_equal(tg.embed_block_operator(M, alpha, shape),
+        assert np.array_equal(embed(M, alpha, shape),
                               kron_embed_block_operator(M, alpha, shape))
 
-    def test_rejects_a_mismatched_block_operator(self):
-        with pytest.raises(InvalidArgumentError):
-            tg.embed_block_operator(np.eye(3), (1, 3), (3, 4, 3))
+    def test_matches_the_matricized_action_on_columns(self, rng):
+        # on a tensor, the embedded operator is the block operator applied
+        # to the block's matricization, folded back
+        shape, alpha = (2, 3, 2), (1, 3)
+        v = rng.standard_normal(shape)
+        A = rng.standard_normal((4, 4))
+        ref = (A @ tg.matricize(v, alpha)).reshape(2, 2, 3).transpose(0, 2, 1)
+        np.testing.assert_allclose(
+            (embed(A, alpha, shape) @ v.ravel()).reshape(shape), ref,
+            atol=1e-12)
+
+    def test_matches_index_loop_oracle(self, rng):
+        shape = (2, 3, 2)
+        v = rng.standard_normal(shape)
+        A = rng.standard_normal((3, 3))
+        np.testing.assert_allclose(
+            (embed(A, (2,), shape) @ v.ravel()).reshape(shape),
+            apply_single_mode_oracle(A, 2, v), atol=1e-13)
+
+    def test_swap_matches_index_permutation(self, rng):
+        v = rng.standard_normal((2, 2))
+        A = np.array([[0.0, 1.0], [1.0, 0.0]])
+        out = (embed(A, (1,), v.shape) @ v.ravel()).reshape(v.shape)
+        assert np.array_equal(out, v[::-1, :])
+
+    def test_disjoint_blocks_commute(self, rng):
+        shape = (2, 3, 4)
+        A = embed(rng.standard_normal((2, 2)), (1,), shape)
+        B = embed(rng.standard_normal((4, 4)), (3,), shape)
+        ab, ba = A @ B, B @ A
+        assert np.linalg.norm(ab - ba) <= 1e-13 * max(np.linalg.norm(ab), 1)
+
+    def test_gather_sums_to_the_partial_trace(self, rng):
+        # summing the gathered entries over the last axis traces out the
+        # modes outside the block
+        shape, alpha = (2, 3, 2), (1, 3)
+        X = rng.standard_normal((12, 12))
+        got = X.ravel()[embedding_index(shape, alpha)].sum(axis=-1)
+        want = np.einsum("abcdbf->acdf", X.reshape(shape + shape))
+        np.testing.assert_allclose(got, want.reshape(4, 4), atol=1e-12)
 
     def test_kept_index_is_read_only_and_shared(self):
         shape, alpha = (3, 4, 3), (1, 3)
@@ -327,8 +277,8 @@ class TestEmbedBlockOperator:
             raise AssertionError("np.kron called")
 
         monkeypatch.setattr(np, "kron", refuse)
-        Op = tg.embed_block_operator(np.eye(12), (1, 2), (3, 4, 3))
-        assert np.array_equal(Op, np.eye(36))
+        assert np.array_equal(embed(np.eye(12), (1, 2), (3, 4, 3)),
+                              np.eye(36))
 
 
 class TestBlockContraction:

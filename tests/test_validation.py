@@ -37,7 +37,6 @@ def case():
         "partition": partition, "splits": splits,
         "ranks": {b: splits[b].rank for b in partition},
         "tree_splits": tree_splits(v, tree, tg.DEFAULT_TOL),
-        "basis": tg.level_operator_basis(partition, splits, shape),
     }
 
 
@@ -63,8 +62,6 @@ TOL_CALLS = {
     "generation_attempts": lambda c, tol: generation_attempts(
         c["tree"], c["r"], c["shape"], tol=tol),
     "split": lambda c, tol: tg.split(c["v"], (1,), tol),
-    "decompose_laplacian": lambda c, tol: tg.decompose_laplacian(
-        np.zeros((24, 24)), c["partition"], c["splits"], c["shape"], tol),
     "tucker_chart_point": lambda c, tol: tg.tucker_chart_point(
         LaplacianLike.zeros(c["splits"], c["partition"]),
         np.random.default_rng(0).standard_normal(
@@ -74,8 +71,6 @@ TOL_CALLS = {
         c["v"], c["partition"], c["splits"], c["ranks"], tol),
     "tree_chart": lambda c, tol: tg.tree_chart(c["v"], c["tree"], c["r"],
                                                tol),
-    "intersect_operator_spaces": lambda c, tol: tg.intersect_operator_spaces(
-        [c["basis"], c["basis"]], tol),
     "tree_operator_basis": lambda c, tol: tg.tree_operator_basis(
         c["tree"], c["tree_splits"], c["shape"], tol),
     "parametrization_jacobian": lambda c, tol: tg.parametrization_jacobian(
@@ -141,14 +136,24 @@ def test_svd_rank_thresholds_a_vector_and_each_row_of_a_stack():
 
 SOURCES = sorted(Path(tg.__file__).parent.glob("*.py"))
 
-# the halves of each former twin, and the private names other modules
-# imported, that are gone or renamed to plain names
-REMOVED = {
+# public names that only tests used: the dense operator-space oracles, now
+# in tests/oracles.py, and tensor helpers that numpy covers
+REMOVED_PUBLIC = {
+    "tensor_product", "apply_mode_operator", "embed_block_operator",
+    "level_operator_basis", "intersect_operator_spaces", "OperatorSpaceBasis",
+    "decompose_laplacian", "NotInSpaceError",
+}
+
+# the halves of each former twin, the private names other modules imported,
+# and the private helpers of the removed public names, all gone or renamed
+# to plain names
+REMOVED = REMOVED_PUBLIC | {
     "_svd", "_svd_ranks", "_minimal_subspace", "require_member",
     "_tree_splits", "_member_subspaces", "_member_splits",
     "_check_member_args", "_ranks", "_nested_ranks", "_unfolding_plan",
     "_chain_residuals", "_anchor", "_unfold", "_planned",
-    "_embedding_index", "_factored_subspace",
+    "_embedding_index", "_factored_subspace", "_check_partition",
+    "_residual_factor", "_network_dimension",
 }
 
 
@@ -182,3 +187,9 @@ def test_removed_twins_are_gone(path):
         elif isinstance(node, ast.alias):
             found.add(node.asname or node.name)
     assert found & REMOVED == set()
+
+
+@pytest.mark.parametrize("module", ["treegeom"] + [
+    f"treegeom.{name}" for name in MODULES + ("errors",)])
+def test_removed_public_names_are_not_attributes(module):
+    assert REMOVED_PUBLIC.isdisjoint(dir(importlib.import_module(module)))
