@@ -66,7 +66,7 @@ from .tensor import (
     sorted_blocks,
     svd_rank,
 )
-from .trees import level_partition, levels
+from .trees import check_level, level_partition, levels
 
 __all__ = [
     "ChartData",
@@ -342,12 +342,11 @@ def level_inverse_operator(chart, w, k):
     For a point in the chart's image the recovered operator is the same at
     every level, up to roundoff; comparing levels is a consistency check.
     Only the graph step of :func:`tucker_chart_inverse` runs.  A level
-    outside ``1..depth`` or a tensor of another shape than the anchor's is
-    an input error, raised before anything is factored.
+    that is not an integer in ``1..depth``
+    (:func:`~treegeom.trees.check_level`) or a tensor of another shape than
+    the anchor's is an input error, raised before anything is factored.
     """
-    depth = len(chart.level_partitions)
-    if not 1 <= k <= depth:
-        raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
+    k = check_level(chart.tree, k)
     w = _chart_point_arg(chart, w)
     blocks = chart.level_partitions[k - 1]
     subs = {b: factored_subspace(w, b, chart.tol)[0] for b in blocks}

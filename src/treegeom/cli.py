@@ -339,8 +339,7 @@ def cmd_generate(args):
 
 
 def cmd_chart_check(args):
-    if args.trials < 1:
-        raise InvalidArgumentError("trials must be at least 1")
+    check_integer(args.trials, "trials", 1)
     check_integer(args.seed, "seed", 0)
     v = load_tensor(args.tensor)
     tree = _load_tree(args.tree, v.ndim)

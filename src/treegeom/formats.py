@@ -417,17 +417,11 @@ def random_tree_tensor(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
     return generation_attempts(tree, r, shape, seed, max_retries, tol)[0]
 
 
-def _check_attempts(count, name):
-    """A generation attempt budget must allow at least one attempt."""
-    if count < 1:
-        raise InvalidArgumentError(f"{name} must be at least 1")
-
-
 def _violations(tree, r, shape, seed, count, name, tol):
     """The checked seed, attempt budget, ``tol`` and arguments of a
     generator, and the rank tuple's violated necessary conditions."""
     check_integer(seed, "seed", 0)
-    _check_attempts(count, name)
+    check_integer(count, name, 1)
     check_tol(tol)
     return necessary_rank_conditions(tree, r, shape)
 

@@ -76,7 +76,7 @@ from .formats import (
     network_dimension,
     node_basis,
 )
-from .operators import SplitSpace, lifted_part
+from .operators import lifted_part
 from .subspaces import DEFAULT_TOL
 from .tensor import (
     block_transpose_permutation,
@@ -86,7 +86,7 @@ from .tensor import (
     svd,
     svd_rank,
 )
-from .trees import level_partition, levels
+from .trees import check_level, level_partition, levels
 
 __all__ = [
     "BlockOperatorBasis",
@@ -130,52 +130,13 @@ def _null_coefficients(s, Vt, reference, tol):
     return Vt[null_mask].T
 
 
-@dataclass(frozen=True, eq=False)
-class _BlockSpace:
-    """One level-1 block ``b`` seen on its own.
-
-    ``shape`` is ``b``'s sub-shape and ``n_rest`` the dimension of the modes
-    outside it; ``splits`` holds the splits of the tree nodes inside ``b``
-    re-keyed to local modes ``1..len(b)`` (``b`` itself is the local root);
-    ``partitions`` holds every level partition restricted to ``b``, in
-    local modes.
-    """
-
-    block: tuple
-    shape: tuple
-    n_rest: int
-    splits: dict
-    partitions: tuple
-
-    @property
-    def split(self):
-        """The split at ``b`` itself, in local modes."""
-        return self.splits[tuple(range(1, len(self.block) + 1))]
-
-    def residual_factors(self):
-        """``R_{b,k}`` for every level, one :func:`_nested_factor` per
-        distinct level partition, and the nestedness defect of their stack:
-        the levels' defects added in quadrature.  A level restricting to
-        the level-1 partition gets no rows and no defect, and coinciding
-        levels share one factor."""
-        s = self.split
-        factors = {self.partitions[0]: (np.zeros((0, s.rank * s.corank)), 0.0)}
-        for p in self.partitions[1:]:
-            if p not in factors:
-                factors[p] = _nested_factor(
-                    s, [(beta, self.splits[beta]) for beta in p], self.shape
-                )
-        R, defects = zip(*(factors[p] for p in self.partitions))
-        return R, hypot(*defects)
-
-
-# The selections depend on the level's sizes and ranks alone.  On blocks of
-# n_b <= 9 rebuilding them adds 0.2-0.65 ms to a 1.7-4 ms chart, tangent
-# or immersion call (one BLAS thread), so a process that meets a level shape
-# again reuses them.  A one-shot command meets each shape once and pays only
-# the lookup.  The bound keeps a sweep over many shapes from growing the
-# cache without limit; an entry holds a few index arrays of at most n_b
-# times the largest rank entries.
+# The selections depend on the level's sizes and ranks alone.  Rebuilding
+# them takes 40-90 us per level on blocks of n_b <= 36, 0.15-0.4 ms of a
+# 1.5-5.5 ms cold chart build on deep, linear, binary and mixed trees (one
+# BLAS thread), so a process that meets a level shape again reuses them.  A
+# one-shot command meets each shape once and pays only the lookup.  The
+# bound keeps a sweep over many shapes from growing the cache without
+# limit; an entry holds a few index arrays of at most n_b entries.
 @lru_cache(maxsize=256)
 def _level_rows(sizes, ranks):
     """Row selections of one level's nested coordinates, for nodes of the
@@ -185,52 +146,27 @@ def _level_rows(sizes, ranks):
     Returns ``psi`` (every node in ``U``: the columns of ``Psi``, in
     order), ``off_psi``, ``other`` (rows with a node count in ``W`` other
     than one), ``single`` (one node in ``W``, node by node, row-major
-    within a node), the entries of ``T[single] (x) B`` that
-    ``C_beta[p, a]`` is subtracted from (``diag_rows``, reading
-    ``diag_src`` of the stacked ``C_beta`` maps), the weights
-    ``sqrt(n''_beta - q_beta)`` of the stacked maps and each node's
-    ``(pre, n, post, r)`` view.  The arrays are read-only: every caller
-    shares them.
+    within a node).  The arrays are read-only: every caller shares them.
     """
     g = len(sizes)
-    m = prod(ranks)
-    index = np.indices(sizes).reshape(g, -1)
-    in_w = index >= np.reshape(ranks, (g, 1))
+    in_w = np.indices(sizes).reshape(g, -1) >= np.reshape(ranks, (g, 1))
     count = in_w.sum(axis=0)
-    single, diag_rows, diag_src, views, weights = [], [], [], [], []
-    start = 0
-    for i, (n, r) in enumerate(zip(sizes, ranks)):
-        rows = np.flatnonzero(in_w[i] & (count == 1))
-        pre, post = prod(sizes[:i]), prod(sizes[i + 1:])
-        # row (x, r + p, y) of node i meets column (x, a, y) of Psi
-        target = np.repeat(index[:, rows, None], r, axis=2)
-        target[i] = np.arange(r)
-        position = start + np.arange(rows.size)
-        diag_rows.append(position[:, None] * m
-                         + np.ravel_multi_index(tuple(target), ranks))
-        diag_src.append(len(weights) + (index[i, rows, None] - r) * r
-                        + np.arange(r))
-        weights += [np.sqrt(pre * post - m // r)] * ((n - r) * r)
-        single.append(rows)
-        views.append((pre, n, post, r))
-        start += rows.size
+    single = [np.flatnonzero(in_w[i] & (count == 1)) for i in range(g)]
     selections = (np.flatnonzero(count == 0), np.flatnonzero(count != 0),
-                  np.flatnonzero(count != 1), np.concatenate(single),
-                  np.concatenate(diag_rows, axis=None),
-                  np.concatenate(diag_src, axis=None),
-                  np.array(weights)[:, None])
+                  np.flatnonzero(count != 1), np.concatenate(single))
     for a in selections:
         a.flags.writeable = False
-    return selections + (tuple(views),)
+    return selections
 
 
-def _nested_factor(split, groups, shape):
+def _nested_factor(block, split, groups, shape):
     """Residual factor of a block's level-1 space off one deeper level, in
     the nested coordinates of that level, and its nestedness defect.
 
-    ``split`` is the block's own split (``U_b``, ``W_b``) and ``groups``
-    the level's nodes ``beta`` inside the block with their splits
-    (``U_beta``, ``W_beta``), in local modes covering ``shape``.
+    ``split`` is the split at the level-1 block ``block`` (``U_b``,
+    ``W_b``) and ``groups`` the level's nodes ``beta`` inside the block with
+    their splits (``U_beta``, ``W_beta``), all in the modes of the tensor of
+    shape ``shape``; a mode's axis in ``U_b`` is its position in ``block``.
     Coefficients ``C`` (``corank x rank``, column ``j * corank + i`` for
     ``C[i, j]``) stand for ``X = W_b C U_b^T``, and ``||R vec(C)||`` is the
     norm of ``X``'s residual off the level space whenever ``U_b`` lies in
@@ -257,58 +193,64 @@ def _nested_factor(split, groups, shape):
     """
     r, c = split.rank, split.corank
     sizes = tuple(s.ambient_dim for _, s in groups)
-    (psi, off_psi, other, single, diag_rows, diag_src, weights,
-     views) = _level_rows(sizes, tuple(s.rank for _, s in groups))
+    ranks = tuple(s.rank for _, s in groups)
+    psi, off_psi, other, single = _level_rows(sizes, ranks)
     # [U_b | W_b] with rows in the level's node order, then in V coordinates
-    axes = [a - 1 for beta, _ in groups for a in beta]
+    axis = {mode: i for i, mode in enumerate(block)}
     Y = np.concatenate([split.u, split.w], axis=1).reshape(
-        *shape, r + c).transpose(*axes, len(shape))
-    for (pre, n, _, _), (_, s) in zip(views, groups):
-        Y = np.concatenate([s.u, s.w], axis=1).T @ Y.reshape(pre, n, -1)
+        *(shape[mode - 1] for mode in block), r + c).transpose(
+            *(axis[mode] for beta, _ in groups for mode in beta), len(block))
+    for i, (_, s) in enumerate(groups):
+        Y = np.concatenate([s.u, s.w], axis=1).T @ Y.reshape(
+            prod(sizes[:i]), sizes[i], -1)
     Y = Y.reshape(-1, r + c)
     S, T = Y[:, :r], Y[:, r:]
     B = S[psi]
-    # C_beta = M_beta vec(C), the other nodes traced out in V coordinates
-    M = np.concatenate([
-        np.einsum("apbi,aqbj->pqji", T.reshape(pre, n, post, c)[:, q:],
-                  S.reshape(pre, n, post, r)[:, :q]).reshape(
-                      (n - q) * q, r * c) / (pre * post)
-        for pre, n, post, q in views
-    ])
     K = (T[single][:, None, None, :] * B[None, :, :, None]).reshape(
         single.size * psi.size, r * c)
-    K[diag_rows] -= M[diag_src]
+    maps = []
+    start = 0
+    for i, q in enumerate(ranks):
+        pre, n, post = prod(sizes[:i]), sizes[i], prod(sizes[i + 1:])
+        # C_beta = M_beta vec(C), the other nodes traced out in V coordinates
+        M = np.einsum("apbi,aqbj->pqji", T.reshape(pre, n, post, c)[:, q:],
+                      S.reshape(pre, n, post, r)[:, :q]).reshape(
+                          n - q, 1, q, r * c) / (pre * post)
+        # row (x, q + p, y) of node i meets column (x, a, y) of Psi: C_beta
+        # is subtracted on that diagonal of node i's rows, a view of K
+        X, Z = prod(ranks[:i]), prod(ranks[i + 1:])
+        stop = start + X * (n - q) * Z * psi.size
+        diagonal = np.einsum("xpyxayk->xpyak", K[start:stop].reshape(
+            X, n - q, Z, X, q, Z, r * c))
+        diagonal -= M
+        # off Psi, weighted by sqrt(n''_beta - q_beta)
+        maps.append(np.sqrt(pre * post - X * Z)
+                    * M.reshape((n - q) * q, r * c))
+        start = stop
     R_B = np.linalg.qr(B, mode="r")
     rest = (R_B[:, None, :, None] * T[other][None, :, None, :]).reshape(
         len(R_B) * other.size, r * c)
-    R = np.linalg.qr(np.vstack([rest, K, weights * M]), mode="r")
+    R = np.linalg.qr(np.vstack([rest, K, *maps]), mode="r")
     off = S[off_psi].ravel()
     return R, float(np.sqrt(off @ off))
 
 
-def _block_spaces(tree, splits, shape):
-    """One :class:`_BlockSpace` per level-1 block, in level-1 block order."""
-    depth = levels(tree).depth
-    partitions = [level_partition(tree, k) for k in range(1, depth + 1)]
-    spaces = []
-    for b in partitions[0]:
-        # a node inside b in local modes, in b's order
-        local = {m: i for i, m in enumerate(b, start=1)}.get
-        inside = set(b).issuperset
-        nodes = {a: tuple(map(local, a)) for a in splits if inside(a)}
-        spaces.append(_BlockSpace(
-            block=b,
-            shape=tuple(shape[m - 1] for m in b),
-            n_rest=prod(shape) // prod(shape[m - 1] for m in b),
-            splits={
-                node: SplitSpace(alpha=node, u=splits[a].u, w=splits[a].w)
-                for a, node in nodes.items()
-            },
-            partitions=tuple(
-                tuple(nodes[a] for a in p if inside(a)) for p in partitions
-            ),
-        ))
-    return tuple(spaces)
+def _block_factors(block, partitions, splits, shape):
+    """``R_{b,k}`` at the level-1 block ``block`` for every level, one
+    :func:`_nested_factor` per distinct restriction of a level partition to
+    the block, and the nestedness defect of their stack: the levels'
+    defects added in quadrature.  A level restricting to the block itself
+    gets no rows and no defect, and coinciding levels share one factor."""
+    s = splits[block]
+    inside = set(block).issuperset
+    restricted = [tuple(a for a in p if inside(a)) for p in partitions]
+    factors = {(block,): (np.zeros((0, s.rank * s.corank)), 0.0)}
+    for p in restricted[1:]:
+        if p not in factors:
+            factors[p] = _nested_factor(
+                block, s, [(beta, splits[beta]) for beta in p], shape)
+    R, defects = zip(*(factors[p] for p in restricted))
+    return R, hypot(*defects)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,17 +258,20 @@ class BlockOperatorBasis:
     """Orthonormal basis of the intersection of the level operator spaces,
     factored over the level-1 blocks.
 
-    ``null[i]`` holds, one column per basis vector, the coefficients of
-    block ``spaces[i]``'s part of the intersection in that block's level-1
-    basis: coefficient ``j * corank + i`` belongs to the elementary operator
-    ``w_i u_j^T`` of the split at the block.  Coordinates are concatenated
-    block by block.  ``factors[i][k - 1]`` is ``R_{b,k}``, which
-    maps those coefficients to their residual off level ``k`` up to an
-    orthonormal factor (no rows at level 1, or where level ``k`` restricts
-    to the level-1 block); it is computed in the nested coordinates of level
-    ``k`` and never from a level basis.  ``singular_values`` are those of
-    the stacked factors (the dense intersection's spectrum), largest first;
-    the null space was decided against the largest of them.
+    ``blocks`` are the level-1 blocks in level order, ``splits[i]`` the
+    split at ``blocks[i]`` (the caller's own, not a copy) and ``n_rest[i]``
+    the dimension of the modes outside it.  ``null[i]`` holds, one column
+    per basis vector, the coefficients of block ``blocks[i]``'s part of the
+    intersection in that block's level-1 basis: coefficient
+    ``j * corank + i`` belongs to the elementary operator ``w_i u_j^T`` of
+    the split at the block.  Coordinates are concatenated block by block.
+    ``factors[i][k - 1]`` is ``R_{b,k}``, which maps those coefficients to
+    their residual off level ``k`` up to an orthonormal factor (no rows at
+    level 1, or where level ``k`` restricts to the level-1 block); it is
+    computed in the nested coordinates of level ``k`` and never from a
+    level basis.  ``singular_values`` are those of the stacked factors (the
+    dense intersection's spectrum), largest first; the null space was
+    decided against the largest of them.
 
     ``defect`` is the largest over blocks of the nestedness defects
     ``||U_b - Psi_k Psi_k^T U_b||_F`` of the block's levels, added in
@@ -342,7 +287,9 @@ class BlockOperatorBasis:
     """
 
     shape: tuple
-    spaces: tuple
+    blocks: tuple
+    splits: tuple
+    n_rest: tuple
     null: tuple
     factors: tuple
     singular_values: np.ndarray
@@ -354,8 +301,9 @@ class BlockOperatorBasis:
 
     def _slices(self):
         start = 0
-        for space, Q in zip(self.spaces, self.null):
-            yield space, Q, slice(start, start + Q.shape[1])
+        for b, s, n_rest, Q in zip(self.blocks, self.splits, self.n_rest,
+                                   self.null):
+            yield b, s, n_rest, Q, slice(start, start + Q.shape[1])
             start += Q.shape[1]
 
     def parts(self, coords):
@@ -367,10 +315,9 @@ class BlockOperatorBasis:
                 f"expected {self.dim} coordinates, got {coords.shape}"
             )
         out = {}
-        for space, Q, sl in self._slices():
-            s = space.split
-            c = Q @ coords[sl] / np.sqrt(space.n_rest)
-            out[space.block] = c.reshape(s.rank, s.corank).T
+        for b, s, n_rest, Q, sl in self._slices():
+            c = Q @ coords[sl] / np.sqrt(n_rest)
+            out[b] = c.reshape(s.rank, s.corank).T
         return out
 
     def part_coordinates(self, parts):
@@ -383,8 +330,8 @@ class BlockOperatorBasis:
         coords = np.zeros(self.dim)
         resid_sq = 0.0
         norm_sq = 0.0
-        for space, Q, sl in self._slices():
-            c = np.sqrt(space.n_rest) * parts[space.block].T.ravel()
+        for b, _, n_rest, Q, sl in self._slices():
+            c = np.sqrt(n_rest) * parts[b].T.ravel()
             coords[sl] = Q.T @ c
             resid_sq += np.linalg.norm(c - Q @ coords[sl]) ** 2
             norm_sq += np.linalg.norm(c) ** 2
@@ -395,25 +342,23 @@ class BlockOperatorBasis:
         ``parts`` off the level-``k`` operator space,
         ``sqrt(sum_b n_rest ||R_{b,k} vec(C_b^T)||^2)``."""
         resid_sq = sum(
-            space.n_rest
-            * np.linalg.norm(R[k - 1] @ parts[space.block].T.ravel()) ** 2
-            for space, R in zip(self.spaces, self.factors)
+            n_rest * np.linalg.norm(R[k - 1] @ parts[b].T.ravel()) ** 2
+            for b, n_rest, R in zip(self.blocks, self.n_rest, self.factors)
         )
         return float(np.sqrt(resid_sq))
 
     @property
     def vectors(self):
         """Dense ``N^2 x dim`` orthonormal basis (oracle; built on every
-        access, never cached).  Each space's columns are written in one
-        indexed write through its block's embedding index."""
+        access, never cached).  Each block's columns are written in one
+        indexed write through its embedding index."""
         N = prod(self.shape)
         out = np.zeros((N * N, self.dim))
-        for space, Q, sl in self._slices():
-            s = space.split
+        for b, s, n_rest, Q, sl in self._slices():
             lifted = [lifted_part(s, c.reshape(s.rank, s.corank).T
-                                  / np.sqrt(space.n_rest)) for c in Q.T]
+                                  / np.sqrt(n_rest)) for c in Q.T]
             if lifted:
-                out[embedding_index(self.shape, space.block), sl] = \
+                out[embedding_index(self.shape, b), sl] = \
                     np.stack(lifted, axis=-1)[:, :, None, :]
         return out
 
@@ -423,20 +368,26 @@ def tree_operator_basis(tree, splits, shape, tol=DEFAULT_TOL):
     the level-1 blocks.
 
     Reads each level-1 block's residual factors off its nested
-    coordinates and intersects there; the dimension and the nonzero
-    singular values are those of the dense intersection of the full level
-    bases, up to the recorded nestedness defect.
+    coordinates, in the tensor's own modes, and intersects there; the
+    dimension and the nonzero singular values are those of the dense
+    intersection of the full level bases, up to the recorded nestedness
+    defect.
     """
     check_tol(tol)
-    spaces = _block_spaces(tree, splits, shape)
-    factors, defects = zip(*(space.residual_factors() for space in spaces))
+    partitions = [level_partition(tree, k)
+                  for k in range(1, levels(tree).depth + 1)]
+    blocks = partitions[0]
+    factors, defects = zip(*(_block_factors(b, partitions, splits, shape)
+                             for b in blocks))
     spectra = [_factor_spectrum(f, f[0].shape[1]) for f in factors]
     # every block's null space is decided against the largest residual
     # singular value of all blocks, as one dense SVD of the whole stack would
     values = np.sort(np.concatenate([s for s, _ in spectra]))[::-1]
     reference = values[0] if values.size else 0.0
     return BlockOperatorBasis(
-        shape=tuple(shape), spaces=spaces,
+        shape=tuple(shape), blocks=blocks,
+        splits=tuple(splits[b] for b in blocks),
+        n_rest=tuple(prod(shape) // splits[b].ambient_dim for b in blocks),
         null=tuple(_null_coefficients(s, Vt, reference, tol)
                    for s, Vt in spectra),
         factors=factors,
@@ -689,7 +640,8 @@ class ImmersionReport:
 def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     """Inclusion of the intersected operator space into the level-k space.
 
-    A level ``k`` outside ``1..depth`` is an input error, raised before
+    A level ``k`` that is not an integer in ``1..depth``
+    (:func:`~treegeom.trees.check_level`) is an input error, raised before
     anything is factored.  Requires membership: like
     :func:`tangent_dimension` and :func:`~treegeom.charts.tree_chart`, it
     raises :class:`NotOnManifoldError` unless ``v`` has the rank profile
@@ -706,9 +658,7 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     are ``sqrt(1 - sigma(E)^2)``, read off ``I - E^T E``.  The map is block
     diagonal, so its singular values are those of the blocks together.
     """
-    depth = levels(tree).depth
-    if not 1 <= k <= depth:
-        raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
+    k = check_level(tree, k)
     v, anchor = anchor_state(v, tree, r, tol)
     splits = anchor.splits
     inter = anchor.operator_basis()

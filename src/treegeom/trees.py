@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from types import MappingProxyType
 
 from .errors import InvalidArgumentError, ParseError, TreeValidationError
@@ -241,6 +242,18 @@ def levels(tree):
     return tree._levels
 
 
+def check_level(tree, k):
+    """``k`` as an ``int`` if it is a level of ``tree``, ``1..depth``: a
+    Python or numpy integer in range passes, a bool, a float, a string or
+    an integer out of range is an input error."""
+    depth = levels(tree).depth
+    if type(k) is bool or not isinstance(k, Integral):
+        raise InvalidArgumentError(f"level must be an integer, got {k!r}")
+    if not 1 <= k <= depth:
+        raise InvalidArgumentError(f"level {k} out of range 1..{depth}")
+    return int(k)
+
+
 def level_partition(tree, k):
     """The partition of the mode set attached to level ``k``.
 
@@ -248,12 +261,10 @@ def level_partition(tree, k):
     shallower levels.  Level 1 gives the sons of the root and the deepest
     level gives the leaf set.
     """
-    info = levels(tree)
-    if not 1 <= k <= info.depth:
-        raise InvalidArgumentError(
-            f"level {k} out of range 1..{info.depth}"
-        )
+    k = check_level(tree, k)
     if tree._partitions is None:
+        # check_level derived the levels
+        info = tree._levels
         tree._partitions = tuple(
             sorted_blocks(
                 [n for n, l in info.level.items() if l == j]

@@ -333,12 +333,12 @@ def kron_basis_vectors(basis):
 
     N = prod(basis.shape)
     columns = []
-    for space, Q in zip(basis.spaces, basis.null):
-        s = space.split
+    for b, s, n_rest, Q in zip(basis.blocks, basis.splits, basis.n_rest,
+                               basis.null):
         for c in Q.T:
-            C = c.reshape(s.rank, s.corank).T / np.sqrt(space.n_rest)
+            C = c.reshape(s.rank, s.corank).T / np.sqrt(n_rest)
             columns.append(kron_embed_block_operator(
-                lifted_part(s, C), space.block, basis.shape).ravel())
+                lifted_part(s, C), b, basis.shape).ravel())
     return np.column_stack(columns) if columns else np.zeros((N * N, 0))
 
 

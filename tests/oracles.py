@@ -16,9 +16,10 @@ from math import prod
 
 import numpy as np
 
-from treegeom.operators import LaplacianLike, assemble_laplacian
+from treegeom.operators import LaplacianLike, SplitSpace, assemble_laplacian
 from treegeom.subspaces import DEFAULT_TOL
 from treegeom.tensor import embedding_index, sorted_blocks
+from treegeom.trees import level_partition, levels
 
 
 class NotInSpaceError(Exception):
@@ -89,6 +90,35 @@ def residual_factor(first, other):
     it has the residual's singular values and right singular vectors."""
     A = first.vectors - other.vectors @ (other.vectors.T @ first.vectors)
     return np.linalg.qr(A, mode="r")
+
+
+def block_residual_factors(tree, splits, shape, block):
+    """Dense residual factors of one level-1 block's level-1 space off
+    every deeper level (``k = 2..depth``), in the block's own operator
+    space.
+
+    The tree nodes inside ``block`` are re-keyed to local modes
+    ``1..len(block)``, in ``block``'s order, with their splits copied under
+    the new keys, and every level partition is restricted to the block.
+    The level bases are then built on the block's sub-shape, where the
+    block is the whole space, and each deeper level gives one
+    :func:`residual_factor` of the level-1 basis.
+    """
+    local = {m: i for i, m in enumerate(block, start=1)}
+    inside = set(block).issuperset
+
+    def rekey(a):
+        return tuple(local[m] for m in a)
+
+    sub = tuple(shape[m - 1] for m in block)
+    local_splits = {rekey(a): SplitSpace(alpha=rekey(a), u=s.u, w=s.w)
+                    for a, s in splits.items() if inside(a)}
+    first, *deeper = [
+        level_operator_basis([rekey(a) for a in level_partition(tree, k)
+                              if inside(a)], local_splits, sub)
+        for k in range(1, levels(tree).depth + 1)
+    ]
+    return [residual_factor(first, basis) for basis in deeper]
 
 
 def intersect_operator_spaces(bases, tol=DEFAULT_TOL):

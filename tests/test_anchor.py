@@ -258,6 +258,24 @@ def test_non_member_raises_every_call_and_keeps_nothing(empty_anchor_slot):
     assert tangent._anchor_slot is None
 
 
+@pytest.mark.parametrize("k", [1.5, "1", True])
+def test_non_integer_level_factors_nothing(monkeypatch, k, empty_anchor_slot):
+    v, tree, r = deep_case()
+    svds = counter(monkeypatch, np.linalg, "svd")
+    unfolded = counter(monkeypatch, operators, "factored_subspace")
+    with pytest.raises(InvalidArgumentError, match="level must be an integer"):
+        tg.immersion_check(v, tree, r, k)
+    assert (svds, unfolded) == ([], [])
+    assert tangent._anchor_slot is None
+
+
+def test_numpy_integer_level_is_reported_as_int(empty_anchor_slot):
+    v, tree, r = deep_case()
+    report = tg.immersion_check(v, tree, r, np.int64(2))
+    assert report == tg.immersion_check(v, tree, r, 2)
+    assert type(report.to_dict()["level"]) is int
+
+
 def test_oracle_path_builds_no_operator_basis(monkeypatch, empty_anchor_slot):
     v, tree, r = deep_case()
     bases_built = counter(monkeypatch, tangent, "tree_operator_basis")

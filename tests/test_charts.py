@@ -634,6 +634,14 @@ class TestChartInputErrors:
             tg.level_inverse_operator(chart, chart.anchor, k)
         assert svds == []
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, "1", True])
+    def test_level_not_an_integer(self, monkeypatch, chart, k):
+        svds = _counting(monkeypatch, np.linalg, "svd")
+        with pytest.raises(InvalidArgumentError,
+                           match="level must be an integer"):
+            tg.level_inverse_operator(chart, chart.anchor, k)
+        assert svds == []
+
     @pytest.mark.parametrize("call", [
         lambda chart, w: tg.tree_chart_inverse(chart, w),
         lambda chart, w: tg.level_inverse_operator(chart, w, 2),

@@ -513,7 +513,7 @@ class TestChartCheck:
         ])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "trials must be at least 1" in captured.err
+        assert "trials must be an integer >= 1" in captured.err
 
     def test_passes_on_generated_anchor(self, workspace, capsys):
         code = run([

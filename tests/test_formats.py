@@ -390,11 +390,33 @@ class TestRandomTreeTensor:
         # zero attempts
         r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
         with pytest.raises(InvalidArgumentError,
-                           match="max_retries must be at least 1"):
+                           match="max_retries must be an integer >= 1"):
             tg.random_tree_tensor(deep_tree_d4, r, (2, 2, 2, 2), max_retries=0)
         with pytest.raises(InvalidArgumentError,
-                           match="trials must be at least 1"):
+                           match="trials must be an integer >= 1"):
             tg.is_admissible(deep_tree_d4, r, (2, 2, 2, 2), trials=0)
+
+    @pytest.mark.parametrize("count", [1.5, 2.5, True, "2", None])
+    def test_attempt_count_must_be_an_integer(self, deep_tree_d4,
+                                              monkeypatch, count):
+        # checked before any sampling: a float would otherwise reach
+        # range()'s TypeError, and True would run one attempt
+        r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
+        monkeypatch.setattr(formats, "_sample_network", None)
+        for call, name in ((tg.random_tree_tensor, "max_retries"),
+                           (generation_attempts, "max_retries"),
+                           (tg.is_admissible, "trials")):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"{name} must be an integer >= 1"):
+                call(deep_tree_d4, r, (2, 2, 2, 2), **{name: count})
+
+    def test_numpy_integer_attempt_count_passes(self, deep_tree_d4):
+        r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
+        v, attempts = generation_attempts(deep_tree_d4, r, (2, 2, 2, 2),
+                                          seed=4, max_retries=np.int64(3))
+        assert attempts >= 1
+        assert np.array_equal(v, tg.random_tree_tensor(
+            deep_tree_d4, r, (2, 2, 2, 2), seed=4))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
     def test_seed_must_be_a_nonnegative_integer(self, deep_tree_d4,

@@ -27,10 +27,10 @@ from helpers import (
     principal_angle_residual,
 )
 from oracles import (
+    block_residual_factors,
     decompose_laplacian,
     intersect_operator_spaces,
     level_operator_basis,
-    residual_factor,
 )
 
 
@@ -344,7 +344,7 @@ class TestImmersionCheck:
         assert inter.dim > 0
         # claim that a level-1 direction of the {1,2,3} block, which the
         # level-2 space does not contain, lies in the intersection
-        assert inter.spaces[0].block == (1, 2, 3)
+        assert inter.blocks[0] == (1, 2, 3)
         dim1 = inter.null[0].shape[0]
         outside = np.eye(dim1)[:, :1]
 
@@ -492,33 +492,20 @@ class TestBlockSpacesMatchDenseOracle:
             )
 
 
-def dense_block_factors(space):
-    """The dense oracle of a block's residual factors: the level-1 and the
-    level bases of the block's sub-shape, one ``residual_factor`` per
-    level below the first."""
-    first = level_operator_basis(
-        space.partitions[0], space.splits, space.shape)
-    return [
-        residual_factor(first, level_operator_basis(
-            p, space.splits, space.shape))
-        for p in space.partitions[1:]
-    ]
-
-
 def padded_values(values, size):
     return np.concatenate([values, np.zeros(size - values.size)])
 
 
-@pytest.mark.parametrize("seed", [40, 41, 42])
-@pytest.mark.parametrize("kind,shape", BLOCK_CASES)
-def test_nested_factors_match_dense_oracle(kind, shape, seed):
-    # the same residual norms (R^T R) and spectrum as the dense factors,
-    # the same intersection, and a defect at roundoff on exact anchors
-    tree, v, r, splits = block_case(kind, shape, seed=seed)
-    for space in tangent._block_spaces(tree, splits, shape):
-        factors, defect = space.residual_factors()
-        assert defect <= 1e-12
-        for R, dense in zip(factors[1:], dense_block_factors(space)):
+def assert_nested_factors_match_dense_oracle(tree, v, splits, shape):
+    """Every level-1 block's nested factors against the dense oracle of its
+    own operator space: the same residual norms (R^T R) and spectrum; then
+    the same intersection, and a defect at roundoff on exact anchors."""
+    block = tg.tree_operator_basis(tree, splits, shape)
+    assert block.defect <= 1e-12
+    for b, factors in zip(block.blocks, block.factors):
+        dense_factors = block_residual_factors(tree, splits, shape, b)
+        assert len(dense_factors) == len(factors) - 1
+        for R, dense in zip(factors[1:], dense_factors):
             np.testing.assert_allclose(R.T @ R, dense.T @ dense,
                                        rtol=0, atol=1e-13)
             n = dense.shape[1]
@@ -528,11 +515,42 @@ def test_nested_factors_match_dense_oracle(kind, shape, seed):
                                  - padded_values(theirs, n)),
                           initial=0.0) <= 1e-13
     bases = level_bases(tree, v, splits)
-    block = tg.tree_operator_basis(tree, splits, shape)
     assert block.dim == intersect_operator_spaces(bases).dim
     dense = dense_residual_spectrum(bases)
     assert np.max(np.abs(padded_values(block.singular_values, dense.size)
                          - dense), initial=0.0) <= block.defect + 1e-13
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+@pytest.mark.parametrize("kind,shape", BLOCK_CASES)
+def test_nested_factors_match_dense_oracle(kind, shape, seed):
+    tree, v, r, splits = block_case(kind, shape, seed=seed)
+    assert_nested_factors_match_dense_oracle(tree, v, splits, shape)
+
+
+# rank 2 at every node in BLOCK_CASES; here the nodes of one level have
+# unequal ranks, so a node's diagonal in the nested coordinates is not
+# square in the other nodes' ranks
+UNEQUAL_RANK_CASES = [
+    ([[[1], [2], [3]], [4]], (3, 4, 4, 5),
+     {(1,): 2, (2,): 3, (3,): 2, (4,): 3, (1, 2, 3): 3}),
+    ([[[[1], [2]], [3], [4]], [5]], (2, 3, 4, 3, 5),
+     {(1,): 1, (2,): 2, (1, 2): 2, (3,): 3, (4,): 2, (1, 2, 3, 4): 3,
+      (5,): 3}),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("nested,shape,ranks", UNEQUAL_RANK_CASES,
+                         ids=["ternary", "deep-ternary"])
+def test_nested_factors_match_dense_oracle_at_unequal_ranks(
+        nested, shape, ranks, seed):
+    tree = tg.tree_from_nested(nested)
+    r = TreeRank({**ranks, tree.root: 1})
+    v = tg.random_tree_tensor(tree, r, shape, seed=seed)
+    splits = tree_splits(v, tree, tol=1e-10)
+    assert {a: s.rank for a, s in splits.items()} == ranks
+    assert_nested_factors_match_dense_oracle(tree, v, splits, shape)
 
 
 @pytest.mark.parametrize("nested,shape,cap", [
@@ -549,12 +567,12 @@ def test_full_rank_blocks_match_dense_oracle(nested, shape, cap):
                for a in tree.nodes if a != tree.root)
     v = tg.random_tree_tensor(tree, r, shape, seed=1)
     splits = tree_splits(v, tree, tol=1e-10)
-    for space in tangent._block_spaces(tree, splits, shape):
-        factors, _ = space.residual_factors()
-        for R, dense in zip(factors[1:], dense_block_factors(space)):
+    block = tg.tree_operator_basis(tree, splits, shape)
+    for b, factors in zip(block.blocks, block.factors):
+        for R, dense in zip(factors[1:], block_residual_factors(
+                tree, splits, shape, b)):
             np.testing.assert_allclose(R.T @ R, dense.T @ dense,
                                        rtol=0, atol=1e-13)
-    block = tg.tree_operator_basis(tree, splits, shape)
     assert block.dim == intersect_operator_spaces(
         level_bases(tree, v, splits)).dim
     for k in range(1, tg.levels(tree).depth + 1):
@@ -611,7 +629,8 @@ def test_library_paths_build_no_dense_operator(kind, monkeypatch):
     tg.tree_chart_inverse(chart, tg.tree_chart_point(chart, coords,
                                                      chart.core))
     parts = {
-        s.block: np.ones((s.split.corank, s.split.rank)) for s in block.spaces
+        b: np.ones((s.corank, s.rank)) for b, s in zip(block.blocks,
+                                                       block.splits)
     }
     for k in range(1, depth + 1):
         block.level_residual(parts, k)

@@ -143,6 +143,18 @@ class TestLevelPartition:
         with pytest.raises(InvalidArgumentError):
             level_partition(deep_tree_d4, 4)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, "1", True, None])
+    def test_level_must_be_an_integer(self, deep_tree_d4, k):
+        # a float or a string would reach tuple indexing or the range
+        # comparison, and True would read as level 1
+        with pytest.raises(InvalidArgumentError,
+                           match="level must be an integer"):
+            level_partition(deep_tree_d4, k)
+
+    def test_numpy_integer_level_is_the_same_level(self, deep_tree_d4):
+        assert level_partition(deep_tree_d4, np.int64(2)) == level_partition(
+            deep_tree_d4, 2)
+
     @given(st.integers(2, 7), st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_every_level_is_a_partition(self, d, seed):

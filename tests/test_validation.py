@@ -146,14 +146,16 @@ REMOVED_PUBLIC = {
 
 # the halves of each former twin, the private names other modules imported,
 # and the private helpers of the removed public names, all gone or renamed
-# to plain names
+# to plain names; the operator intersection's block-space wrapper and its
+# diagonal index plan, and the attempt-count check ``check_integer`` serves
 REMOVED = REMOVED_PUBLIC | {
     "_svd", "_svd_ranks", "_minimal_subspace", "require_member",
     "_tree_splits", "_member_subspaces", "_member_splits",
     "_check_member_args", "_ranks", "_nested_ranks", "_unfolding_plan",
     "_chain_residuals", "_anchor", "_unfold", "_planned",
     "_embedding_index", "_factored_subspace", "_check_partition",
-    "_residual_factor", "_network_dimension",
+    "_residual_factor", "_network_dimension", "_BlockSpace",
+    "_block_spaces", "_check_attempts", "diag_rows", "diag_src",
 }
 
 
