@@ -164,7 +164,9 @@ def _operator_command_bytes(tree, r, shape, jacobian):
     - ``8 * N`` for the tensor, its unfoldings with their thin SVD factors,
       and the chart points of a round trip;
     - ``2 * n_a^2`` per non-root node ``a``: its kept split ``[u | w]`` and
-      the full SVD factor of ``u`` that ``w`` is read from;
+      the square factor ``w`` is read from (the unfolding's thin ``U``, or
+      the full SVD factor of ``u`` where the unfolding is taller than
+      wide);
     - per level-1 block ``b``, with ``dim_b = r_b (n_b - r_b)`` coordinates,
       kept for every block: its residual factors, ``dim_b^2`` per distinct
       deeper level, three times over for the stack of one block's factors
@@ -181,10 +183,9 @@ def _operator_command_bytes(tree, r, shape, jacobian):
       ``a`` of the level, with ``m`` the product of the level's ranks in
       ``b``, ``(n_a - r_a) (m / r_a) m`` rows on ``w_a`` times the other
       nodes' bases and ``(n_a - r_a) r_a`` rows off them;
-    - with ``jacobian``, three ``N x n_params`` arrays: the per-node
-      column blocks of the Jacobian (each node's Kronecker product and its
-      row-permuted copy), the Jacobian they are stacked into, and the copy
-      its SVD works on.
+    - with ``jacobian``, three ``N x n_params`` arrays: the Jacobian, the
+      per-node products written into it (one node's at a time, none
+      larger than the Jacobian), and the copy its SVD works on.
     """
 
     def size(node):

@@ -110,9 +110,12 @@ class LaplacianLike:
 def split(v, alpha, tol=DEFAULT_TOL):
     """Minimal subspace at ``alpha`` and its orthogonal complement.
 
-    The complement is read off the full SVD of the ``n_alpha x rank`` basis,
-    so ``[u | w]`` is orthogonal by construction and no array larger than
-    ``n_alpha x n_alpha`` is formed besides the unfolding's thin SVD.
+    Where ``n_alpha`` is at most the unfolding's column count, the
+    unfolding's thin ``U`` is square and its trailing columns are the
+    complement; only a taller unfolding takes a second SVD, the full SVD
+    of the ``n_alpha x rank`` basis.  Either way ``[u | w]`` is orthogonal
+    by construction and no array larger than ``n_alpha x n_alpha`` is
+    formed besides the unfolding's thin SVD.
     """
     v = check_tensor(v, allow_zero=False)
     return _split(v, normalize_modes(alpha, v.ndim), check_tol(tol))
@@ -121,15 +124,17 @@ def split(v, alpha, tol=DEFAULT_TOL):
 def tree_splits(v, tree, tol):
     """:func:`split` at every non-root node of ``tree``, keyed by node, of
     a ``v``, a tree over its modes and a ``tol`` already checked: each node
-    costs its two SVDs and nothing else."""
+    costs its unfolding's SVD, and a node whose unfolding is taller than
+    wide a second one, and nothing else."""
     return {node: _split(v, node, tol) for node in tree.nodes
             if node != tree.root}
 
 
 def _split(v, alpha, tol):
-    sub = factored_subspace(v, alpha, tol)[0]
-    U_full, _, _ = svd(sub.basis, full_matrices=True)
-    return SplitSpace(alpha=alpha, u=sub.basis, w=U_full[:, sub.rank:])
+    sub, U, _ = factored_subspace(v, alpha, tol)
+    if U.shape[1] < U.shape[0]:
+        U, _, _ = svd(sub.basis, full_matrices=True)
+    return SplitSpace(alpha=alpha, u=sub.basis, w=U[:, sub.rank:])
 
 
 def lifted_part(s, C):

@@ -57,7 +57,9 @@ back off the splits, checks through the tree-network contraction of
 node's block of columns in closed form: the tensor is linear in each node's
 parameters, so a node's block is its lift (the identity at a leaf, the
 sons' bases pushed through the identity inside) times its coefficients on
-the modes outside it, one Kronecker product that is the block itself.
+the modes outside it.  Each block is the two multiplied entrywise as
+broadcast arrays, the products a Kronecker product would form, and written
+into its rows and columns of the one Jacobian array.
 """
 
 from __future__ import annotations
@@ -505,22 +507,28 @@ def _jacobian(v, tree, splits):
             f"network parametrization recovery failed (error {rec_err:.3e})"
         )
     bases = {node: s.u for node, s in splits.items()}
-    blocks = []
-    for node in sorted(leaf_factors) + sorted(transfers):
+    # one column per parameter entry, each node's block in node order
+    params = {**leaf_factors, **transfers}
+    nodes = sorted(leaf_factors) + sorted(transfers)
+    J = np.empty((v.size, sum(params[node].size for node in nodes)))
+    start = 0
+    for node in nodes:
+        cols = slice(start, start + params[node].size)
+        start = cols.stop
         lift = (node_basis(tree, node, bases, np.eye(len(transfers[node])),
                            shape) if node in transfers
                 else np.eye(shape[node[0] - 1]))
         if node == tree.root:
-            blocks.append(lift)
+            J[:, cols] = lift
             continue
         # rows in (node, rest) order: the tensor is linear in u_node, with
-        # coefficient u_node^T unfold(v, node) on the modes outside the node
+        # coefficient u_node^T unfold(v, node) on the modes outside the node;
+        # entry (i * n_rest + k, p * r + j) is lift[i, p] * coeff[j, k]
         perm = block_transpose_permutation(shape, node)
         coeff = bases[node].T @ v.ravel()[perm].reshape(lift.shape[0], -1)
-        block = np.empty((v.size, lift.shape[1] * coeff.shape[0]))
-        block[perm] = np.kron(lift, coeff.T)
-        blocks.append(block)
-    return np.hstack(blocks)
+        J[perm, cols] = (lift[:, None, :, None]
+                         * coeff.T[None, :, None, :]).reshape(v.size, -1)
+    return J
 
 
 def parametrization_jacobian(v, tree, r, tol=DEFAULT_TOL):

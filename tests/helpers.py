@@ -257,6 +257,39 @@ def per_entry_jacobian(v, tree, splits):
     return np.column_stack(columns)
 
 
+def kron_jacobian(v, tree, splits):
+    """Reference closed-form Jacobian, built as the library built it before
+    it wrote each block in place: per node, in the column order of
+    ``parametrization_jacobian``, the Kronecker product of the node's lift
+    (:func:`~treegeom.formats.node_basis` of the identity inside, the
+    identity at a leaf) with its coefficients on the other modes, rows
+    permuted from (node, rest) order, the blocks stacked by ``np.hstack``.
+    The same products in the same order, so it is bitwise the library's."""
+    from treegeom.formats import node_basis
+    from treegeom.tensor import block_transpose_permutation
+
+    v = v / np.max(np.abs(v))
+    v = v / np.linalg.norm(v)
+    shape = v.shape
+    bases = {node: s.u for node, s in splits.items()}
+    blocks = []
+    for node in sorted(tree.leaves) + sorted(tree.sons):
+        if node in tree.sons:
+            m = prod(bases[kid].shape[1] for kid in tree.sons_of(node))
+            lift = node_basis(tree, node, bases, np.eye(m), shape)
+        else:
+            lift = np.eye(shape[node[0] - 1])
+        if node == tree.root:
+            blocks.append(lift)
+            continue
+        perm = block_transpose_permutation(shape, node)
+        coeff = bases[node].T @ v.ravel()[perm].reshape(lift.shape[0], -1)
+        block = np.empty((v.size, lift.shape[1] * coeff.shape[0]))
+        block[perm] = np.kron(lift, coeff.T)
+        blocks.append(block)
+    return np.hstack(blocks)
+
+
 def son_lift(tree, node, bases, shape):
     """Reference lift at an interior ``node``: the Kronecker product of its
     sons' bases, an ``n_node x prod r_sons`` matrix with rows row-major over

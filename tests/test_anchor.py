@@ -1,6 +1,9 @@
 """The anchor slot shared by the chart, the tangent report, the immersion
 check and the Jacobian oracles: one anchor is factored once, a warm call
-reports exactly what a cold one does, and any change of argument misses."""
+reports exactly what a cold one does, and any change of argument misses.
+On the same ladder, the splits an anchor keeps and the Jacobian oracle are
+checked against their references: the unfoldings' own singular vectors and
+the Kronecker-product Jacobian."""
 
 import json
 import warnings
@@ -12,9 +15,10 @@ import pytest
 import treegeom as tg
 from treegeom import operators, tangent
 from treegeom.errors import InvalidArgumentError, NotOnManifoldError
-from treegeom.subspaces import TreeRank
+from treegeom.operators import tree_splits
+from treegeom.subspaces import DEFAULT_TOL, TreeRank, factored_subspace
 
-from helpers import capped_rank_tuple
+from helpers import capped_rank_tuple, kron_jacobian
 
 DEEP = [[[1], [[2], [3]]], [4]]
 MIXED = [[[1], [[2], [3]]], [[4], [5]], [6]]
@@ -137,6 +141,65 @@ def test_warm_and_cold_reports_match_the_reference(name, empty_anchor_slot):
             assert (rep.included, rep.injective, rep.dim_ok) == (
                 included, injective, dim_ok)
             assert rep.coordinate_condition == pytest.approx(cond, rel=1e-6)
+
+
+def tall(v, node):
+    """Whether the unfolding at ``node`` has more rows than columns."""
+    n = np.prod([v.shape[m - 1] for m in node])
+    return n > v.size // n
+
+
+def assert_orthogonal(s):
+    Q = np.hstack([s.u, s.w])
+    assert Q.shape[0] == Q.shape[1]
+    assert np.max(np.abs(Q.T @ Q - np.eye(len(Q)))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_splits_are_read_off_the_unfoldings(name):
+    # u is the unfolding's own kept singular vectors, bitwise, on the
+    # square path (w read off the same factor) and the tall path (w off a
+    # second SVD of u) alike, and [u | w] is orthogonal
+    for seed in range(5):
+        v, tree, _ = ladder_case(name, seed)
+        for node, s in tree_splits(v, tree, DEFAULT_TOL).items():
+            assert np.array_equal(
+                s.u, factored_subspace(v, node, DEFAULT_TOL)[0].basis)
+            assert_orthogonal(s)
+
+
+@pytest.mark.parametrize("node", [(1,), (3,), (1, 2), (2, 3)])
+def test_split_of_a_rank_deficient_node_is_orthogonal(node):
+    # e1 (x) e1 (x) e1 + 2 e2 (x) e2 (x) e2: every unfolding has rank 2 and
+    # an exact-zero singular value
+    e = np.eye(3)
+    v = np.einsum("i,j,k->ijk", e[0], e[0], e[0]) \
+        + 2 * np.einsum("i,j,k->ijk", e[1], e[1], e[1])
+    s = np.linalg.svd(tg.matricize(v, node), compute_uv=False)
+    assert s.tolist() == [2.0, 1.0, 0.0]
+    split = tg.split(v, node)
+    assert split.rank == 2 and tall(v, node) == (len(node) == 2)
+    assert_orthogonal(split)
+
+
+@pytest.mark.parametrize("name,count", [("deep-3333", 7), ("tucker-3^6", 6)])
+def test_cold_splits_take_one_svd_per_node_and_tall_node(
+        monkeypatch, name, count):
+    v, tree, _ = ladder_case(name, 0)
+    nodes = [node for node in tree.nodes if node != tree.root]
+    svds = counter(monkeypatch, np.linalg, "svd")
+    tree_splits(v, tree, DEFAULT_TOL)
+    assert len(svds) == len(nodes) + sum(tall(v, node) for node in nodes)
+    assert len(svds) == count
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_jacobian_equals_the_kronecker_reference(name, empty_anchor_slot):
+    for seed in range(5):
+        v, tree, r = ladder_case(name, seed)
+        assert np.array_equal(
+            tg.parametrization_jacobian(v, tree, r),
+            kron_jacobian(v, tree, tree_splits(v, tree, DEFAULT_TOL)))
 
 
 def test_warm_anchor_factors_nothing(monkeypatch, empty_anchor_slot):

@@ -835,3 +835,6 @@ def test_dense_operators_form_no_kronecker_product(monkeypatch):
         == (81, 81)
     assert chart.operator_basis.vectors.shape \
         == (81 * 81, chart.operator_basis.dim)
+    # nor does the Jacobian oracle, on its own or in the tangent report
+    assert tg.parametrization_jacobian(v, tree, r).shape[0] == 81
+    assert tg.tangent_dimension(v, tree, r).oracle_dim > 0

@@ -31,6 +31,7 @@ from oracles import (
     decompose_laplacian,
     intersect_operator_spaces,
     level_operator_basis,
+    residual_factor,
 )
 
 
@@ -49,14 +50,19 @@ def level_bases(tree, v, splits):
     ]
 
 
-def dense_residual_spectrum(bases):
-    """Singular values of the first basis's residuals off every other
-    basis, stacked densely."""
-    first = bases[0].vectors
-    stack = np.vstack([np.zeros((0, first.shape[1]))] + [
-        first - b.vectors @ (b.vectors.T @ first) for b in bases[1:]
+def dense_residual_spectrum(bases, tol=1e-10):
+    """Dimension of the intersection of the level spaces and the singular
+    values of the first basis's residuals off every other basis, both read
+    off one stack of the residuals' R factors, which have the residuals'
+    singular values (the null space at ``tol`` relative to the largest, as
+    ``intersect_operator_spaces`` decides it)."""
+    first = bases[0]
+    stack = np.vstack([np.zeros((0, first.dim))] + [
+        residual_factor(first, b) for b in bases[1:]
     ])
-    return np.linalg.svd(stack, compute_uv=False)
+    s = np.linalg.svd(stack, compute_uv=False)
+    kept = np.count_nonzero(s > tol * s[0]) if s.size else 0
+    return first.dim - kept, s
 
 
 def tucker_instance(shape, leaf_ranks, seed=0):
@@ -403,7 +409,7 @@ class TestBlockSpacesMatchDenseOracle:
         dense = intersect_operator_spaces(bases)
         block = tg.tree_operator_basis(tree, splits, shape)
         assert block.dim == dense.dim
-        s = dense_residual_spectrum(bases)
+        _, s = dense_residual_spectrum(bases)
         nonzero = s[s > 1e-10 * s[0]] if s.size else s
         ours = block.singular_values
         ours = ours[ours > 1e-10 * ours[0]] if ours.size else ours
@@ -514,9 +520,8 @@ def assert_nested_factors_match_dense_oracle(tree, v, splits, shape):
             assert np.max(np.abs(padded_values(ours, n)
                                  - padded_values(theirs, n)),
                           initial=0.0) <= 1e-13
-    bases = level_bases(tree, v, splits)
-    assert block.dim == intersect_operator_spaces(bases).dim
-    dense = dense_residual_spectrum(bases)
+    dim, dense = dense_residual_spectrum(level_bases(tree, v, splits))
+    assert block.dim == dim
     assert np.max(np.abs(padded_values(block.singular_values, dense.size)
                          - dense), initial=0.0) <= block.defect + 1e-13
 
@@ -596,9 +601,8 @@ def test_defect_bounds_the_spectrum_near_tol(kind):
     splits = tree_splits(v, tree, tol=tol)
     block = tg.tree_operator_basis(tree, splits, v.shape, tol)
     assert block.defect > 1e-12
-    bases = level_bases(tree, v, splits)
-    assert block.dim == intersect_operator_spaces(bases, tol).dim
-    dense = dense_residual_spectrum(bases)
+    dim, dense = dense_residual_spectrum(level_bases(tree, v, splits), tol)
+    assert block.dim == dim
     assert np.max(np.abs(padded_values(block.singular_values, dense.size)
                          - dense)) <= block.defect + 1e-13
 

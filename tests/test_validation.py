@@ -1,5 +1,6 @@
 """One validation boundary: every public function checks its arguments on
-entry, once, and the modules share no private name."""
+entry, once, the modules share no private name, and none forms a Kronecker
+product."""
 
 import ast
 import importlib
@@ -131,7 +132,8 @@ def test_svd_rank_thresholds_a_vector_and_each_row_of_a_stack():
 
 
 # ---------------------------------------------------------------------------
-# No private name crosses modules, and no checked-input twin is left
+# No private name crosses modules, no checked-input twin is left, and no
+# Kronecker product is formed
 # ---------------------------------------------------------------------------
 
 SOURCES = sorted(Path(tg.__file__).parent.glob("*.py"))
@@ -189,6 +191,19 @@ def test_removed_twins_are_gone(path):
         elif isinstance(node, ast.alias):
             found.add(node.asname or node.name)
     assert found & REMOVED == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_kronecker_product_is_formed(path):
+    # the dense operators and the Jacobian oracle write each block in place;
+    # np.kron, by attribute or imported by name, is the tests' reference only
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        getattr(node, "lineno", None) for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "kron")
+        or (isinstance(node, ast.alias) and node.name == "kron")
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("module", ["treegeom"] + [
