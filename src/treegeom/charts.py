@@ -49,7 +49,7 @@ from .errors import (
     OutsideChartImageError,
 )
 from .formats import dimension_margins, member_subspaces
-from .operators import LaplacianLike, assemble_laplacian
+from .operators import LaplacianLike, assemble_laplacian, check_splits
 from .subspaces import (
     DEFAULT_TOL,
     factored_subspace,
@@ -58,6 +58,7 @@ from .subspaces import (
 )
 from .tangent import BlockOperatorBasis, anchor_state
 from .tensor import (
+    check_integer,
     check_tensor,
     check_tol,
     normalize_modes,
@@ -139,6 +140,7 @@ def tucker_chart_point(L, core, splits, shape, tol=DEFAULT_TOL):
     """
     check_tol(tol)
     blocks = L.partition
+    splits = check_splits(blocks, splits)
     ranks = [splits[b].rank for b in blocks]
     core = _core_array(core, ranks)
     _check_full_core(core, blocks, ranks, tol)
@@ -168,6 +170,9 @@ def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
     check_tol(tol)
     w = check_tensor(w, allow_zero=False)
     blocks = sorted_blocks(normalize_modes(b, w.ndim) for b in partition)
+    splits = check_splits(blocks, splits)
+    ranks = {b: check_integer(k, "rank", 1)
+             for b, k in check_splits(blocks, ranks, "rank").items()}
     subs = {b: factored_subspace(w, b, tol)[0] for b in blocks}
     return (LaplacianLike(partition=blocks,
                           parts=_graph_parts(subs, splits, ranks)),

@@ -32,7 +32,7 @@ from .errors import (
     TreegeomError,
     TreeValidationError,
 )
-from .formats import is_admissible, is_member, is_proper
+from .formats import generator_verdict, is_member, is_proper, sample_attempts
 from .subspaces import chain_residuals, factored_subspace, ranks_from_json
 from .tangent import tangent_dimension
 from .tensor import (
@@ -52,7 +52,7 @@ from .trees import (
 )
 
 # bytes one run may take: chart-check and tangent as estimated by
-# _operator_command_bytes, generate and proper by _generation_command_bytes
+# _operator_command_bytes, generate by _generation_command_bytes
 OPERATOR_COMMAND_MEMORY_LIMIT = 2 ** 30
 
 EXIT_OK = 0
@@ -150,9 +150,7 @@ def _render_human(report, indent=0):
 
 def _meta(args):
     meta = {"tool": "treegeom", "version": __version__}
-    if "seed" in args:
-        meta["seed"] = args.seed
-    meta["tol"] = args.tol
+    meta.update((k, getattr(args, k)) for k in ("seed", "tol") if k in args)
     return meta
 
 
@@ -238,8 +236,8 @@ def _network_parameter_count(tree, r, shape):
 
 
 def _generation_command_bytes(tree, r, shape):
-    """Estimated peak bytes of a ``generate`` or ``proper`` run, read off
-    the shape and the rank profile: 16 MiB for the buffers of the BLAS and
+    """Estimated peak bytes of a ``generate`` run, read off the shape and
+    the rank profile: 16 MiB for the buffers of the BLAS and
     the interpreter plus, in doubles, the network's parameters and
     ``16 * N``.  The largest of the ``N``-sized stages is writing a JSON
     tensor: the tensor, the list of numbers it is printed from (4 per
@@ -321,17 +319,24 @@ def cmd_generate(args):
     tree = _load_tree(args.tree, len(shape))
     r = _load_ranks(args.ranks)
     _refuse_above_limit(_generation_command_bytes(tree, r, shape), shape)
-    verdict = is_admissible(tree, r, shape, trials=args.trials, seed=args.seed,
-                            tol=args.tol)
+    verdict = generator_verdict(tree, r, shape, args.seed, args.trials,
+                                "trials", args.tol)
     doc = {**_meta(args), "command": "generate"}
-    if verdict.witness is None:
-        doc.update(verdict.to_dict())
+    v, attempts = None, 0
+    if verdict.verdict == "admissible":
+        try:
+            v, _ = sample_attempts(tree, r, shape, args.seed, args.trials,
+                                   args.tol)
+        except GenerationFailureError:
+            attempts = args.trials  # no sample reads as r at this tol
+    if v is None:
+        doc.update(verdict.to_dict(), attempts=attempts, witness_found=False)
         code = EXIT_GENERATION
     else:
-        # the witness is the array the generation loop found to have the
-        # rank profile r at tol: that check is the verification reported
+        # the array the generation loop found to have the rank profile r at
+        # tol: that check is the verification reported
         out = args.out or "generated_tensor.json"
-        save_tensor(out, verdict.witness)
+        save_tensor(out, v)
         doc.update(written=str(out), shape=list(shape), verified=True)
         code = EXIT_OK
     # --out names the tensor file, so the report always goes to stdout
@@ -452,8 +457,8 @@ def cmd_proper(args):
     shape = _parse_shape(args.shape)
     tree = _load_tree(args.tree, len(shape))
     r = _load_ranks(args.ranks)
-    _refuse_above_limit(_generation_command_bytes(tree, r, shape), shape)
-    report = is_proper(tree, r, shape, seed=args.seed, tol=args.tol)
+    check_integer(args.seed, "seed", 0)  # checked and echoed, nothing more
+    report = is_proper(tree, r, shape)
     doc = {**_meta(args), "command": "proper", **report.to_dict()}
     _emit(doc, args)
     return EXIT_OK if report.proper else EXIT_NEGATIVE
@@ -470,7 +475,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tensor=True, ranks=False, shape=False, seed=False,
+    def common(p, tensor=True, ranks=False, shape=False, tol=True, seed=False,
                trials=False):
         if tensor:
             p.add_argument("--tensor", required=True, help="tensor file path")
@@ -485,7 +490,8 @@ def build_parser():
                 "--shape", required=True,
                 help="comma-separated mode sizes, e.g. 2,3,4",
             )
-        p.add_argument("--tol", type=float, default=1e-10)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if trials:
@@ -509,9 +515,10 @@ def build_parser():
     p = sub.add_parser("tangent", help="tangent dimension report")
     common(p, ranks=True)
 
-    p = sub.add_parser("proper", help="properness verdict for a rank tuple")
-    # the seed of the admissibility witness
-    common(p, tensor=False, ranks=True, shape=True, seed=True)
+    p = sub.add_parser("proper", help="properness verdict for a rank tuple",
+                       description="--seed is checked and echoed in the "
+                       "report, but does not change the verdict")
+    common(p, tensor=False, ranks=True, shape=True, tol=False, seed=True)
 
     return parser
 
@@ -536,9 +543,6 @@ def main(argv=None):
             InvalidArgumentError, FileNotFoundError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_INPUT
-    except GenerationFailureError as e:
-        print(f"generation failure: {e}", file=sys.stderr)
-        code = EXIT_GENERATION
     except (NotOnManifoldError, OutsideChartDomainError,
             OutsideChartImageError) as e:
         print(f"negative verdict: {e}", file=sys.stderr)

@@ -17,12 +17,11 @@ everything anchored at a point (:func:`member_splits`), and the membership
 verdict together with the level-1 bases a chart inverse reads
 (:func:`member_subspaces`), both on arguments :func:`member_args` checked.
 
-Admissibility (is some tensor realizing the tuple?) is decided by a list of
-necessary conditions followed by randomized realization attempts, and
-records what was checked.  Properness (does the fixed-rank set differ from
-every single-level Tucker set?) is exact: it compares the dimension of the
-fixed-rank set with that of each level set (:func:`dimension_margins`), and
-the report carries every level's margin.
+Admissibility (is some tensor realizing the tuple?) and properness (does
+the fixed-rank set differ from every single-level Tucker set?) are read off
+the rank tuple and the shape, by :func:`necessary_rank_conditions` (also
+sufficient; README, "Admissibility is decided") and by the dimension counts
+of :func:`dimension_margins`.  Only the generator samples.
 """
 
 from __future__ import annotations
@@ -112,17 +111,13 @@ class MembershipReport:
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
-    verdict: str  # "admissible" | "inadmissible" | "unknown"
+    verdict: str  # "admissible" | "inadmissible"
     violated_conditions: tuple
-    witness: object = None
-    attempts: int = 0
 
     def to_dict(self):
         return {
             "verdict": self.verdict,
             "violated_conditions": list(self.violated_conditions),
-            "attempts": self.attempts,
-            "witness_found": self.witness is not None,
         }
 
 
@@ -159,14 +154,19 @@ def _check_covers(tree, r):
 
 
 def _check_rank_args(tree, r, shape):
-    """A valid tree, a shape with one size per mode and a rank tuple
+    """A valid tree, a shape of one integer >= 1 per mode and a rank tuple
     naming exactly the tree's nodes.  Each public call that takes a rank
     tuple runs it once; the kernels it calls take checked arguments."""
     tree.ensure_valid()
+    if not isinstance(shape, (tuple, list)):
+        raise InvalidArgumentError(
+            f"shape must be a tuple of mode sizes, got {shape!r}")
     if len(shape) != tree.ndim:
         raise InvalidArgumentError(
             f"tree has {tree.ndim} modes, shape {tuple(shape)} has "
             f"{len(shape)}")
+    for n in shape:
+        check_integer(n, "mode size", 1)
     _check_covers(tree, r)
 
 
@@ -182,7 +182,7 @@ def member_args(v, tree, r, tol):
 def tucker_membership(v, partition, ranks, tol=DEFAULT_TOL):
     """Do the blockwise minimal subspace dimensions match ``ranks`` exactly?
 
-    ``ranks`` maps each partition block to a positive integer.  Returns the
+    ``ranks`` maps each partition block to an integer >= 1.  Returns the
     boolean verdict and the computed dimensions, in block order.
     """
     check_tol(tol)
@@ -191,9 +191,7 @@ def tucker_membership(v, partition, ranks, tol=DEFAULT_TOL):
     missing = [set(b) for b in blocks if b not in ranks]
     if missing:
         raise InvalidArgumentError(f"ranks are missing blocks {missing}")
-    expected = tuple(int(ranks[b]) for b in blocks)
-    if any(e < 1 for e in expected):
-        raise InvalidArgumentError("expected ranks must be positive")
+    expected = tuple(check_integer(ranks[b], "rank", 1) for b in blocks)
     found = node_ranks(v, blocks, tol)
     computed = tuple(found[b] for b in blocks)
     return computed == expected, computed
@@ -278,17 +276,19 @@ def bounded_rank_member(v, tree, r, tol=DEFAULT_TOL):
 
 
 def necessary_rank_conditions(tree, r, shape):
-    """Violated necessary conditions for a rank tuple to be realizable.
+    """Violated conditions for a rank tuple to be realizable over ``shape``.
 
     Checks, for every node: the root rank is one; the rank is bounded by the
     sizes of the unfolding (both sides, since an unfolding and the unfolding
     of the complement are transposes); a non-leaf rank is at most the product
     of its sons' ranks; and every non-root rank is at most the parent rank
     times the product of the sibling ranks (the same transpose argument
-    applied to the complement).  Returns a list of human-readable violations,
-    empty when all conditions hold.  The arguments are checked here, once
-    for :func:`is_admissible`, :func:`generation_attempts` and
-    :func:`is_proper`.
+    applied to the complement).  The conditions are necessary and, on every
+    tree, sufficient: when all hold, a generic tree network with these
+    ranks realizes the tuple (README, "Admissibility is decided").  Returns
+    a list of human-readable violations, empty when all conditions hold.
+    The arguments are checked here, once for :func:`is_admissible`,
+    :func:`generation_attempts` and :func:`is_proper`.
     """
     _check_rank_args(tree, r, shape)
     violations = []
@@ -408,33 +408,35 @@ def _sample_network(tree, r, shape, rng):
 def random_tree_tensor(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
     """Random tensor with the exact tree-based rank ``r``.
 
-    Raises immediately when a necessary condition is violated.  Otherwise a
-    random network is contracted and the rank profile verified, retrying with
+    Raises immediately when the tuple is inadmissible.  Otherwise a random
+    network is contracted and the rank profile verified, retrying with
     seeds ``seed, seed+1, ...`` up to ``max_retries`` times; exhaustion is
-    reported as a generation failure (evidence that the tuple may not be
-    realizable over this shape).
+    reported as a generation failure: the tuple is admissible, so a miss
+    means that ``tol`` reads the samples' ranks lower than they are.
     """
     return generation_attempts(tree, r, shape, seed, max_retries, tol)[0]
 
 
-def _violations(tree, r, shape, seed, count, name, tol):
-    """The checked seed, attempt budget, ``tol`` and arguments of a
-    generator, and the rank tuple's violated necessary conditions."""
+def generation_attempts(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
+    """Like :func:`random_tree_tensor` but also reports the attempt count."""
+    verdict = generator_verdict(tree, r, shape, seed, max_retries,
+                                "max_retries", tol)
+    if verdict.violated_conditions:
+        raise InvalidArgumentError(
+            "rank tuple violates necessary conditions: "
+            + "; ".join(verdict.violated_conditions)
+        )
+    return sample_attempts(tree, r, shape, seed, max_retries, tol)
+
+
+def generator_verdict(tree, r, shape, seed, count, name, tol):
+    """The :func:`is_admissible` verdict on ``r``, once a generator's seed,
+    attempt budget ``count`` (called ``name`` in errors) and ``tol`` are
+    checked."""
     check_integer(seed, "seed", 0)
     check_integer(count, name, 1)
     check_tol(tol)
-    return necessary_rank_conditions(tree, r, shape)
-
-
-def generation_attempts(tree, r, shape, seed=0, max_retries=20, tol=DEFAULT_TOL):
-    """Like :func:`random_tree_tensor` but also reports the attempt count."""
-    violations = _violations(tree, r, shape, seed, max_retries,
-                             "max_retries", tol)
-    if violations:
-        raise InvalidArgumentError(
-            "rank tuple violates necessary conditions: " + "; ".join(violations)
-        )
-    return sample_attempts(tree, r, shape, seed, max_retries, tol)
+    return is_admissible(tree, r, shape)
 
 
 def sample_attempts(tree, r, shape, seed, max_retries, tol):
@@ -456,30 +458,20 @@ def sample_attempts(tree, r, shape, seed, max_retries, tol):
     )
 
 
-def is_admissible(tree, r, shape, trials=20, seed=0, tol=DEFAULT_TOL):
+def is_admissible(tree, r, shape):
     """Verdict on whether some tensor over ``shape`` realizes the tuple ``r``.
 
-    A violated necessary condition proves inadmissibility.  If all conditions
-    hold, random realization is attempted up to ``trials`` times; success
-    yields an admissible verdict with the witness, exhaustion yields
-    "unknown" (the conditions are necessary, not known to be sufficient, and
-    a sampling miss is not a proof).
+    Decided by :func:`necessary_rank_conditions` alone, with no sample: a
+    violated condition proves the tuple inadmissible, and when all hold a
+    generic tree network realizes it (README, "Admissibility is decided").
+    A caller that wants such a tensor draws one with
+    :func:`random_tree_tensor`.
     """
-    violations = _violations(tree, r, shape, seed, trials, "trials", tol)
-    if violations:
-        return AdmissibilityVerdict(
-            verdict="inadmissible", violated_conditions=tuple(violations)
-        )
-    try:
-        witness, attempts = sample_attempts(tree, r, shape, seed, trials, tol)
-        return AdmissibilityVerdict(
-            verdict="admissible", violated_conditions=(), witness=witness,
-            attempts=attempts,
-        )
-    except GenerationFailureError:
-        return AdmissibilityVerdict(
-            verdict="unknown", violated_conditions=(), attempts=trials
-        )
+    violations = necessary_rank_conditions(tree, r, shape)
+    return AdmissibilityVerdict(
+        verdict="inadmissible" if violations else "admissible",
+        violated_conditions=tuple(violations),
+    )
 
 
 def dimension_margins(tree, r, shape):
@@ -488,7 +480,8 @@ def dimension_margins(tree, r, shape):
     margin ``dim_k - f``, where ``dim_k = prod_b r_b + sum_b r_b (n_b - r_b)``
     over the level-k blocks ``b`` (``n_b`` the product of their mode sizes)
     is the dimension of the level-k Tucker set.  The arguments must have
-    been checked, as :func:`member_args` or :func:`is_admissible` do."""
+    been checked, as :func:`member_args` or
+    :func:`necessary_rank_conditions` do."""
     f = network_dimension(tree, r, shape)
     margins = {}
     for k in range(1, levels(tree).depth + 1):
@@ -500,7 +493,7 @@ def dimension_margins(tree, r, shape):
     return f, margins
 
 
-def is_proper(tree, r, shape, seed=0, tol=DEFAULT_TOL):
+def is_proper(tree, r, shape):
     """Is the fixed tree-based rank set different from every level set?
 
     Decided by dimension counts.  The fixed-rank set lies in every level-k
@@ -513,21 +506,15 @@ def is_proper(tree, r, shape, seed=0, tol=DEFAULT_TOL):
     A depth-1 tree has one level, whose margin is 0.  The report carries
     ``f`` and every level's margin.
 
-    The counts presume the tuple is realizable: an inadmissible tuple raises
-    :class:`InvalidArgumentError`, and one for which :func:`is_admissible`
-    (at ``seed`` and ``tol``) finds no witness raises
-    :class:`GenerationFailureError`.
+    The counts presume the tuple is realizable, which
+    :func:`necessary_rank_conditions` decides (README, "Admissibility is
+    decided"): an inadmissible tuple raises :class:`InvalidArgumentError`.
+    Nothing is sampled or factored.
     """
-    verdict = is_admissible(tree, r, shape, seed=seed, tol=tol)
-    if verdict.verdict == "inadmissible":
+    violations = necessary_rank_conditions(tree, r, shape)
+    if violations:
         raise InvalidArgumentError(
-            "rank tuple is inadmissible: "
-            + "; ".join(verdict.violated_conditions)
-        )
-    if verdict.verdict == "unknown":
-        raise GenerationFailureError(
-            f"no tensor with the requested ranks found in {verdict.attempts} "
-            "attempts; properness is decided for realizable tuples only"
+            "rank tuple is inadmissible: " + "; ".join(violations)
         )
     f, margins = dimension_margins(tree, r, shape)
     flat = [k for k, m in margins.items() if m <= 0]

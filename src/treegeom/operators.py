@@ -151,12 +151,14 @@ def lifted_part(s, C):
     return s.w @ C @ s.u.T
 
 
-def _check_splits(blocks, splits):
+def check_splits(blocks, splits, name="split"):
+    """The entries of ``splits`` (a mapping of ``name``s) at ``blocks``,
+    keyed by sorted block; a missing block is an input error."""
     out = {}
     for b in blocks:
         key = tuple(sorted(b))
         if key not in splits:
-            raise InvalidArgumentError(f"no split available for block {key}")
+            raise InvalidArgumentError(f"no {name} available for block {key}")
         out[key] = splits[key]
     return out
 
@@ -168,7 +170,7 @@ def assemble_laplacian(L, splits, shape):
     Each block's entries are added in place through its embedding index
     (:func:`~treegeom.tensor.embedding_index`), in partition order; blocks
     share only the diagonal, so the output is the only ``N x N`` array."""
-    splits = _check_splits(L.partition, splits)
+    splits = check_splits(L.partition, splits)
     N = prod(shape)
     out = np.zeros(N * N)
     for b in L.partition:

@@ -211,7 +211,7 @@ def criterion_5_degenerate_tree():
         equal += r[(1,)] == r[(2, 3, 4, 5, 6)]
     ranks = {n: 2 for n in tree.nodes}
     ranks[tree.root] = 1
-    report = tg.is_proper(tree, TreeRank(ranks), (2,) * 6, seed=0)
+    report = tg.is_proper(tree, TreeRank(ranks), (2,) * 6)
     ok = equal == 50 and not report.proper
     return ok, (
         f"{equal}/50 rank equalities, proper={report.proper} "

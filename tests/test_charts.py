@@ -139,6 +139,53 @@ class TestTuckerChart:
             )
 
 
+class TestMissingBlocks:
+    """A split or rank missing at a block of the partition is an input
+    error, raised before any factorization, as in
+    :func:`~treegeom.operators.assemble_laplacian`: not a bare KeyError."""
+
+    @staticmethod
+    def case(monkeypatch):
+        tree, r, v, blocks, splits = tucker_setup((3, 3, 3), (2, 2, 2), seed=2)
+        L = LaplacianLike.zeros(splits, blocks)
+        ranks = {b: r[b] for b in blocks}
+        core = np.random.default_rng(0).standard_normal((2, 2, 2))
+        monkeypatch.setattr(np.linalg, "svd", None)
+        return v, blocks, splits, ranks, L, core
+
+    def test_chart_point_without_a_split(self, monkeypatch):
+        v, blocks, splits, ranks, L, core = self.case(monkeypatch)
+        del splits[(3,)]
+        with pytest.raises(InvalidArgumentError,
+                           match=r"no split available for block \(3,\)"):
+            tg.tucker_chart_point(L, core, splits, v.shape)
+
+    def test_chart_inverse_without_a_split(self, monkeypatch):
+        v, blocks, splits, ranks, L, core = self.case(monkeypatch)
+        del splits[(3,)]
+        with pytest.raises(InvalidArgumentError,
+                           match=r"no split available for block \(3,\)"):
+            tg.tucker_chart_inverse(v, blocks, splits, ranks)
+
+    def test_chart_inverse_without_a_rank(self, monkeypatch):
+        v, blocks, splits, ranks, L, core = self.case(monkeypatch)
+        del ranks[(3,)]
+        with pytest.raises(InvalidArgumentError,
+                           match=r"no rank available for block \(3,\)"):
+            tg.tucker_chart_inverse(v, blocks, splits, ranks)
+
+    @pytest.mark.parametrize("rank", ["2", 2.5, True, None, 0])
+    def test_chart_inverse_rank_must_be_a_positive_integer(self, monkeypatch,
+                                                           rank):
+        # before: "2" or True was compared with the point's rank 2 and
+        # reported as a point off the manifold
+        v, blocks, splits, ranks, L, core = self.case(monkeypatch)
+        ranks[(3,)] = rank
+        with pytest.raises(InvalidArgumentError,
+                           match="rank must be an integer >= 1"):
+            tg.tucker_chart_inverse(v, blocks, splits, ranks)
+
+
 class TestTreeChart:
     def test_chart_reconstructs_anchor(self, deep_tree_d4):
         v, r, chart = make_chart(deep_tree_d4, (2, 2, 2, 3), seed=1)

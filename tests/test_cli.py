@@ -234,7 +234,7 @@ def test_malformed_shape_exits_two(workspace, capsys, command, shape):
     assert "invalid shape" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["generate", "proper"])
+@pytest.mark.parametrize("command", ["generate"])
 def test_oversized_shape_exits_two(tmp_path, capsys, command):
     tree = tg.tucker_tree(3)
     ranks = tmp_path / "ranks.json"
@@ -248,15 +248,36 @@ def test_oversized_shape_exits_two(tmp_path, capsys, command):
     assert not (tmp_path / "v.json").exists()
 
 
+def test_proper_decides_any_shape(tmp_path, capsys, monkeypatch):
+    # proper allocates nothing of the tensor's size, so it has no size
+    # guard: a linear 1000^6 tuple is decided from the counts alone
+    from treegeom import formats
+
+    tree = tg.linear_tree(6)
+    r = TreeRank({n: 1 if n == tree.root else 2 for n in tree.nodes})
+    ranks = tmp_path / "ranks.json"
+    ranks.write_text(ranks_to_json(r))
+    monkeypatch.setattr(np.linalg, "svd", None)
+    monkeypatch.setattr(formats, "_sample_network", None)
+    capsys.readouterr()
+    code = run(["proper", "--tree", "linear", "--ranks", str(ranks),
+                "--shape", ",".join(["1000"] * 6)])
+    doc = read_json(capsys)
+    assert code == 0 and doc["proper"] is True
+    assert doc["dimension"] == tg.network_dimension_formula(
+        tree, r, (1000,) * 6)
+
+
 @pytest.mark.parametrize("command", [
-    "analyze", "membership", "generate", "chart-check", "tangent", "proper",
+    "analyze", "membership", "generate", "chart-check", "tangent",
 ])
 def test_nan_tolerance_exits_two_with_no_report(workspace, capsys, command):
-    # a NaN tolerance is an input error on every subcommand: no report (a
-    # report would carry "tol": NaN, which is no JSON) and no tensor file
+    # a NaN tolerance is an input error on every subcommand that takes one:
+    # no report (a report would carry "tol": NaN, which is no JSON) and no
+    # tensor file
     out = workspace["dir"] / "out.json"
     args = [command, "--tree", workspace["tree"], "--tol", "nan"]
-    if command in ("generate", "proper"):
+    if command == "generate":
         args += ["--shape", ",".join(map(str, workspace["shape"]))]
     else:
         args += ["--tensor", workspace["tensor"]]
@@ -331,8 +352,8 @@ def test_negative_seed_exits_two_with_no_report(workspace, capsys,
 class TestWorkCounts:
     """Each verdict subcommand computes each fact once per call, counted by
     wrapping functions on a linear 3^6 instance: one SVD per tree node for
-    ``generate`` (the generation loop's rank profile is the verification),
-    one evaluation of the necessary conditions and one rank-tuple check
+    ``generate`` (the generation loop's rank profile is the verification)
+    and none for ``proper``, one evaluation of the necessary conditions and one rank-tuple check
     for ``generate`` and ``proper``, and two finiteness scans for
     ``analyze`` (the file's and the nonzero check)."""
 
@@ -392,9 +413,9 @@ class TestWorkCounts:
         code, calls = self.run_counted(monkeypatch, [
             "proper", "--tree", "linear", "--ranks", ranks,
             "--shape", "3,3,3,3,3,3", "--out", d / "p.json",
-        ], ["necessary_rank_conditions", "_check_rank_args"])
+        ], ["svd", "necessary_rank_conditions", "_check_rank_args"])
         assert code == 0
-        assert calls == {"necessary_rank_conditions": 1,
+        assert calls == {"svd": 0, "necessary_rank_conditions": 1,
                          "_check_rank_args": 1}
 
     def test_analyze(self, linear6, monkeypatch, capsys):
@@ -449,9 +470,9 @@ class TestGenerate:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_generates_once(self, workspace, capsys, monkeypatch):
-        # the admissibility witness is the written tensor; it is not
-        # generated a second time from the same seed
-        from treegeom import formats
+        # the sampling loop runs once; the tensor it returns is the one
+        # written, not generated a second time from the same seed
+        from treegeom import cli, formats
 
         calls = []
         attempts = formats.sample_attempts
@@ -460,6 +481,8 @@ class TestGenerate:
             calls.append(args)
             return attempts(*args, **kwargs)
 
+        # the command's binding and the generators' both count
+        monkeypatch.setattr(cli, "sample_attempts", counted)
         monkeypatch.setattr(formats, "sample_attempts", counted)
         out = workspace["dir"] / "gen.bin"
         code = run([
@@ -472,9 +495,10 @@ class TestGenerate:
             tg.tree_from_json(open(workspace["tree"]).read()),
             workspace["r"], (2, 2, 2, 3), seed=5))
 
-    def test_unknown_verdict_exits_three(self, workspace, capsys):
+    def test_sampling_miss_exits_three(self, workspace, capsys):
         # at tol 0.9 only singular values within 10% of the largest count,
-        # so no sample reaches rank 2 and admissibility stays unknown
+        # so no sample reads as rank 2: the tuple is admissible, but no
+        # tensor is found
         out = workspace["dir"] / "gen.json"
         code = run([
             "generate", "--tree", workspace["tree"],
@@ -483,7 +507,10 @@ class TestGenerate:
         ])
         doc = read_json(capsys)
         assert code == 3
-        assert doc["verdict"] == "unknown" and doc["attempts"] == 3
+        assert {k: doc[k] for k in ("verdict", "violated_conditions",
+                                    "attempts", "witness_found")} == {
+            "verdict": "admissible", "violated_conditions": [],
+            "attempts": 3, "witness_found": False}
         # --out names the tensor file: no tensor, no file
         assert not out.exists()
 
@@ -652,6 +679,18 @@ class TestProper:
         ])
         doc = read_json(capsys)
         assert code == 0 and doc["proper"]
+
+    def test_report_has_a_seed_and_no_tol(self, workspace, capsys):
+        # the verdict reads no tolerance, so proper takes none
+        args = ["proper", "--tree", workspace["tree"],
+                "--ranks", workspace["ranks"], "--shape", "2,2,2,3"]
+        assert run(args + ["--seed", "7"]) in (0, 1)
+        doc = read_json(capsys)
+        assert doc["seed"] == 7 and "tol" not in doc
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_depth_one_not_proper(self, tmp_path, capsys):
         tree = tg.tucker_tree(3)
@@ -839,7 +878,6 @@ class TestMisc:
                         reason="reads the peak resident set from /proc")
     @pytest.mark.parametrize("kind, shape, cap, command", [
         ("tucker", (60, 60, 60), 30, "generate"),
-        ("tucker", (60, 60, 60), 30, "proper"),
         ("linear", (4,) * 9, 3, "generate"),
         ("binary", (4,) * 8, 4, "generate"),
     ])
@@ -859,6 +897,22 @@ class TestMisc:
               if command == "generate" else []),
         ])
         assert 0 < grown <= _generation_command_bytes(tree, r, shape)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads the peak resident set from /proc")
+    def test_proper_allocates_nothing_of_the_tensor_size(self, tmp_path):
+        # a Tucker 60^3 at leaf ranks 30 (N = 216000): the verdict is read
+        # off the counts, so the peak grows by less than 16 MiB, where
+        # generating the tensor would take more than that
+        tree = tg.tucker_tree(3)
+        r = capped_rank_tuple(tree, (60, 60, 60), cap=30)
+        ranks_path = tmp_path / "ranks.json"
+        ranks_path.write_text(ranks_to_json(r))
+        grown = argv_peak_growth([
+            "proper", "--tree", "tucker", "--ranks", str(ranks_path),
+            "--shape", "60,60,60",
+        ])
+        assert 0 < grown < 2 ** 24
 
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="reads the peak resident set from /proc")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import warnings
 from functools import reduce
 from math import prod
@@ -17,6 +18,7 @@ from treegeom.formats import (
     contract_network,
     generation_attempts,
     necessary_rank_conditions,
+    sample_attempts,
 )
 from treegeom.subspaces import TreeRank
 
@@ -42,6 +44,16 @@ def bump(r, node, delta=1):
 
 
 class TestTuckerMembership:
+    @pytest.mark.parametrize("rank", [3.7, "3", None, True, 0, -1])
+    def test_rank_must_be_a_positive_integer(self, rank):
+        # a float or string rank was read by int() and compared as 3
+        v = np.random.default_rng(0).standard_normal((3, 3, 3))
+        blocks = [(1,), (2,), (3,)]
+        ranks = {(1,): 3, (2,): 3, (3,): rank}
+        with pytest.raises(InvalidArgumentError,
+                           match="rank must be an integer >= 1"):
+            tg.tucker_membership(v, blocks, ranks)
+
     def test_elementary_all_ones(self):
         v = elementary((2, 3, 2), seed=1)
         blocks = [(1,), (2,), (3,)]
@@ -222,10 +234,12 @@ class TestBoundedRank:
 class TestAdmissibility:
     def test_all_ones_admissible_with_elementary_witness(self, deep_tree_d4):
         ones = TreeRank({n: 1 for n in deep_tree_d4.nodes})
-        verdict = tg.is_admissible(deep_tree_d4, ones, (2, 2, 2, 2), seed=0)
+        verdict = tg.is_admissible(deep_tree_d4, ones, (2, 2, 2, 2))
         assert verdict.verdict == "admissible"
-        assert verdict.witness is not None
-        assert tg.tree_rank(verdict.witness, deep_tree_d4) == ones
+        assert verdict.to_dict() == {"verdict": "admissible",
+                                     "violated_conditions": []}
+        witness = tg.random_tree_tensor(deep_tree_d4, ones, (2, 2, 2, 2))
+        assert tg.tree_rank(witness, deep_tree_d4) == ones
 
     def test_root_rank_two_inadmissible(self, deep_tree_d4):
         r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
@@ -311,7 +325,7 @@ class TestProperness:
     def test_mixed_tree_generic_ranks_proper(self, mixed_tree_d6):
         shape = (2,) * 6
         r = capped_rank_tuple(mixed_tree_d6, shape)
-        report = tg.is_proper(mixed_tree_d6, r, shape, seed=0)
+        report = tg.is_proper(mixed_tree_d6, r, shape)
         assert report.proper
         assert all(m > 0 for m in report.level_margins.values())
 
@@ -355,19 +369,80 @@ class TestProperness:
             "deep": (deep_tree_d4, (2, 2, 2, 3)),
         }[name]
         r = capped_rank_tuple(tree, shape)
-        assert tg.is_proper(tree, r, shape, seed=1000).to_dict() == expected
-
-    def test_unrealized_tuple_is_a_generation_failure(self, deep_tree_d4):
-        # at tol 0.9 no sample reaches rank 2, so admissibility is unknown
-        shape = (2, 2, 2, 3)
-        r = capped_rank_tuple(deep_tree_d4, shape)
-        with pytest.raises(GenerationFailureError):
-            tg.is_proper(deep_tree_d4, r, shape, tol=0.9)
+        assert tg.is_proper(tree, r, shape).to_dict() == expected
 
     def test_inadmissible_rejected(self, deep_tree_d4):
         r = bump(capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2)), (1, 2, 3, 4))
         with pytest.raises(InvalidArgumentError):
             tg.is_proper(deep_tree_d4, r, (2, 2, 2, 2))
+
+    @pytest.mark.parametrize("kind, shape", PROPERNESS_CASES, ids=[
+        f"{kind}-{'x'.join(map(str, shape))}" for kind, shape in PROPERNESS_CASES
+    ])
+    def test_decided_without_sampling_or_factoring(self, kind, shape,
+                                                   monkeypatch):
+        # both verdicts are read off the rank tuple and the shape alone
+        tree = properness_tree(kind, len(shape))
+        expected = {}
+        for cap in (1, 2, 3):
+            r = capped_rank_tuple(tree, shape, cap)
+            expected[cap] = tg.is_proper(tree, r, shape).to_dict()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled or factored")
+
+        monkeypatch.setattr(formats, "_sample_network", forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        for cap in (1, 2, 3):
+            r = capped_rank_tuple(tree, shape, cap)
+            assert tg.is_admissible(tree, r, shape).verdict == "admissible"
+            assert tg.is_proper(tree, r, shape).to_dict() == expected[cap]
+
+
+# the trees and shapes of the admissibility sweep; every non-root rank runs
+# over 1..3, capped at the node's unfolding bound
+SWEEP_TREES = [
+    lambda: tg.tucker_tree(3),
+    lambda: tg.tucker_tree(4),
+    lambda: tg.linear_tree(4),
+    lambda: tg.linear_tree(5),
+    lambda: tg.balanced_binary_tree(4),
+    lambda: tg.tree_from_nested([[[1], [[2], [3]]], [4]]),
+    lambda: tg.tree_from_nested([[[1], [2], [3]], [4]]),
+]
+
+
+def sweep_tuples(tree, shape, cap=3):
+    """Every rank tuple with root rank 1 and each non-root rank in
+    ``1..min(cap, unfolding bound)``."""
+    N = prod(shape)
+    nodes = sorted(n for n in tree.nodes if n != tree.root)
+
+    def bound(node):
+        n = prod(shape[m - 1] for m in node)
+        return min(cap, n, N // n)
+
+    for ranks in itertools.product(*[range(1, bound(n) + 1) for n in nodes]):
+        yield TreeRank({tree.root: 1, **dict(zip(nodes, ranks))})
+
+
+def test_every_tuple_meeting_the_conditions_is_realized():
+    # the oracle of "admissibility is decided": the conditions are also
+    # sufficient, so a generic network realizes every tuple that meets
+    # them, here within 3 samples at seed 0; the count pins the number of
+    # such tuples, so that conditions grown stricter show too
+    admissible = 0
+    for make in SWEEP_TREES:
+        tree = make()
+        d = tree.ndim
+        for shape in ((2,) * d, (3,) * d, (2, 3, 4, 2, 3)[:d]):
+            for r in sweep_tuples(tree, shape):
+                if necessary_rank_conditions(tree, r, shape):
+                    continue
+                admissible += 1
+                # a miss raises GenerationFailureError
+                sample_attempts(tree, r, shape, 0, 3, tg.DEFAULT_TOL)
+    assert admissible == 1234
 
 
 class TestRandomTreeTensor:
@@ -386,15 +461,11 @@ class TestRandomTreeTensor:
         assert tg.tree_rank(v, deep_tree_d4) == r
 
     def test_no_attempt_is_an_input_error(self, deep_tree_d4):
-        # like is_admissible(trials=0), not a generation failure after
-        # zero attempts
+        # not a generation failure after zero attempts
         r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
         with pytest.raises(InvalidArgumentError,
                            match="max_retries must be an integer >= 1"):
             tg.random_tree_tensor(deep_tree_d4, r, (2, 2, 2, 2), max_retries=0)
-        with pytest.raises(InvalidArgumentError,
-                           match="trials must be an integer >= 1"):
-            tg.is_admissible(deep_tree_d4, r, (2, 2, 2, 2), trials=0)
 
     @pytest.mark.parametrize("count", [1.5, 2.5, True, "2", None])
     def test_attempt_count_must_be_an_integer(self, deep_tree_d4,
@@ -403,12 +474,10 @@ class TestRandomTreeTensor:
         # range()'s TypeError, and True would run one attempt
         r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
         monkeypatch.setattr(formats, "_sample_network", None)
-        for call, name in ((tg.random_tree_tensor, "max_retries"),
-                           (generation_attempts, "max_retries"),
-                           (tg.is_admissible, "trials")):
+        for call in (tg.random_tree_tensor, generation_attempts):
             with pytest.raises(InvalidArgumentError,
-                               match=f"{name} must be an integer >= 1"):
-                call(deep_tree_d4, r, (2, 2, 2, 2), **{name: count})
+                               match="max_retries must be an integer >= 1"):
+                call(deep_tree_d4, r, (2, 2, 2, 2), max_retries=count)
 
     def test_numpy_integer_attempt_count_passes(self, deep_tree_d4):
         r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
@@ -425,8 +494,7 @@ class TestRandomTreeTensor:
         # sampling: a negative seed would otherwise reach numpy's ValueError
         r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
         monkeypatch.setattr(formats, "_sample_network", None)
-        for call in (tg.random_tree_tensor, generation_attempts,
-                     tg.is_admissible, tg.is_proper):
+        for call in (tg.random_tree_tensor, generation_attempts):
             with pytest.raises(InvalidArgumentError,
                                match="seed must be an integer >= 0"):
                 call(deep_tree_d4, r, (2, 2, 2, 2), seed=seed)
@@ -647,6 +715,36 @@ class TestNetworkDimensionFormula:
         r = capped_rank_tuple(deep_tree_d4, (2, 2, 2, 2))
         with pytest.raises(InvalidArgumentError, match="tree has 4 modes"):
             tg.network_dimension_formula(deep_tree_d4, r, (2, 2, 2))
+
+    @pytest.mark.parametrize("size", [2.5, 0, -1, True, "2", None])
+    @pytest.mark.parametrize("call", [
+        tg.network_dimension_formula, necessary_rank_conditions,
+        tg.is_admissible, tg.is_proper, tg.random_tree_tensor,
+    ], ids=lambda f: f.__name__)
+    def test_mode_size_must_be_a_positive_integer(self, call, size):
+        # with nothing sampled, the shape check is all that stands between
+        # a bad shape and a verdict or dimension computed from it
+        tree = tg.tucker_tree(2)
+        r = TreeRank({n: 1 for n in tree.nodes})
+        with pytest.raises(InvalidArgumentError,
+                           match="mode size must be an integer >= 1"):
+            call(tree, r, (size, 3))
+
+    @pytest.mark.parametrize("shape", [5, None, "23", {2: 1, 3: 1}])
+    def test_shape_must_be_a_tuple(self, shape):
+        # before: a bare TypeError from len(), or a string read as sizes
+        tree = tg.tucker_tree(2)
+        r = TreeRank({n: 1 for n in tree.nodes})
+        with pytest.raises(InvalidArgumentError,
+                           match="shape must be a tuple of mode sizes"):
+            tg.is_proper(tree, r, shape)
+
+    def test_numpy_integer_mode_sizes_pass(self):
+        tree = tg.tucker_tree(2)
+        r = TreeRank({n: 1 for n in tree.nodes})
+        shape = (np.int64(2), np.int64(3))
+        assert tg.network_dimension_formula(tree, r, shape) == \
+            tg.network_dimension_formula(tree, r, (2, 3))
 
 
 class TestNecessaryConditions:

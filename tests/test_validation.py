@@ -54,10 +54,6 @@ TOL_CALLS = {
     "is_member": lambda c, tol: tg.is_member(c["v"], c["tree"], c["r"], tol),
     "bounded_rank_member": lambda c, tol: tg.bounded_rank_member(
         c["v"], c["tree"], c["r"], tol),
-    "is_admissible": lambda c, tol: tg.is_admissible(
-        c["tree"], c["r"], c["shape"], tol=tol),
-    "is_proper": lambda c, tol: tg.is_proper(
-        c["tree"], c["r"], c["shape"], tol=tol),
     "random_tree_tensor": lambda c, tol: tg.random_tree_tensor(
         c["tree"], c["r"], c["shape"], tol=tol),
     "generation_attempts": lambda c, tol: generation_attempts(
@@ -149,7 +145,8 @@ REMOVED_PUBLIC = {
 # the halves of each former twin, the private names other modules imported,
 # and the private helpers of the removed public names, all gone or renamed
 # to plain names; the operator intersection's block-space wrapper and its
-# diagonal index plan, and the attempt-count check ``check_integer`` serves
+# diagonal index plan, the attempt-count check ``check_integer`` serves, and
+# the generators' argument check, inlined in its one caller
 REMOVED = REMOVED_PUBLIC | {
     "_svd", "_svd_ranks", "_minimal_subspace", "require_member",
     "_tree_splits", "_member_subspaces", "_member_splits",
@@ -158,6 +155,7 @@ REMOVED = REMOVED_PUBLIC | {
     "_embedding_index", "_factored_subspace", "_check_partition",
     "_residual_factor", "_network_dimension", "_BlockSpace",
     "_block_spaces", "_check_attempts", "diag_rows", "diag_src",
+    "_check_splits", "_violations",
 }
 
 
