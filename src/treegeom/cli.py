@@ -181,9 +181,13 @@ def _operator_command_bytes(tree, r, shape, jacobian):
       ``a`` of the level, with ``m`` the product of the level's ranks in
       ``b``, ``(n_a - r_a) (m / r_a) m`` rows on ``w_a`` times the other
       nodes' bases and ``(n_a - r_a) r_a`` rows off them;
-    - with ``jacobian``, three ``N x n_params`` arrays: the Jacobian, the
+    - with ``jacobian``, three ``prod r_l x n_core`` arrays, ``r_l`` the
+      leaf ranks and ``n_core`` the parameters of the network with
+      ``r_l x r_l`` leaves: the oracle's Jacobian at the leaf core, the
       per-node products written into it (one node's at a time, none
-      larger than the Jacobian), and the copy its SVD works on.
+      larger than the Jacobian), and the copy its SVD works on.  The
+      oracle's one full-size step, checking that the leaf core reproduces
+      the tensor, holds a few ``N``-sized copies, within the ``8 * N``.
     """
 
     def size(node):
@@ -214,7 +218,8 @@ def _operator_command_bytes(tree, r, shape, jacobian):
     entries = 8 * prod(shape) + kept + max(level_cost)
     entries += 2 * sum(size(a) ** 2 for a in tree.nodes if a != tree.root)
     if jacobian:
-        entries += 3 * prod(shape) * _network_parameter_count(tree, r, shape)
+        core = tuple(rank((m,)) for m in range(1, len(shape) + 1))
+        entries += 3 * prod(core) * _network_parameter_count(tree, r, core)
     return 2 ** 24 + 8 * entries
 
 

@@ -99,11 +99,10 @@ class LaplacianLike:
 
     @classmethod
     def zeros(cls, splits, partition):
-        parts = {
-            b: np.zeros((splits[tuple(sorted(b))].corank,
-                         splits[tuple(sorted(b))].rank))
-            for b in partition
-        }
+        """Zero coefficients over ``partition``; a block without a split
+        is an input error (:func:`check_splits`)."""
+        parts = {b: np.zeros((s.corank, s.rank))
+                 for b, s in check_splits(partition, splits).items()}
         return cls(partition=tuple(partition), parts=parts)
 
 

@@ -60,6 +60,20 @@ sons' bases pushed through the identity inside) times its coefficients on
 the modes outside it.  Each block is the two multiplied entrywise as
 broadcast arrays, the products a Kronecker product would form, and written
 into its rows and columns of the one Jacobian array.
+
+The oracle's rank is taken in the leaf bases, where the Jacobian splits
+(the Tucker tangent space's split into core and leaf-complement
+directions).  With ``Q_l = [u_l | w_l]`` the leaf splits and
+``C = v x_l u_l^T`` the leaf core (``r_1 x ... x r_d``), rotating the
+Jacobian's rows by ``(x)_l Q_l`` and each leaf's columns by ``Q_l (x) I``
+keeps its singular values and leaves it block diagonal: the same network's
+Jacobian at ``C``, with identity leaves and each interior basis pulled back
+onto the leaf bases (``prod r_l`` rows), and, per leaf with ``n_l > r_l``,
+``n_l - r_l`` copies of ``G_l^T``, ``G_l`` being ``C``'s ``l``-unfolding;
+every other row is zero (proof at :func:`_jacobian_rank`).  So the rank
+reads the small Jacobian's spectrum and the ``G_l``'s, and the dense
+``N x P`` Jacobian (:func:`parametrization_jacobian`) is the reference it
+is checked against.
 """
 
 from __future__ import annotations
@@ -81,12 +95,13 @@ from .formats import (
 from .operators import lifted_part
 from .subspaces import DEFAULT_TOL
 from .tensor import (
-    block_transpose_permutation,
     check_tol,
+    complement_modes,
     embedding_index,
     pull_blocks,
+    push_blocks,
     svd,
-    svd_rank,
+    unfold,
 )
 from .trees import check_level, level_partition, levels
 
@@ -473,13 +488,12 @@ def anchor_state(v, tree, r, tol):
     return v, state
 
 
-def _network_parameters(v, tree, splits):
-    """A tree-network parameter point reproducing ``v``: the bases of
-    ``splits`` at every non-root node, interior transfer coefficients, root
+def _network_parameters(v, tree, bases):
+    """A tree-network parameter point reproducing ``v``: the orthonormal
+    ``bases`` at every non-root node, interior transfer coefficients, root
     block.  Each transfer is the node's basis (``v`` at the root) pulled
     back onto its sons' bases."""
     shape = v.shape
-    bases = {node: s.u for node, s in splits.items()}
     transfers = {}
     for node, kids in tree.sons.items():
         root = node == tree.root
@@ -491,26 +505,33 @@ def _network_parameters(v, tree, splits):
     return leaf_factors, transfers
 
 
-def _jacobian(v, tree, splits):
-    """:func:`parametrization_jacobian` at a member ``v`` with its
-    ``splits``."""
-    # by the largest entry first, so that the norm neither under- nor
-    # overflows
+def _normalized(v):
+    """``v`` at unit norm, divided by its largest entry first, so that the
+    norm neither under- nor overflows."""
     v = v / np.max(np.abs(v))
-    v = v / np.linalg.norm(v)
-    shape = v.shape
-    leaf_factors, transfers = _network_parameters(v, tree, splits)
-    v_rec = contract_network(tree, shape, leaf_factors, transfers)
-    rec_err = np.linalg.norm(v_rec - v)
-    if rec_err > 1e-8:
+    return v / np.linalg.norm(v)
+
+
+def _check_recovery(error):
+    if error > 1e-8:
         raise NotOnManifoldError(
-            f"network parametrization recovery failed (error {rec_err:.3e})"
+            f"network parametrization recovery failed (error {error:.3e})"
         )
-    bases = {node: s.u for node, s in splits.items()}
+
+
+def _jacobian(v, tree, bases):
+    """:func:`parametrization_jacobian` at a unit-norm ``v`` with
+    orthonormal ``bases`` at every non-root node."""
+    shape = v.shape
+    leaf_factors, transfers = _network_parameters(v, tree, bases)
+    _check_recovery(np.linalg.norm(
+        contract_network(tree, shape, leaf_factors, transfers) - v))
     # one column per parameter entry, each node's block in node order
     params = {**leaf_factors, **transfers}
     nodes = sorted(leaf_factors) + sorted(transfers)
     J = np.empty((v.size, sum(params[node].size for node in nodes)))
+    # J's rows with one axis per mode: a view, written through
+    modes = J.reshape(*shape, -1)
     start = 0
     for node in nodes:
         cols = slice(start, start + params[node].size)
@@ -523,11 +544,13 @@ def _jacobian(v, tree, splits):
             continue
         # rows in (node, rest) order: the tensor is linear in u_node, with
         # coefficient u_node^T unfold(v, node) on the modes outside the node;
-        # entry (i * n_rest + k, p * r + j) is lift[i, p] * coeff[j, k]
-        perm = block_transpose_permutation(shape, node)
-        coeff = bases[node].T @ v.ravel()[perm].reshape(lift.shape[0], -1)
-        J[perm, cols] = (lift[:, None, :, None]
-                         * coeff.T[None, :, None, :]).reshape(v.size, -1)
+        # entry (i, k, p * r + j) is lift[i, p] * coeff[j, k]
+        rest = complement_modes(node, v.ndim)
+        block = modes[..., cols].transpose(
+            [m - 1 for m in node + rest] + [v.ndim])
+        coeff = bases[node].T @ unfold(v, node)
+        block[...] = (lift[:, None, :, None]
+                      * coeff.T[None, :, None, :]).reshape(block.shape)
     return J
 
 
@@ -544,26 +567,88 @@ def parametrization_jacobian(v, tree, r, tol=DEFAULT_TOL):
     (leaf factors, then interior transfers and the root block, each in node
     order and row-major within the block); rows run over the flattened
     tensor.  Reads the anchor's splits as :func:`tangent_dimension` does,
-    and builds no operator intersection.
+    and builds no operator intersection.  The dense ``N x P`` matrix is the
+    reference the oracle's rank is checked against; the oracle itself
+    never forms it (:func:`tangent_dimension_oracle`).
     """
     v, anchor = anchor_state(v, tree, r, tol)
-    return _jacobian(v, tree, anchor.splits)
+    return _jacobian(_normalized(v), tree,
+                     {node: s.u for node, s in anchor.splits.items()})
 
 
 def tangent_dimension_oracle(v, tree, r, tol=DEFAULT_TOL):
     """Manifold dimension as the numerical rank of the parametrization
     Jacobian, at the threshold ``tol`` relative to its largest singular
     value, as every rank decision of the library is read.  Reads the
-    anchor's splits and builds no operator intersection."""
+    anchor's splits and builds no operator intersection.
+
+    The rank is taken in the leaf bases (:func:`_jacobian_rank`): with
+    ``Q_l = [u_l | w_l]`` the leaf splits and ``C = v x_l u_l^T`` the leaf
+    core, rotating the Jacobian's rows by ``(x)_l Q_l`` and each leaf's
+    column block by ``Q_l (x) I`` keeps its singular values and makes it
+    block diagonal.  One block is the same network's Jacobian at ``C``,
+    with identity leaves (``prod r_l`` rows); the others are, per leaf with
+    ``n_l > r_l``, ``n_l - r_l`` copies of ``G_l^T``, ``G_l`` being ``C``'s
+    ``l``-unfolding.  Every other row is zero.
+    """
     v, anchor = anchor_state(v, tree, r, tol)
     return _jacobian_rank(v, tree, anchor.splits, tol)
 
 
 def _jacobian_rank(v, tree, splits, tol):
-    """Numerical rank of :func:`_jacobian`, at the threshold of
-    :func:`tangent_dimension_oracle`."""
-    J = _jacobian(v, tree, splits)
-    return svd_rank(np.linalg.svd(J, compute_uv=False), tol)
+    """Numerical rank of the parametrization Jacobian at a member ``v``
+    with its ``splits``, at the threshold of
+    :func:`tangent_dimension_oracle`, from the Jacobian at the leaf core
+    and the leaf core's unfoldings.  The only arrays as large as ``v`` are
+    its normalized copy and the check that the leaf core reproduces it.
+
+    Proof of the block form.  The network is multilinear in its leaf
+    factors and ``v = C x_l u_l``, ``C`` being the network with the same
+    transfers and identity leaves.  A move of the transfers or the root
+    block is that network's move pushed through ``x_l u_l``, so it lies in
+    the rows where every mode is in its ``u`` part.  Write a leaf move as
+    ``u_l A + w_l B``: the ``A`` part is the core network's move of its
+    identity leaf, in the same rows; the ``B`` part is
+    ``C x_l (w_l B) x_{m != l} u_m``, in the rows with mode ``l`` alone in
+    its ``w`` part, where it reads ``B G_l``.  Those row sets are
+    disjoint, so the Jacobian is, in these orthonormal coordinates, the
+    core network's Jacobian beside ``I_{n_l - r_l} (x) G_l^T`` per leaf,
+    and rows with two or more modes in ``w`` are zero.  The core network's
+    bases are the interior bases pulled back onto the leaf bases, which
+    they lie in by nestedness; both the leaf core's push-forward and the
+    core network are checked to reproduce their tensors to ``1e-8``.
+    """
+    v = _normalized(v)
+    shape = v.shape
+    leaves = tree.leaves
+    u = [splits[leaf].u for leaf in leaves]
+    core = pull_blocks(v, u, leaves, shape)
+    _check_recovery(np.linalg.norm(push_blocks(core, u, leaves, shape) - v))
+    bases = {leaf: np.eye(b.shape[1]) for leaf, b in zip(leaves, u)}
+    for node in tree.sons:
+        if node != tree.root:
+            basis = splits[node].u
+            bases[node] = pull_blocks(
+                basis.reshape([shape[m - 1] for m in node] + [-1]),
+                [splits[(m,)].u for m in node], [(m,) for m in node],
+                shape).reshape(-1, basis.shape[1])
+    spectra = [(np.linalg.svd(_jacobian(core, tree, bases),
+                              compute_uv=False), 1)]
+    # one value-only SVD per distinct shape of the leaf core's unfoldings,
+    # each counted once per complement direction of its leaf
+    by_shape = {}
+    for leaf in leaves:
+        corank = splits[leaf].corank
+        if corank:
+            G = unfold(core, leaf)
+            by_shape.setdefault(G.shape, []).append((G, corank))
+    for group in by_shape.values():
+        values = np.linalg.svd(np.stack([G for G, _ in group]),
+                               compute_uv=False)
+        spectra += zip(values, (c for _, c in group))
+    reference = max(s[0] for s, _ in spectra if s.size)
+    return sum(copies * int(np.count_nonzero(s > tol * reference))
+               for s, copies in spectra)
 
 
 @dataclass(frozen=True)
@@ -676,6 +761,10 @@ def immersion_check(v, tree, r, k, tol=DEFAULT_TOL):
     sv = []
     for Q, R in zip(inter.null, inter.factors):
         if Q.shape[1] == 0:
+            continue
+        if len(R[k - 1]) == 0:
+            # no residual off level k: I - E^T E is the identity
+            sv.append(np.ones(Q.shape[1]))
             continue
         E = R[k - 1] @ Q
         max_resid = max(max_resid, float(np.max(np.linalg.norm(E, axis=0))))

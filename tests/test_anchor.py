@@ -143,6 +143,24 @@ def test_warm_and_cold_reports_match_the_reference(name, empty_anchor_slot):
             assert rep.coordinate_condition == pytest.approx(cond, rel=1e-6)
 
 
+def test_immersion_takes_no_eigensolve_where_a_block_has_no_residual(
+        monkeypatch, empty_anchor_slot):
+    # a Tucker block, and a level-1 leaf of a deeper tree, has no residual
+    # factor: I - E^T E is the identity, its singular values are ones, and
+    # the report is the one the eigensolve gave
+    eigensolves = counter(monkeypatch, np.linalg, "eigvalsh")
+    for name in ("tucker-3^6", "deep-3333"):
+        for seed in range(5):
+            v, tree, r = ladder_case(name, seed)
+            for k in range(1, tg.levels(tree).depth + 1):
+                assert tg.immersion_check(v, tree, r, k) == (
+                    tangent.ImmersionReport(
+                        level=k, max_inclusion_residual=0.0,
+                        coordinate_condition=1.0, included=True,
+                        injective=True, dim_ok=True))
+    assert eigensolves == []
+
+
 def tall(v, node):
     """Whether the unfolding at ``node`` has more rows than columns."""
     n = np.prod([v.shape[m - 1] for m in node])
@@ -211,8 +229,10 @@ def test_warm_anchor_factors_nothing(monkeypatch, empty_anchor_slot):
     tg.tangent_dimension(v, tree, r)
     for k in range(1, tg.levels(tree).depth + 1):
         tg.immersion_check(v, tree, r, k)
-    # only the Jacobian oracle's rank, which takes no singular vectors
-    assert (subspaces_run, bases_built, svds) == ([], [], [False])
+    # only the Jacobian oracle's rank, which takes no singular vectors: one
+    # SVD of the Jacobian at the leaf core, one of the leaf core's
+    # unfoldings stacked (every leaf's is 2 x 8 here)
+    assert (subspaces_run, bases_built, svds) == ([], [], [False, False])
     # the counters see a cold call
     tangent._clear_anchor()
     tg.immersion_check(v, tree, r, 1)

@@ -804,7 +804,8 @@ class TestMisc:
         # the guard estimates what the command allocates instead of capping
         # the total dimension: Tucker charts live in n x n block spaces and
         # their splits in n x n factors, so a chart at N = 200^3 passes;
-        # its Jacobian oracle does not
+        # the Jacobian oracle works at the leaf core, prod r_l = 8 rows
+        # here, so its tangent report passes at N = 101^3 too
         from treegeom.cli import OPERATOR_COMMAND_MEMORY_LIMIT, _guard_size
         from treegeom.errors import InvalidArgumentError
 
@@ -812,8 +813,14 @@ class TestMisc:
         r = TreeRank({(1,): 2, (2,): 2, (3,): 2, (1, 2, 3): 1})
         _guard_size(tree, r, (101, 101, 101))
         _guard_size(tree, r, (200, 200, 200))
+        _guard_size(tree, r, (101, 101, 101), jacobian=True)
+        # at leaf ranks near n the leaf core is nearly the tensor: the
+        # chart passes and the Jacobian term alone (22^3 rows, 12100
+        # parameters, about 3.1 GB) refuses the tangent report
+        near = TreeRank({(1,): 22, (2,): 22, (3,): 22, (1, 2, 3): 1})
+        _guard_size(tree, near, (24, 24, 24))
         with pytest.raises(InvalidArgumentError) as err:
-            _guard_size(tree, r, (101, 101, 101), jacobian=True)
+            _guard_size(tree, near, (24, 24, 24), jacobian=True)
         assert str(OPERATOR_COMMAND_MEMORY_LIMIT) in str(err.value)
         # a Tucker chart builds no residual factor; the tensor, its
         # unfoldings and the round-trip points take 8 N doubles
@@ -857,6 +864,9 @@ class TestMisc:
                         reason="reads the peak resident set from /proc")
     @pytest.mark.parametrize("kind, shape, command", [
         ("tucker", (60, 60, 60), "chart-check"),
+        # refused before the oracle took its rank at the leaf core (an
+        # N x P Jacobian of 216000 x 368 doubles, three times over)
+        ("tucker", (60, 60, 60), "tangent"),
         ("linear", (4, 4, 4, 4), "chart-check"),
         ("linear", (4, 4, 4, 4), "tangent"),
         ("linear", (3,) * 6, "chart-check"),

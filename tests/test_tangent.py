@@ -658,12 +658,17 @@ def test_tangent_report_is_scale_free(exponent):
                                rtol=0, atol=1e-13 * np.max(np.abs(J)))
 
 
+def bases(splits):
+    """The orthonormal basis ``u`` of every split, keyed by node."""
+    return {node: s.u for node, s in splits.items()}
+
+
 def central_difference_jacobian(v, tree, splits, step=1e-6):
     """Reference Jacobian: central differences, two contractions per
     parameter entry, at the parameter point and in the column order of
     :func:`parametrization_jacobian`."""
     v = v / np.linalg.norm(v)
-    leaf_factors, transfers = _network_parameters(v, tree, splits)
+    leaf_factors, transfers = _network_parameters(v, tree, bases(splits))
     columns = []
     for store in (leaf_factors, transfers):
         for node in sorted(store):
@@ -728,7 +733,7 @@ def test_network_parameters_match_the_kronecker_reference(kind, shape):
     # its sons' bases, and the network of the parameters is v again
     for seed in range(5):
         tree, v, r, splits = block_case(kind, shape, seed=seed)
-        leaves, transfers = _network_parameters(v, tree, splits)
+        leaves, transfers = _network_parameters(v, tree, bases(splits))
         _, reference = kron_network_parameters(v, tree, splits)
         assert transfers.keys() == reference.keys()
         for node, T in reference.items():
@@ -816,3 +821,57 @@ def test_factor_spectrum_compresses_without_changing_the_spectrum():
     null = tangent._null_coefficients(s, Vt, s[0], 1e-10)
     assert null.shape[1] == dim - 3
     np.testing.assert_allclose(short[0] @ null, 0, atol=1e-12)
+
+
+# every tree kind at mode sizes of at least 3, so that every leaf has
+# complement directions, at rank caps 1-3
+ORACLE_SWEEP = [
+    ("deep", (3, 3, 3, 3)),
+    ("deep", (3, 4, 3, 4)),
+    ("linear", (3, 3, 3, 3)),
+    ("linear", (3, 4, 3, 3, 3)),
+    ("binary", (3, 3, 3, 3)),
+    ("binary", (3, 3, 4, 3, 3)),
+    ("mixed", (3,) * 6),
+    ("tucker", (3, 3, 3)),
+    ("tucker", (3, 4, 3, 4)),
+    ("tucker", (3,) * 5),
+]
+
+
+@pytest.mark.parametrize("kind,shape", ORACLE_SWEEP)
+def test_oracle_rank_equals_the_dense_jacobian_rank_and_the_formula(
+        kind, shape, empty_anchor_slot):
+    # the oracle's rank at the leaf core against the rank of the dense
+    # N x P Jacobian, at the oracle's threshold, and the closed form; at
+    # scales whose squared norm over- or underflows as well
+    tree = kind_tree(kind, len(shape))
+    for cap in (1, 2, 3):
+        r = capped_rank_tuple(tree, shape, cap=cap)
+        v = tg.random_tree_tensor(tree, r, shape, seed=cap)
+        formula = network_dimension_formula(tree, r, shape)
+        for scale in (2.0 ** -300, 1.0, 2.0 ** 300):
+            w = scale * v
+            J = parametrization_jacobian(w, tree, r)
+            dense = np.linalg.matrix_rank(J, rtol=1e-10)
+            assert tg.tangent_dimension_oracle(w, tree, r) == dense == formula
+
+
+@pytest.mark.parametrize("kind,shape", ORACLE_SWEEP)
+def test_oracle_jacobian_is_never_larger_than_the_leaf_core(
+        kind, shape, monkeypatch, empty_anchor_slot):
+    tree = kind_tree(kind, len(shape))
+    r = capped_rank_tuple(tree, shape, cap=2)
+    v = tg.random_tree_tensor(tree, r, shape, seed=0)
+    sizes = []
+    jacobian = tangent._jacobian
+
+    def recorded(u, *args):
+        sizes.append(u.size)
+        return jacobian(u, *args)
+
+    monkeypatch.setattr(tangent, "_jacobian", recorded)
+    tg.tangent_dimension_oracle(v, tree, r)
+    tg.tangent_dimension(v, tree, r)
+    core = np.prod([r[leaf] for leaf in tree.leaves])
+    assert sizes == [core, core] and core < v.size

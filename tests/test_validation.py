@@ -117,6 +117,16 @@ def test_good_tolerance_accepted(case, name, empty_anchor_slot):
     TOL_CALLS[name](case, tg.DEFAULT_TOL)
 
 
+def test_zero_coefficients_without_a_split_name_the_block(case):
+    # as assemble_laplacian and the Tucker charts: an input error naming
+    # the block, not a bare KeyError
+    splits = dict(case["splits"])
+    del splits[(3,)]
+    with pytest.raises(InvalidArgumentError,
+                       match=r"no split available for block \(3,\)"):
+        LaplacianLike.zeros(splits, case["partition"])
+
+
 def test_svd_rank_thresholds_a_vector_and_each_row_of_a_stack():
     assert tg.svd_rank([2.0, 1.0, 1e-12], 1e-10) == 2
     assert type(tg.svd_rank(np.array([2.0, 1.0]), 0.1)) is int
