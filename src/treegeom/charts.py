@@ -26,8 +26,9 @@ level-1 unfolding; every deeper node's rank is read off ``U S``
 (:func:`~treegeom.formats.member_subspaces`).  A core's ranks are read in
 nested coordinates: at a level-1 block from the core's own unfolding, and
 at a node inside that block from an ``n_b x r_b`` matrix, never from the
-``N``-sized lift.  Every such rank read stacks its small matrices by shape
-and takes one batched SVD per distinct shape.  The core of a point is its
+``N``-sized lift.  Every factorization goes through
+:func:`~treegeom.subspaces.node_spectra`, which stacks the matrices of one
+shape and takes one batched SVD per stack.  The core of a point is its
 projection onto the anchor bases, since the inverse factors act as the
 identity once projected.  A successful inverse keeps the point it
 reconstructed with the chart, and the forward map at the coordinates and
@@ -52,9 +53,9 @@ from .formats import dimension_margins, member_subspaces
 from .operators import LaplacianLike, assemble_laplacian, check_splits
 from .subspaces import (
     DEFAULT_TOL,
-    factored_subspace,
+    factored_subspaces,
     nested_ranks,
-    unfolding_plan,
+    node_spectra,
 )
 from .tangent import BlockOperatorBasis, anchor_state
 from .tensor import (
@@ -65,7 +66,6 @@ from .tensor import (
     pull_blocks,
     push_blocks,
     sorted_blocks,
-    svd_rank,
 )
 from .trees import check_level, level_partition, levels
 
@@ -108,26 +108,19 @@ def _check_full_core(core, blocks, ranks, tol):
     the validated core tensor has rank equal to the block rank.  Returns,
     per block, ``U S`` of the unfolding's SVD ``U S V^T``.
 
-    The unfoldings of one shape are factored as one stack, one SVD per
-    distinct shape."""
+    The unfoldings are factored by
+    :func:`~treegeom.subspaces.node_spectra`, one SVD per stack of
+    unfoldings of one shape."""
     if not np.any(core):
         raise InvalidCoreError("core is identically zero")
-    plan = unfolding_plan((core.shape,),
-                           tuple((0, (i,)) for i in range(core.ndim)))
-    flat = core.ravel()
-    weighted = [None] * len(blocks)
-    found = [0] * len(blocks)
-    for positions, index in plan:
-        U, s, _ = np.linalg.svd(flat[index], full_matrices=False)
-        for i, US, r in zip(positions, U * s[:, None, :], svd_rank(s, tol)):
-            weighted[i], found[i] = US, int(r)
-    for i, b in enumerate(blocks):
-        if found[i] != ranks[i]:
+    found = node_spectra((core,), tuple((0, (i,)) for i in range(core.ndim)),
+                         tol, vectors=True, signs=False)
+    for b, k, (r, _, _) in zip(blocks, ranks, found):
+        if r != k:
             raise InvalidCoreError(
-                f"core is rank-deficient on block {set(b)}: "
-                f"rank {found[i]} < {ranks[i]}"
+                f"core is rank-deficient on block {set(b)}: rank {r} < {k}"
             )
-    return weighted
+    return [U * s for _, U, s in found]
 
 
 def tucker_chart_point(L, core, splits, shape, tol=DEFAULT_TOL):
@@ -173,7 +166,8 @@ def tucker_chart_inverse(w, partition, splits, ranks, tol=DEFAULT_TOL):
     splits = check_splits(blocks, splits)
     ranks = {b: check_integer(k, "rank", 1)
              for b, k in check_splits(blocks, ranks, "rank").items()}
-    subs = {b: factored_subspace(w, b, tol)[0] for b in blocks}
+    subs = {b: sub for b, (sub, _, _) in
+            factored_subspaces(w, blocks, tol).items()}
     return (LaplacianLike(partition=blocks,
                           parts=_graph_parts(subs, splits, ranks)),
             _pull_back(w, splits, blocks))
@@ -278,9 +272,10 @@ def _check_core_in_domain(chart, core):
     (``n_b x r_b``) and ``Q`` orthonormal (the other blocks' bases times
     ``V``).  So the rank at every node inside ``b`` is read off ``X_b``
     (:func:`~treegeom.subspaces.nested_ranks`), and no ``N``-sized tensor
-    is formed.  Both reads stack their matrices by shape: one SVD per
-    distinct shape of the core's unfoldings, one per distinct shape of the
-    unfoldings of the ``X_b``.
+    is formed.  Both reads stack their matrices by shape
+    (:func:`~treegeom.subspaces.node_spectra`): one SVD per distinct shape
+    of the core's unfoldings, one per distinct shape of the unfoldings of
+    the ``X_b``.
     """
     blocks = chart.level_partitions[0]
     ranks = [chart.splits[b].rank for b in blocks]
@@ -354,7 +349,8 @@ def level_inverse_operator(chart, w, k):
     k = check_level(chart.tree, k)
     w = _chart_point_arg(chart, w)
     blocks = chart.level_partitions[k - 1]
-    subs = {b: factored_subspace(w, b, chart.tol)[0] for b in blocks}
+    subs = {b: sub for b, (sub, _, _) in
+            factored_subspaces(w, blocks, chart.tol).items()}
     L = LaplacianLike(partition=blocks,
                       parts=_graph_parts(subs, chart.splits, chart.ranks))
     return assemble_laplacian(L, chart.splits, chart.shape)
@@ -375,8 +371,9 @@ def tree_chart_inverse(chart, w):
     The core is checked to be full rank at every level.
 
     Membership and the level-1 coefficients share one factorization
-    ``U S V^T`` per level-1 unfolding, and every deeper node's rank is read
-    off ``U S`` (:func:`~treegeom.formats.member_subspaces`).  The core's
+    ``U S V^T`` per level-1 unfolding, those of one shape stacked into one
+    SVD, and every deeper node's rank is read off ``U S``
+    (:func:`~treegeom.formats.member_subspaces`).  The core's
     ranks are read as in :func:`tree_chart_point`.  A tensor of another
     shape than the anchor's is an input error.
 

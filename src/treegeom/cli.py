@@ -33,7 +33,7 @@ from .errors import (
     TreeValidationError,
 )
 from .formats import generator_verdict, is_member, is_proper, sample_attempts
-from .subspaces import chain_residuals, factored_subspace, ranks_from_json
+from .subspaces import chain_residuals, factored_subspaces, ranks_from_json
 from .tangent import tangent_dimension
 from .tensor import (
     check_integer,
@@ -290,7 +290,7 @@ def cmd_analyze(args):
     v = check_tensor(v, allow_zero=False)
     tol = check_tol(args.tol)
     nodes = sorted(tree.nodes, key=lambda b: (len(b), b))
-    subs = [factored_subspace(v, node, tol)[0] for node in nodes]
+    subs = [sub for sub, _, _ in factored_subspaces(v, nodes, tol).values()]
     residuals = chain_residuals(
         v, tree, {sub.alpha: sub.basis for sub in subs}
     )

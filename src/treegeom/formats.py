@@ -6,8 +6,9 @@ checking, at every level partition, that every block's minimal subspace has
 the prescribed dimension; the report records each level so the equivalence
 with the direct all-node rank check is observable.  A block that appears in
 several level partitions (a leaf above the deepest level) is one tree node,
-so the rank profile is computed once, one singular-value-only SVD per node,
-and every level reads its blocks off it.
+so the rank profile is computed once, each node's singular values read
+once (one SVD without factors per stack of same-shape unfoldings), and
+every level reads its blocks off it.
 
 This module owns the tree network (:func:`contract_network`, shared by the
 sampler and the Jacobian oracle of :mod:`treegeom.tangent`, and its
@@ -41,7 +42,7 @@ from .operators import tree_splits
 from .subspaces import (
     DEFAULT_TOL,
     TreeRank,
-    factored_subspace,
+    factored_subspaces,
     nested_ranks,
     node_ranks,
 )
@@ -182,12 +183,18 @@ def member_args(v, tree, r, tol):
 def tucker_membership(v, partition, ranks, tol=DEFAULT_TOL):
     """Do the blockwise minimal subspace dimensions match ``ranks`` exactly?
 
+    ``partition`` must partition the tensor's modes: blocks that overlap
+    or miss a mode are an input error, raised before anything is factored.
     ``ranks`` maps each partition block to an integer >= 1.  Returns the
     boolean verdict and the computed dimensions, in block order.
     """
     check_tol(tol)
     v = check_tensor(v, allow_zero=False)
     blocks = sorted_blocks(normalize_modes(b, v.ndim) for b in partition)
+    if sorted(m for b in blocks for m in b) != list(range(1, v.ndim + 1)):
+        raise InvalidArgumentError(
+            f"{list(blocks)} is not a partition of the modes 1..{v.ndim}"
+        )
     missing = [set(b) for b in blocks if b not in ranks]
     if missing:
         raise InvalidArgumentError(f"ranks are missing blocks {missing}")
@@ -204,7 +211,9 @@ def is_member(v, tree, r, tol=DEFAULT_TOL):
     is the conjunction of the per-level passes together with the (trivial)
     root condition.  Equivalent to checking the minimal subspace dimension at
     every tree node directly: every level reads its blocks off one rank
-    profile of ``v``, one SVD per tree node.
+    profile of ``v``, each node requested once and its unfolding stacked
+    with the others of its shape, one SVD without factors per stack
+    (:func:`~treegeom.subspaces.node_ranks`).
     """
     v = member_args(v, tree, r, tol)
     return _membership_report(node_ranks(v, tree.nodes, tol), tree, r, tol)
@@ -216,18 +225,19 @@ def member_subspaces(v, tree, r, tol):
     block in level order.
 
     Each level-1 unfolding ``U S V^T`` is factored once, with its singular
-    vectors, and its rank is that basis's dimension.  Every other non-root
-    node lies inside one level-1 block ``b`` and is read off ``U S``
-    (``n_b`` rows), whose unfoldings have the singular values of the
-    tensor's since ``V^T`` has orthonormal rows: one SVD without factors
-    per distinct unfolding shape, and the tensor is unfolded at the level-1
-    blocks only (:func:`~treegeom.subspaces.nested_ranks`).  The root
-    takes none: its verdict is the rank tuple's own root condition.
+    vectors, the unfoldings of one shape stacked into one SVD
+    (:func:`~treegeom.subspaces.factored_subspaces`), and its rank is that
+    basis's dimension.  Every other non-root node lies inside one level-1
+    block ``b`` and is read off ``U S`` (``n_b`` rows), whose unfoldings
+    have the singular values of the tensor's since ``V^T`` has orthonormal
+    rows: one SVD without factors per stack of unfoldings of one shape,
+    and the tensor is unfolded at the level-1 blocks only
+    (:func:`~treegeom.subspaces.nested_ranks`).  The root takes none: its
+    verdict is the rank tuple's own root condition.
     """
-    subs, weighted = {}, {}
-    for b in level_partition(tree, 1):
-        subs[b], U, s = factored_subspace(v, b, tol)
-        weighted[b] = U * s
+    factored = factored_subspaces(v, level_partition(tree, 1), tol)
+    subs = {b: sub for b, (sub, _, _) in factored.items()}
+    weighted = {b: U * s for b, (_, U, s) in factored.items()}
     computed = {**nested_ranks(tree, weighted, v.shape, tol),
                 **{b: sub.rank for b, sub in subs.items()}}
     return _membership_report(computed, tree, r, tol), subs
@@ -441,8 +451,10 @@ def generator_verdict(tree, r, shape, seed, count, name, tol):
 
 def sample_attempts(tree, r, shape, seed, max_retries, tol):
     """The sampling loop of :func:`generation_attempts` on checked
-    arguments.  Each sample's rank profile, one SVD per tree node, is
-    compared with ``r`` at every node, the root included: a returned
+    arguments.  Each sample's rank profile
+    (:func:`~treegeom.subspaces.node_ranks`: each node requested once, one
+    SVD without factors per stack of same-shape unfoldings) is compared
+    with ``r`` at every node, the root included: a returned
     tensor has the tree rank ``r`` and is a member of the fixed-rank set
     at ``tol``, with no second check."""
     for attempt in range(max_retries):

@@ -31,14 +31,13 @@ from math import prod
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .subspaces import DEFAULT_TOL, factored_subspace
+from .subspaces import DEFAULT_TOL, factored_subspaces, node_spectra
 from .tensor import (
     check_tensor,
     check_tol,
     embedding_index,
     normalize_modes,
     sorted_blocks,
-    svd,
 )
 
 __all__ = [
@@ -117,23 +116,36 @@ def split(v, alpha, tol=DEFAULT_TOL):
     formed besides the unfolding's thin SVD.
     """
     v = check_tensor(v, allow_zero=False)
-    return _split(v, normalize_modes(alpha, v.ndim), check_tol(tol))
+    alpha = normalize_modes(alpha, v.ndim)
+    return _splits(v, (alpha,), check_tol(tol))[alpha]
 
 
 def tree_splits(v, tree, tol):
     """:func:`split` at every non-root node of ``tree``, keyed by node, of
-    a ``v``, a tree over its modes and a ``tol`` already checked: each node
-    costs its unfolding's SVD, and a node whose unfolding is taller than
-    wide a second one, and nothing else."""
-    return {node: _split(v, node, tol) for node in tree.nodes
-            if node != tree.root}
+    a ``v``, a tree over its modes and a ``tol`` already checked.  The
+    unfoldings are factored by
+    :func:`~treegeom.subspaces.node_spectra`, one SVD per stack of
+    unfoldings of one shape, and the bases of the nodes whose unfolding is
+    taller than wide take their full SVD the same way, one per stack of
+    bases of one shape."""
+    return _splits(v, [node for node in tree.nodes if node != tree.root],
+                   tol)
 
 
-def _split(v, alpha, tol):
-    sub, U, _ = factored_subspace(v, alpha, tol)
-    if U.shape[1] < U.shape[0]:
-        U, _, _ = svd(sub.basis, full_matrices=True)
-    return SplitSpace(alpha=alpha, u=sub.basis, w=U[:, sub.rank:])
+def _splits(v, nodes, tol):
+    """The splits of ``v`` at ``nodes``: each ``w`` is the trailing columns
+    of a square orthogonal factor, the unfolding's thin ``U`` or, where the
+    unfolding is taller than wide, the full ``U`` of the basis ``u``."""
+    factored = factored_subspaces(v, nodes, tol)
+    square = {node: U for node, (_, U, _) in factored.items()}
+    tall = [node for node, U in square.items() if U.shape[1] < U.shape[0]]
+    full = node_spectra([factored[node][0].basis for node in tall],
+                        tuple((i, (0,)) for i in range(len(tall))), tol,
+                        vectors=True, full_matrices=True)
+    square.update((node, U) for node, (_, U, _) in zip(tall, full))
+    return {node: SplitSpace(alpha=node, u=sub.basis,
+                             w=square[node][:, sub.rank:])
+            for node, (sub, _, _) in factored.items()}
 
 
 def lifted_part(s, C):

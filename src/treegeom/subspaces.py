@@ -11,19 +11,24 @@ takes a relative tolerance (default ``1e-10``) applied to the largest
 singular value.  The zero tensor is rejected rather than assigned rank zero,
 since rank tuples are required to be positive.
 
-A decision that needs only a rank reads it off the singular values alone,
-one SVD without factors per distinct node (:func:`tree_rank`, and the
-membership tests of :mod:`treegeom.formats`); the thresholded values are
-the ones :func:`minimal_subspace` thresholds.  The singular values are
-taken from the unfolding itself, not from the eigenvalues of its Gram
-matrix, whose squaring would push the default tolerance below machine
-precision.  Where a level-1 block's factor is at hand (a chart point's or
-a chart core's), the nodes inside the block are read off that ``n_b``-row
-factor instead of the tensor, their small unfoldings stacked by shape into
-one batched SVD each (:func:`nested_ranks`).  Bases are computed only
-where a caller needs one, and a projection onto a product of block bases
-(the chain and nestedness residuals) pulls back onto the bases and pushes
-forward again, with no ``n_b x n_b`` projector.
+Every unfolding is factored through one routine, :func:`node_spectra`: it
+takes a validated tensor, or a caller's own factors, and the requested
+nodes, gathers the unfoldings of one matrix shape into a stack and takes
+one ``np.linalg.svd`` per stack, thresholded by
+:func:`~treegeom.tensor.svd_rank`.  A stack holds at most ``2**14``
+entries (:func:`~treegeom.tensor.stack_capacity`); a larger unfolding is
+factored by itself, as it stands.  A decision that needs only a rank reads
+it off the singular values alone (:func:`tree_rank`, and the membership
+tests of :mod:`treegeom.formats`); the thresholded values are the ones
+:func:`minimal_subspace` thresholds.  The singular values are taken from
+the unfolding itself, not from the eigenvalues of its Gram matrix, whose
+squaring would push the default tolerance below machine precision.  Where a
+level-1 block's factor is at hand (a chart point's or a chart core's), the
+nodes inside the block are read off that ``n_b``-row factor instead of the
+tensor (:func:`nested_ranks`).  Bases are computed only where a caller
+needs one, and a projection onto a product of block bases (the chain and
+nestedness residuals) pulls back onto the bases and pushes forward again,
+with no ``n_b x n_b`` projector.
 """
 
 from __future__ import annotations
@@ -40,12 +45,13 @@ from .tensor import (
     check_integer,
     check_tensor,
     check_tol,
+    lead_signs,
     normalize_modes,
     planned,
     pull_blocks,
     push_blocks,
     sorted_blocks,
-    svd,
+    stack_capacity,
     svd_rank,
     unfold,
 )
@@ -155,12 +161,20 @@ def factored_subspace(v, alpha, tol):
     ``s`` of the unfolding's thin SVD, every singular value kept: ``U * s``
     is the factor :func:`nested_ranks` reads the nodes inside ``alpha``
     off."""
-    U, s, _ = svd(unfold(v, alpha))
-    r = svd_rank(s, tol)
-    sub = SubspaceBasis(
-        alpha=alpha, basis=U[:, :r], singular_values=s[:r], tol=tol
-    )
-    return sub, U, s
+    return factored_subspaces(v, (alpha,), tol)[alpha]
+
+
+def factored_subspaces(v, nodes, tol):
+    """:func:`factored_subspace` at each distinct node of ``nodes``, keyed
+    by node in order of first appearance, the unfoldings factored by
+    :func:`node_spectra`."""
+    nodes = tuple(dict.fromkeys(nodes))
+    found = node_spectra((v,), _mode_requests(nodes), tol, vectors=True)
+    return {
+        node: (SubspaceBasis(alpha=node, basis=U[:, :r],
+                             singular_values=s[:r], tol=tol), U, s)
+        for node, (r, U, s) in zip(nodes, found)
+    }
 
 
 def tree_rank(v, tree, tol=DEFAULT_TOL):
@@ -185,26 +199,88 @@ def node_ranks(v, blocks, tol):
     """Minimal subspace dimension of ``v`` at each distinct block.
 
     ``v`` must have passed :func:`check_tensor` with ``allow_zero=False``,
-    the blocks must be normalized and ``tol`` checked.  Each block costs
-    one SVD without factors, thresholded as in :func:`minimal_subspace`.
+    the blocks must be normalized and ``tol`` checked.  The singular values
+    alone are taken (:func:`node_spectra`, one SVD without factors per
+    stack of same-shape unfoldings) and thresholded as in
+    :func:`minimal_subspace`.
     """
-    ranks = {}
-    for b in blocks:
-        if b not in ranks:
-            ranks[b] = svd_rank(
-                np.linalg.svd(unfold(v, b), compute_uv=False), tol
-            )
-    return ranks
+    nodes = tuple(dict.fromkeys(blocks))
+    found = node_spectra((v,), _mode_requests(nodes), tol)
+    return {node: r for node, (r, _) in zip(nodes, found)}
+
+
+@lru_cache(maxsize=256)
+def _mode_requests(nodes):
+    """The :func:`unfolding_plan` requests of one array's unfoldings at
+    ``nodes`` (normalized mode subsets)."""
+    return tuple((0, tuple(m - 1 for m in node)) for node in nodes)
+
+
+def node_spectra(pieces, requests, tol, vectors=False, full_matrices=False,
+                 signs=True):
+    """The rank and singular values of each requested unfolding, and with
+    ``vectors`` its left singular vectors, one LAPACK call per stack of
+    unfoldings of one matrix shape.
+
+    ``pieces`` are arrays of finite floats, a tensor through
+    :func:`check_tensor` or a caller's factors each reshaped to one axis
+    per mode; ``requests`` holds ``(piece, axes)`` pairs, ``axes``
+    ascending, as :func:`unfolding_plan` reads them.  Returns one entry per
+    request, in order: ``(r, s)``, or ``(r, U, s)`` with ``vectors`` (the
+    left factor of the thin SVD, or of the full one with
+    ``full_matrices``), ``r`` the count of
+    :func:`~treegeom.tensor.svd_rank` at ``tol``.  The signs of ``U`` are
+    those of :func:`~treegeom.tensor.svd`
+    (:func:`~treegeom.tensor.lead_signs`), or LAPACK's own with ``signs``
+    false, for a caller that reads ranks off ``U S`` alone.
+
+    The unfoldings of one shape are gathered through the plan into stacks
+    of at most :func:`~treegeom.tensor.stack_capacity` matrices, and each
+    stack takes one ``np.linalg.svd`` and one sign fix.  The stacked call
+    runs the same LAPACK routine on each matrix as a call on that matrix
+    alone, so every value and vector is bitwise the one of a per-matrix
+    call.  An unfolding too large to stack is factored by itself through
+    :func:`unfold`, with nothing gathered."""
+    out = [None] * len(requests)
+    shapes = tuple(p.shape for p in pieces)
+    plan = unfolding_plan(shapes, requests)
+    if plan:
+        flat = pieces[0].ravel() if len(pieces) == 1 else np.concatenate(
+            [p.ravel() for p in pieces if stack_capacity(p.size)])
+        for positions, index in plan:
+            r, *factors = _factor(flat[index], tol, vectors, full_matrices,
+                                  signs)
+            for i, entry in zip(positions, zip(r.tolist(), *factors)):
+                out[i] = entry
+    for i, (piece, axes) in enumerate(requests):
+        if out[i] is None:  # too large to stack
+            M = unfold(pieces[piece], tuple(a + 1 for a in axes))
+            out[i] = _factor(M, tol, vectors, full_matrices, signs)
+    return out
+
+
+def _factor(M, tol, vectors, full_matrices, signs):
+    """The :func:`node_spectra` entry of a matrix or of a stack of them."""
+    if not vectors:
+        s = np.linalg.svd(M, compute_uv=False)
+        return svd_rank(s, tol), s
+    U, s, _ = np.linalg.svd(M, full_matrices=full_matrices)
+    if signs:
+        U = U * lead_signs(U)[..., None, :]
+    return svd_rank(s, tol), U, s
 
 
 def unfolding_plan(shapes, requests):
-    """Gather plan of unfoldings of arrays of the given ``shapes`` laid end
-    to end in one flat vector.  ``requests`` holds ``(piece, axes)`` pairs:
+    """Gather plan of unfoldings of arrays of the given ``shapes``, those
+    small enough to stack (:func:`~treegeom.tensor.stack_capacity`) laid
+    end to end in one flat vector.  ``requests`` holds ``(piece, axes)`` pairs:
     the unfolding of array ``piece`` with ``axes`` as its row index, the
     other axes in order as its columns (as ``np.moveaxis(a, axes, ...)``
-    reshaped).  Returns one ``(positions, index)`` pair per distinct matrix
-    shape, in order of first request: the requests' positions and the
-    read-only ``k x m x n`` flat index of their stacked matrices.
+    reshaped).  Returns one ``(positions, index)`` pair per stack, the
+    stacks of one matrix shape in order of first request, each of at most
+    :func:`~treegeom.tensor.stack_capacity` requests: their positions and
+    the read-only ``k x m x n`` flat index of their stacked matrices.  A
+    request on an array too large to stack is in no stack.
 
     The plan is kept or built afresh by the size rule of
     :func:`~treegeom.tensor.planned`."""
@@ -213,9 +289,12 @@ def unfolding_plan(shapes, requests):
 
 
 def _build_plan(shapes, requests):
-    offsets = np.cumsum([0] + [prod(s) for s in shapes])
+    sizes = [prod(s) for s in shapes]
+    offsets = np.cumsum([0] + [n if stack_capacity(n) else 0 for n in sizes])
     groups = {}
     for j, (piece, axes) in enumerate(requests):
+        if not stack_capacity(sizes[piece]):
+            continue
         shp = shapes[piece]
         flat = np.arange(offsets[piece], offsets[piece + 1]).reshape(shp)
         M = np.moveaxis(flat, axes, range(len(axes))).reshape(
@@ -223,9 +302,12 @@ def _build_plan(shapes, requests):
         groups.setdefault(M.shape, []).append((j, M))
     plan = []
     for members in groups.values():
-        index = np.stack([M for _, M in members])
-        index.flags.writeable = False
-        plan.append((tuple(j for j, _ in members), index))
+        size = stack_capacity(members[0][1].size)
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            index = np.stack([M for _, M in chunk])
+            index.flags.writeable = False
+            plan.append((tuple(j for j, _ in chunk), index))
     return tuple(plan)
 
 
@@ -257,21 +339,14 @@ def nested_ranks(tree, factors, shape, tol):
     A node ``beta`` inside ``b`` has the unfolding ``unfold_beta(X_b)
     (I (x) Q^T)``, so its singular values are those of ``X_b``'s own
     ``beta``-unfolding, with ``b``'s other modes and the ``p`` axis as
-    columns.  These are stacked by shape, one SVD without factors per
-    distinct shape, and thresholded as in :func:`minimal_subspace`; the
-    tensor itself is not unfolded again."""
+    columns.  These are read by :func:`node_spectra`, without factors, and
+    thresholded as in :func:`minimal_subspace`; the tensor itself is not
+    unfolded again."""
     columns = tuple((b, X.shape[1]) for b, X in factors.items())
     nodes, shapes, requests = _nested_requests(tree, tuple(shape), columns)
-    if not nodes:
-        return {}
-    flat = np.concatenate([X.ravel() for X in factors.values()])
-    ranks = {}
-    for positions, index in unfolding_plan(shapes, requests):
-        # the batched call runs the same LAPACK routine on each matrix as a
-        # call on that matrix alone
-        found = svd_rank(np.linalg.svd(flat[index], compute_uv=False), tol)
-        ranks.update(zip((nodes[j] for j in positions), found.tolist()))
-    return ranks
+    pieces = [X.reshape(s) for X, s in zip(factors.values(), shapes)]
+    found = node_spectra(pieces, requests, tol)
+    return {node: r for node, (r, _) in zip(nodes, found)}
 
 
 def check_nestedness(v, alpha, sub_partition, tol=DEFAULT_TOL):
@@ -291,9 +366,10 @@ def check_nestedness(v, alpha, sub_partition, tol=DEFAULT_TOL):
             f"{list(blocks)} is not a partition of {alpha}"
         )
     check_tol(tol)
-    big = factored_subspace(v, alpha, tol)[0]
+    found = factored_subspaces(v, (alpha,) + blocks, tol)
+    big = found[alpha][0]
     W = big.basis.reshape([v.shape[a - 1] for a in alpha] + [big.rank])
-    fine = [factored_subspace(v, b, tol)[0].basis for b in blocks]
+    fine = [found[b][0].basis for b in blocks]
     proj = push_blocks(pull_blocks(W, fine, blocks, v.shape), fine, blocks,
                        v.shape)
     return float(np.linalg.norm(W - proj))
@@ -315,8 +391,9 @@ def check_chain(v, tree, tol=DEFAULT_TOL):
         for b in level_partition(tree, k)
     }
     return chain_residuals(
-        v, tree, {b: factored_subspace(v, b, tol)[0].basis for b in blocks}
-    )
+        v, tree,
+        {b: sub.basis for b, (sub, _, _) in
+         factored_subspaces(v, blocks, tol).items()})
 
 
 def chain_residuals(v, tree, bases):

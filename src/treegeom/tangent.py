@@ -93,7 +93,7 @@ from .formats import (
     node_basis,
 )
 from .operators import lifted_part
-from .subspaces import DEFAULT_TOL
+from .subspaces import DEFAULT_TOL, node_spectra
 from .tensor import (
     check_tol,
     complement_modes,
@@ -634,18 +634,12 @@ def _jacobian_rank(v, tree, splits, tol):
                 shape).reshape(-1, basis.shape[1])
     spectra = [(np.linalg.svd(_jacobian(core, tree, bases),
                               compute_uv=False), 1)]
-    # one value-only SVD per distinct shape of the leaf core's unfoldings,
-    # each counted once per complement direction of its leaf
-    by_shape = {}
-    for leaf in leaves:
-        corank = splits[leaf].corank
-        if corank:
-            G = unfold(core, leaf)
-            by_shape.setdefault(G.shape, []).append((G, corank))
-    for group in by_shape.values():
-        values = np.linalg.svd(np.stack([G for G, _ in group]),
-                               compute_uv=False)
-        spectra += zip(values, (c for _, c in group))
+    # the leaf core's unfoldings, one value-only SVD per stack of one
+    # shape, each counted once per complement direction of its leaf
+    cut = [leaf for leaf in leaves if splits[leaf].corank]
+    found = node_spectra((core,), tuple((0, (leaf[0] - 1,)) for leaf in cut),
+                         tol)
+    spectra += [(s, splits[leaf].corank) for leaf, (_, s) in zip(cut, found)]
     reference = max(s[0] for s, _ in spectra if s.size)
     return sum(copies * int(np.count_nonzero(s > tol * reference))
                for s, copies in spectra)

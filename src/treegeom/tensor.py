@@ -26,7 +26,7 @@ import json
 import operator
 import struct
 from functools import lru_cache
-from math import inf, prod
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -151,19 +151,31 @@ def _contract_lead(t, B):
     return np.dot(at, B).reshape(rest + B.shape[1:])
 
 
+def lead_signs(U):
+    """The deterministic SVD sign of each left singular vector, as ``1.0``
+    or ``-1.0``, for one factor or a stack of them (``U`` of shape
+    ``(..., m, k)``, the result ``(..., k)``): the sign that makes the
+    vector's entry of largest magnitude nonnegative, ties broken at the
+    lowest index.  A vector with no entries keeps its sign."""
+    m, k = U.shape[-2:]
+    if not m:
+        return np.ones(U.shape[:-2] + (k,))
+    U3 = U.reshape(-1, m, k)
+    lead = U3[np.arange(len(U3))[:, None], np.abs(U3).argmax(axis=1),
+              np.arange(k)]
+    return np.where(lead < 0, -1.0, 1.0).reshape(U.shape[:-2] + (k,))
+
+
 def _fix_signs(U, Vt):
-    """Deterministic SVD signs: in each left singular vector the entry of
-    largest magnitude is made nonnegative (ties break at the lowest index),
-    and the matching row of ``Vt``, where there is one, flips with it."""
-    cols = np.arange(U.shape[1])
-    # an empty U (the SVD of a matrix with no rows) has no column to flip
-    lead = np.argmax(np.abs(U), axis=0) if U.size else cols
+    """``U`` and ``Vt`` of an SVD with the signs of :func:`lead_signs`:
+    each column of ``U`` and the matching row of ``Vt``, where there is
+    one, flip together."""
+    sign = lead_signs(U)
     # a product with 1.0 or -1.0 is exact: only the flipped signs change
-    sign = np.where(U[lead, cols] < 0, -1.0, 1.0)
     Vt = Vt.copy()
-    k = min(len(cols), len(Vt))
-    Vt[:k] *= sign[:k, None]
-    return U * sign, Vt
+    k = min(U.shape[-1], Vt.shape[-2])
+    Vt[..., :k, :] *= sign[..., :k, None]
+    return U * sign[..., None, :], Vt
 
 
 def svd(M, full_matrices=False):
@@ -185,16 +197,18 @@ def svd(M, full_matrices=False):
 
 
 def check_tol(tol):
-    """``tol`` if it is a finite real number > 0; ``None``, NaN, an
-    infinity, zero or a negative number is an input error."""
+    """``tol`` if it is a real number with ``0 < tol < 1``; ``None``, NaN,
+    an infinity, zero, a negative number or one at least 1 (which would
+    keep no singular value, the largest included) is an input error."""
     # one comparison, not an isinstance check on an abstract class: every
     # svd_rank call pays it; what does not compare with numbers raises
     try:
-        if 0 < tol < inf:
+        if 0 < tol < 1:
             return tol
     except (TypeError, ValueError):
         pass
-    raise InvalidArgumentError(f"tol must be a finite number > 0, got {tol!r}")
+    raise InvalidArgumentError(
+        f"tol must be a number > 0 and < 1, got {tol!r}")
 
 
 def check_integer(value, name, low):
@@ -267,12 +281,23 @@ def planned(kept, build, entries, *args):
     return (kept if entries <= _KEPT_PLAN_ENTRIES else build)(*args)
 
 
+def stack_capacity(entries):
+    """How many matrices of ``entries`` entries each one stacked
+    factorization takes: as many as fit in :data:`_KEPT_PLAN_ENTRIES`
+    entries, and none when one such matrix alone is above it (it is then
+    factored by itself, with nothing gathered)."""
+    return _KEPT_PLAN_ENTRIES // max(entries, 1)
+
+
 # Chart reads index a few small arrays (unfoldings of matrices of at most
 # n_b x r_b entries, block embeddings on spaces of a few dozen entries), so
 # one process meets few plans, each a few KiB, and rebuilding one costs more
 # than the work it feeds.  A plan over a large tensor (N n_alpha entries
 # for a block embedding) is not kept: the bound keeps each cache below
-# 32 MiB.
+# 32 MiB.  The same bound caps a stack of unfoldings factored in one call
+# (:func:`stack_capacity`), so batching a small tensor's nodes gathers a
+# few KiB and a large tensor's unfoldings are factored one at a time, as
+# they stand.
 _KEPT_PLAN_ENTRIES = 2 ** 14
 _kept_index = lru_cache(maxsize=256)(_build_index)
 

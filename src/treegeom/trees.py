@@ -99,6 +99,9 @@ class DimensionTree:
         for parent, kids in self.sons.items():
             for kid in kids:
                 self._parent.setdefault(kid, parent)
+        # the tree is immutable, so its hash is taken once: every cache
+        # keyed by a tree (the nested rank requests, the anchor slot) reads it
+        self._hash = hash((self.ndim, tuple(sorted(self.sons.items()))))
 
     def _lookup(self, table, node, default):
         """``table`` at a node given as a canonical tuple, read directly,
@@ -121,7 +124,7 @@ class DimensionTree:
         return self.ndim == other.ndim and self.sons == other.sons
 
     def __hash__(self):
-        return hash((self.ndim, tuple(sorted(self.sons.items()))))
+        return self._hash
 
     def __repr__(self):
         return f"DimensionTree(ndim={self.ndim}, nodes={len(self.nodes)})"

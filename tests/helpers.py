@@ -434,3 +434,38 @@ def fix_signs_loop(U, Vt):
             if j < Vt.shape[0]:
                 Vt[j, :] = -Vt[j, :]
     return U, Vt
+
+
+def unfolding_shapes(shape, nodes):
+    """The distinct matrix shapes of the unfoldings of a tensor of ``shape``
+    at ``nodes``: the node spectra take one SVD per shape."""
+    N = prod(shape)
+    sizes = {prod(shape[m - 1] for m in node) for node in nodes}
+    return {(n, N // n) for n in sizes}
+
+
+def record_node_requests(monkeypatch, shape):
+    """Count the nodes requested from ``subspaces.node_spectra`` on a
+    tensor of ``shape`` (each request's axes as a mode tuple), in every
+    treegeom module that binds it; requests on other arrays (a chart core,
+    a block factor, a basis) are not counted."""
+    import importlib
+    from collections import Counter
+
+    from treegeom import subspaces
+
+    inner = subspaces.node_spectra
+    requested = Counter()
+
+    def counted(pieces, requests, *args, **kwargs):
+        if len(pieces) == 1 and pieces[0].shape == tuple(shape):
+            requested.update(tuple(a + 1 for a in axes)
+                             for _, axes in requests)
+        return inner(pieces, requests, *args, **kwargs)
+
+    for name in ("subspaces", "formats", "operators", "charts", "tangent",
+                 "cli"):
+        module = importlib.import_module("treegeom." + name)
+        if getattr(module, "node_spectra", None) is inner:
+            monkeypatch.setattr(module, "node_spectra", counted)
+    return requested

@@ -18,7 +18,12 @@ from treegeom.errors import InvalidArgumentError, NotOnManifoldError
 from treegeom.operators import tree_splits
 from treegeom.subspaces import DEFAULT_TOL, TreeRank, factored_subspace
 
-from helpers import capped_rank_tuple, kron_jacobian
+from helpers import (
+    capped_rank_tuple,
+    kron_jacobian,
+    record_node_requests,
+    unfolding_shapes,
+)
 
 DEEP = [[[1], [[2], [3]]], [4]]
 MIXED = [[[1], [[2], [3]]], [[4], [5]], [6]]
@@ -200,14 +205,21 @@ def test_split_of_a_rank_deficient_node_is_orthogonal(node):
     assert_orthogonal(split)
 
 
-@pytest.mark.parametrize("name,count", [("deep-3333", 7), ("tucker-3^6", 6)])
-def test_cold_splits_take_one_svd_per_node_and_tall_node(
+@pytest.mark.parametrize("name,count", [("deep-3333", 4), ("tucker-3^6", 1)])
+def test_cold_splits_take_one_svd_per_unfolding_shape_and_tall_basis_shape(
         monkeypatch, name, count):
+    # each non-root node is requested once; the unfoldings of one shape
+    # share one SVD, and the bases of the tall nodes one full SVD per shape
+    # (deep 3^4: 27 x 3, 3 x 27 and 9 x 9, then the 27 x 2 basis of
+    # {1, 2, 3}; Tucker 3^6: six 3 x 243 leaves)
     v, tree, _ = ladder_case(name, 0)
     nodes = [node for node in tree.nodes if node != tree.root]
+    requested = record_node_requests(monkeypatch, v.shape)
     svds = counter(monkeypatch, np.linalg, "svd")
-    tree_splits(v, tree, DEFAULT_TOL)
-    assert len(svds) == len(nodes) + sum(tall(v, node) for node in nodes)
+    splits = tree_splits(v, tree, DEFAULT_TOL)
+    tall_bases = {splits[node].u.shape for node in nodes if tall(v, node)}
+    assert requested == dict.fromkeys(nodes, 1)
+    assert len(svds) == len(unfolding_shapes(v.shape, nodes)) + len(tall_bases)
     assert len(svds) == count
 
 
@@ -223,7 +235,7 @@ def test_jacobian_equals_the_kronecker_reference(name, empty_anchor_slot):
 def test_warm_anchor_factors_nothing(monkeypatch, empty_anchor_slot):
     v, tree, r = deep_case()
     quiet_chart(v, tree, r)
-    subspaces_run = counter(monkeypatch, operators, "factored_subspace")
+    subspaces_run = counter(monkeypatch, operators, "factored_subspaces")
     bases_built = counter(monkeypatch, tangent, "tree_operator_basis")
     svds = counter(monkeypatch, np.linalg, "svd")
     tg.tangent_dimension(v, tree, r)
@@ -233,10 +245,12 @@ def test_warm_anchor_factors_nothing(monkeypatch, empty_anchor_slot):
     # SVD of the Jacobian at the leaf core, one of the leaf core's
     # unfoldings stacked (every leaf's is 2 x 8 here)
     assert (subspaces_run, bases_built, svds) == ([], [], [False, False])
-    # the counters see a cold call
+    # the counters see a cold call, which requests every non-root node once
     tangent._clear_anchor()
+    requested = record_node_requests(monkeypatch, v.shape)
     tg.immersion_check(v, tree, r, 1)
-    assert len(subspaces_run) == len(tree.nodes) - 1
+    assert len(subspaces_run) == 1
+    assert requested == {node: 1 for node in tree.nodes if node != tree.root}
     assert len(bases_built) == 1
 
 
@@ -272,7 +286,7 @@ def test_any_changed_argument_misses(monkeypatch, what, empty_anchor_slot):
     v, tree, r = deep_case()
     before = tg.tangent_dimension(v, tree, r)
     state = tangent._anchor_slot
-    subspaces_run = counter(monkeypatch, operators, "factored_subspace")
+    subspaces_run = counter(monkeypatch, operators, "factored_subspaces")
     if what == "in place":
         v *= 2.0
         assert tg.tangent_dimension(v, tree, r) == before
@@ -345,7 +359,7 @@ def test_non_member_raises_every_call_and_keeps_nothing(empty_anchor_slot):
 def test_non_integer_level_factors_nothing(monkeypatch, k, empty_anchor_slot):
     v, tree, r = deep_case()
     svds = counter(monkeypatch, np.linalg, "svd")
-    unfolded = counter(monkeypatch, operators, "factored_subspace")
+    unfolded = counter(monkeypatch, operators, "factored_subspaces")
     with pytest.raises(InvalidArgumentError, match="level must be an integer"):
         tg.immersion_check(v, tree, r, k)
     assert (svds, unfolded) == ([], [])
@@ -375,7 +389,7 @@ def test_oracle_path_builds_no_operator_basis(monkeypatch, empty_anchor_slot):
 def test_out_of_range_level_factors_nothing(monkeypatch, k, empty_anchor_slot):
     v, tree, r = deep_case()
     svds = counter(monkeypatch, np.linalg, "svd")
-    unfolded = counter(monkeypatch, operators, "factored_subspace")
+    unfolded = counter(monkeypatch, operators, "factored_subspaces")
     with pytest.raises(InvalidArgumentError, match="out of range"):
         tg.immersion_check(v, tree, r, k)
     assert (svds, unfolded) == ([], [])

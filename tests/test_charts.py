@@ -589,14 +589,15 @@ def test_reconstruction_check_is_scale_free(c):
 
 @pytest.mark.parametrize("kind,shape,most", [
     ("deep", (3, 3, 3, 3), 12),
-    ("tucker", (3, 3, 3, 3), 10),
+    ("tucker", (3, 3, 3, 3), 7),
     ("mixed", (2, 2, 2, 2, 2, 2), 17),
 ])
 def test_round_trip_svd_count(monkeypatch, kind, shape, most):
     # a point, its inverse and the point again factor each chart point once:
-    # one SVD per level-1 unfolding of the point, one batched SVD per
-    # distinct shape of the small matrices every other rank is read off,
-    # and none for the second point, which the inverse has reconstructed
+    # each level-1 unfolding of the point is one matrix of one batched SVD
+    # per distinct unfolding shape, one batched SVD per distinct shape of
+    # the small matrices every other rank is read off, and none for the
+    # second point, which the inverse has reconstructed
     v, r, chart = make_chart(anchor_case_tree(kind), shape, seed=35)
     gen = np.random.default_rng(36)
     coords = 0.1 * gen.standard_normal(chart.operator_basis.dim)
@@ -612,7 +613,9 @@ def test_round_trip_svd_count(monkeypatch, kind, shape, most):
     w = tg.tree_chart_point(chart, coords, core)
     start = len(inputs)
     rec_coords, rec_core = tg.tree_chart_inverse(chart, w)
-    inverse_inputs = inputs[start:]
+    # the matrices of each call, a stack's one by one
+    inverse_inputs = [M for A in inputs[start:]
+                      for M in (A if A.ndim == 3 else [A])]
     tg.tree_chart_point(chart, rec_coords, rec_core)
     assert len(inputs) <= most
     for b in chart.level_partitions[0]:

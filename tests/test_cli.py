@@ -11,7 +11,7 @@ import treegeom as tg
 from treegeom.cli import main
 from treegeom.subspaces import TreeRank, ranks_to_json
 
-from helpers import capped_rank_tuple
+from helpers import capped_rank_tuple, record_node_requests, unfolding_shapes
 
 
 @pytest.fixture
@@ -79,23 +79,26 @@ class TestAnalyze:
         assert code == 2
 
     def test_factors_each_node_once(self, workspace, capsys, monkeypatch):
-        from treegeom import subspaces
-
+        # each node is requested once, and the unfoldings of one shape share
+        # one SVD with vectors
+        requested = record_node_requests(monkeypatch, workspace["shape"])
         calls = []
-        unfold = subspaces.unfold
+        svd = np.linalg.svd
 
-        def counted(v, alpha):
-            calls.append(alpha)
-            return unfold(v, alpha)
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(subspaces, "unfold", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         code = run([
             "analyze", "--tensor", workspace["tensor"],
             "--tree", workspace["tree"],
         ])
         assert code == 0
         tree = tg.tree_from_json(open(workspace["tree"]).read())
-        assert len(calls) == len(tree.nodes)
+        assert requested == dict.fromkeys(tree.nodes, 1)
+        assert calls == [True] * len(
+            unfolding_shapes(workspace["shape"], tree.nodes))
 
     def test_report_has_no_seed(self, workspace, capsys):
         run(["analyze", "--tensor", workspace["tensor"],
@@ -268,15 +271,18 @@ def test_proper_decides_any_shape(tmp_path, capsys, monkeypatch):
         tree, r, (1000,) * 6)
 
 
+@pytest.mark.parametrize("tol", ["nan", "1", "2.5"])
 @pytest.mark.parametrize("command", [
     "analyze", "membership", "generate", "chart-check", "tangent",
 ])
-def test_nan_tolerance_exits_two_with_no_report(workspace, capsys, command):
+def test_bad_tolerance_exits_two_with_no_report(workspace, capsys, command,
+                                                tol):
     # a NaN tolerance is an input error on every subcommand that takes one:
     # no report (a report would carry "tol": NaN, which is no JSON) and no
-    # tensor file
+    # tensor file; so is a tolerance >= 1, which keeps no singular value
+    # (before, analyze --tol 1 exited 0 with rank 0 at every node)
     out = workspace["dir"] / "out.json"
-    args = [command, "--tree", workspace["tree"], "--tol", "nan"]
+    args = [command, "--tree", workspace["tree"], "--tol", tol]
     if command == "generate":
         args += ["--shape", ",".join(map(str, workspace["shape"]))]
     else:
@@ -287,7 +293,7 @@ def test_nan_tolerance_exits_two_with_no_report(workspace, capsys, command):
     assert run(args + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "tol must be a finite number > 0" in captured.err
+    assert "tol must be a number > 0 and < 1" in captured.err
     assert not out.exists()
 
 
@@ -351,11 +357,13 @@ def test_negative_seed_exits_two_with_no_report(workspace, capsys,
 
 class TestWorkCounts:
     """Each verdict subcommand computes each fact once per call, counted by
-    wrapping functions on a linear 3^6 instance: one SVD per tree node for
-    ``generate`` (the generation loop's rank profile is the verification)
-    and none for ``proper``, one evaluation of the necessary conditions and one rank-tuple check
-    for ``generate`` and ``proper``, and two finiteness scans for
-    ``analyze`` (the file's and the nonzero check)."""
+    wrapping functions on a linear 3^6 instance: one SVD per distinct
+    unfolding shape of the tree nodes (6 for the 11 nodes) for ``generate``
+    (the generation loop's rank profile is the verification) and
+    ``analyze``, and none for ``proper``; one evaluation of the necessary
+    conditions and one rank-tuple check for ``generate`` and ``proper``;
+    and two finiteness scans for ``analyze`` (the file's and the nonzero
+    check)."""
 
     @pytest.fixture
     def linear6(self, tmp_path):
@@ -366,7 +374,9 @@ class TestWorkCounts:
         ranks.write_text(ranks_to_json(r))
         tensor = tmp_path / "v.json"
         tg.save_tensor(tensor, tg.random_tree_tensor(tree, r, shape, seed=1))
-        return tmp_path, str(ranks), str(tensor), len(tree.nodes)
+        n_shapes = len(unfolding_shapes(shape, tree.nodes))
+        assert n_shapes == 6
+        return tmp_path, str(ranks), str(tensor), n_shapes
 
     @staticmethod
     def count(monkeypatch, module, name, calls):
@@ -399,13 +409,13 @@ class TestWorkCounts:
         return code, calls
 
     def test_generate(self, linear6, monkeypatch, capsys):
-        d, ranks, _, n_nodes = linear6
+        d, ranks, _, n_shapes = linear6
         code, calls = self.run_counted(monkeypatch, [
             "generate", "--tree", "linear", "--ranks", ranks,
             "--shape", "3,3,3,3,3,3", "--seed", "1", "--out", d / "g.json",
         ], ["svd", "necessary_rank_conditions", "_check_rank_args"])
         assert code == 0 and read_json(capsys)["verified"] is True
-        assert calls == {"svd": n_nodes, "necessary_rank_conditions": 1,
+        assert calls == {"svd": n_shapes, "necessary_rank_conditions": 1,
                          "_check_rank_args": 1}
 
     def test_proper(self, linear6, monkeypatch, capsys):
@@ -419,13 +429,13 @@ class TestWorkCounts:
                          "_check_rank_args": 1}
 
     def test_analyze(self, linear6, monkeypatch, capsys):
-        d, _, tensor, n_nodes = linear6
+        d, _, tensor, n_shapes = linear6
         code, calls = self.run_counted(monkeypatch, [
             "analyze", "--tensor", tensor, "--tree", "linear",
             "--out", d / "a.json",
         ], ["check_tensor", "svd"])
         assert code == 0
-        assert calls == {"check_tensor": 2, "svd": n_nodes}
+        assert calls == {"check_tensor": 2, "svd": n_shapes}
 
 
 class TestGenerate:

@@ -28,7 +28,9 @@ from helpers import (
     kind_tree,
     kron_contract_network,
     random_tucker_tensor,
+    record_node_requests,
     sampled_properness,
+    unfolding_shapes,
 )
 
 
@@ -87,6 +89,22 @@ class TestTuckerMembership:
         v = elementary((2, 2, 2, 2), seed=1)
         with pytest.raises(InvalidArgumentError, match=r"\{3, 4\}"):
             tg.tucker_membership(v, [(1, 2), (3, 4)], {(1, 2): 1})
+
+    @pytest.mark.parametrize("partition", [
+        [(1,), (1,), (2, 3, 4)],  # overlapping blocks
+        [(1,), (1, 2), (3, 4)],
+        [(1,), (2,)],  # missing modes
+        [(1, 2, 3)],
+    ], ids=["repeated", "overlapping", "missing-two", "missing-one"])
+    def test_blocks_must_partition_the_modes(self, partition, monkeypatch):
+        # before, a repeated block read as (True, (1, 1, 1)) and blocks
+        # missing modes as a verdict on the modes they named
+        v = elementary((2, 3, 2, 3), seed=1)
+        ranks = {tuple(b): 1 for b in partition}
+        monkeypatch.setattr(np.linalg, "svd", None)
+        with pytest.raises(InvalidArgumentError,
+                           match="is not a partition of the modes 1..4"):
+            tg.tucker_membership(v, partition, ranks)
 
 
 class TestIsMember:
@@ -166,13 +184,17 @@ class TestIsMember:
             assert err.value.levels == \
                 tg.is_member(v, mixed_tree_d6, r_bad).failing_levels()
 
-    def test_one_singular_value_solve_per_node(self, monkeypatch):
+    def test_one_singular_value_solve_per_unfolding_shape(self, monkeypatch):
         # a leaf of the linear tree sits in every level partition below its
-        # own, so deciding the levels one by one factors it again each time
+        # own, so deciding the levels one by one would factor it again each
+        # time; the profile requests each node once and stacks the
+        # unfoldings of one shape into one SVD without factors: 6 shapes
+        # for the 9 nodes here
         tree = tg.linear_tree(5)
         shape = (2, 3, 2, 3, 2)
         r = capped_rank_tuple(tree, shape)
         v = tg.random_tree_tensor(tree, r, shape, seed=0)
+        requested = record_node_requests(monkeypatch, shape)
         calls = []
         svd = np.linalg.svd
 
@@ -182,7 +204,9 @@ class TestIsMember:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         assert tg.is_member(v, tree, r).member
-        assert calls == [False] * len(tree.nodes)
+        assert requested == dict.fromkeys(tree.nodes, 1)
+        assert calls == [False] * len(unfolding_shapes(shape, tree.nodes))
+        assert len(calls) == 6
 
 
 class TestBoundedRank:

@@ -11,13 +11,16 @@ from treegeom.subspaces import (
     TreeRank,
     _kept_plan,
     _nested_requests,
+    factored_subspaces,
     nested_ranks,
     node_ranks,
+    node_spectra,
     ranks_from_json,
     ranks_to_json,
     unfolding_plan,
 )
-from treegeom.tensor import svd_rank
+from treegeom.operators import tree_splits
+from treegeom.tensor import _fix_signs, svd_rank
 
 from helpers import (
     KRONECKER_CASES,
@@ -274,6 +277,118 @@ class TestNestedRanks:
         factors = {(m,): rng.standard_normal((3, 2)) for m in (1, 2, 3)}
         monkeypatch.setattr(np.linalg, "svd", None)
         assert nested_ranks(tree, factors, (3, 3, 3), self.TOL) == {}
+
+
+def _spectra_cases():
+    """Tensors over deep, linear, binary, mixed and Tucker trees with every
+    mode >= 3: a generic member at cap-2 ranks, and an integer tensor with
+    a zero slice and a repeated one, whose unfoldings have exact-zero
+    singular values and left singular vectors whose entries of largest
+    magnitude tie."""
+    rng = np.random.default_rng(41)
+    for kind, shape in KRONECKER_CASES:
+        tree = kind_tree(kind, len(shape))
+        r = capped_rank_tuple(tree, shape)
+        yield tree, tg.random_tree_tensor(tree, r, shape, seed=5)
+        w = rng.integers(-1, 2, size=shape).astype(float)
+        w[0] = 0.0
+        w[1] = w[2]
+        yield tree, w
+
+
+class TestNodeSpectra:
+    """Stacked by shape, every node's factors are bitwise the ones of its
+    own SVD, and a tensor too large to stack is factored matrix by
+    matrix."""
+
+    TOL = tg.DEFAULT_TOL
+
+    def test_stacked_factors_equal_the_per_node_ones(self):
+        zeros = ties = 0
+        for tree, v in _spectra_cases():
+            nodes = sorted(tree.nodes)
+            requests = tuple((0, tuple(m - 1 for m in node))
+                             for node in nodes)
+            values = node_spectra((v,), requests, self.TOL)
+            factors = node_spectra((v,), requests, self.TOL, vectors=True)
+            for node, (r, s), (r_uv, U, s_uv) in zip(nodes, values, factors):
+                M = tg.matricize(v, node)
+                U_ref, s_ref, _ = tg.svd(M)
+                assert np.array_equal(s, np.linalg.svd(M, compute_uv=False))
+                assert np.array_equal(s_uv, s_ref)
+                assert np.array_equal(U, U_ref)
+                assert r == svd_rank(s, self.TOL)
+                assert r_uv == svd_rank(s_ref, self.TOL)
+                zeros += int(np.sum(s_ref == 0.0))
+                top = np.abs(U_ref) == np.abs(U_ref).max(axis=0)
+                ties += int(np.sum(top.sum(axis=0) > 1))
+            # the one sign rule, on a stack and on each matrix, Vt included
+            by_shape = {}
+            for node in nodes:
+                M = tg.matricize(v, node)
+                by_shape.setdefault(M.shape, []).append(M)
+            for mats in by_shape.values():
+                U, s, Vt = np.linalg.svd(np.stack(mats), full_matrices=False)
+                U, Vt = _fix_signs(U, Vt)
+                for k, M in enumerate(mats):
+                    for got, want in zip((U[k], s[k], Vt[k]), tg.svd(M)):
+                        assert np.array_equal(got, want)
+        assert zeros > 0 and ties > 0
+
+    def test_public_paths_equal_the_per_node_factors(self):
+        for tree, v in _spectra_cases():
+            nodes = [node for node in tree.nodes if node != tree.root]
+            splits = tree_splits(v, tree, self.TOL)
+            factored = factored_subspaces(v, nodes, self.TOL)
+            for node in nodes:
+                U, s, _ = tg.svd(tg.matricize(v, node))
+                sub, U_got, s_got = factored[node]
+                assert np.array_equal(U_got, U) and np.array_equal(s_got, s)
+                assert np.array_equal(sub.basis,
+                                      tg.minimal_subspace(v, node).basis)
+                if U.shape[1] < U.shape[0]:
+                    U, _, _ = tg.svd(sub.basis, full_matrices=True)
+                assert np.array_equal(splits[node].u, sub.basis)
+                assert np.array_equal(splits[node].w, U[:, sub.rank:])
+            assert node_ranks(v, tree.nodes, self.TOL) == {
+                node: tg.minimal_subspace(v, node).rank
+                for node in tree.nodes}
+
+    @pytest.mark.parametrize("tree,shape", [
+        (tg.tucker_tree(3), (26, 26, 26)),
+        (tg.linear_tree(4), (12, 12, 12, 12)),
+    ], ids=["tucker-26^3", "linear-12^4"])
+    def test_a_tensor_above_the_bound_is_factored_unstacked(
+            self, tree, shape, monkeypatch, tmp_path):
+        # N > 2^14 entries: every unfolding of the tensor, and every level-1
+        # factor as large, reaches the SVD alone as a matrix; only the small
+        # bases of the tall nodes are stacked, never above the bound
+        from treegeom.cli import main
+
+        r = capped_rank_tuple(tree, shape)
+        v = tg.random_tree_tensor(tree, r, shape, seed=3)
+        N = v.size
+        assert N > 2 ** 14
+        path = tmp_path / "v.bin"
+        tg.save_tensor(path, v)
+        inputs = []
+        svd = np.linalg.svd
+
+        def recorded(M, *args, **kwargs):
+            inputs.append((np.ndim(M), np.size(M)))
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        assert tg.is_member(v, tree, r).member
+        assert tg.tree_rank(v, tree) == r
+        assert member_subspaces(v, tree, r, self.TOL)[0].member
+        tree_splits(v, tree, self.TOL)
+        assert main(["analyze", "--tensor", str(path), "--tree",
+                     {3: "tucker", 4: "linear"}[v.ndim],
+                     "--out", str(tmp_path / "a.json")]) == 0
+        assert (2, N) in inputs
+        assert all(size <= 2 ** 14 for ndim, size in inputs if ndim == 3)
+        assert all(ndim == 2 for ndim, size in inputs if size >= N)
 
 
 class TestNestedness:

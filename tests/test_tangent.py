@@ -25,6 +25,7 @@ from helpers import (
     kron_network_parameters,
     per_entry_jacobian,
     principal_angle_residual,
+    record_node_requests,
 )
 from oracles import (
     block_residual_factors,
@@ -760,19 +761,15 @@ UNFOLD_CASES = [
 ], ids=["tree_chart", "tangent_dimension", "immersion_check"])
 def test_anchor_is_factored_once_per_node(tree, shape, call, monkeypatch):
     # membership, the operator spaces and the Jacobian share one split per
-    # non-root node; the root unfolding carries no information
+    # non-root node, each node requested once; the root unfolding carries
+    # no information.  These anchors are small, so their unfoldings are
+    # stacked by shape and never unfolded one by one
     r = capped_rank_tuple(tree, shape)
     v = tg.random_tree_tensor(tree, r, shape, seed=2)
-    unfolded = Counter()
-    unfold = subspaces.unfold
-
-    def counted(v, alpha):
-        unfolded[alpha] += 1
-        return unfold(v, alpha)
-
-    monkeypatch.setattr(subspaces, "unfold", counted)
+    requested = record_node_requests(monkeypatch, shape)
+    monkeypatch.setattr(subspaces, "unfold", None)
     call(v, tree, r)
-    assert unfolded == Counter(n for n in tree.nodes if n != tree.root)
+    assert requested == Counter(n for n in tree.nodes if n != tree.root)
 
 
 @pytest.mark.filterwarnings("ignore:fixed-rank set is not proper")

@@ -277,13 +277,17 @@ class TestImmutability:
         for copy in (pickle.loads(pickle.dumps(deep_tree_d4)),
                      deepcopy(deep_tree_d4)):
             assert copy == deep_tree_d4
+            assert hash(copy) == hash(deep_tree_d4)
             assert levels(copy).depth == 3
 
 
 def test_equality_is_structural(deep_tree_d4):
     rebuilt = tree_from_nested([[[1], [[2], [3]]], [4]])
     assert rebuilt == deep_tree_d4
+    assert hash(rebuilt) == hash(deep_tree_d4)
     assert rebuilt != tucker_tree(4)
+    # the sons are read once, when the tree is built: the hash is kept
+    assert len({deep_tree_d4: 1, rebuilt: 2, tucker_tree(4): 3}) == 2
 
 
 def _lookup_trees(d, seed):

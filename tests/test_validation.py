@@ -21,7 +21,8 @@ from helpers import capped_rank_tuple
 MODULES = ("tensor", "trees", "subspaces", "formats", "operators", "charts",
            "tangent", "cli")
 
-BAD_TOLS = [None, math.nan, math.inf, -math.inf, 0, 0.0, -1e-10, "1e-10"]
+BAD_TOLS = [None, math.nan, math.inf, -math.inf, 0, 0.0, -1e-10, "1e-10", 1,
+            1.0, 2.0]
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ def test_bad_tolerance_rejected_before_any_svd(case, name, tol, monkeypatch,
 
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     with pytest.raises(InvalidArgumentError,
-                       match="tol must be a finite number > 0"):
+                       match="tol must be a number > 0 and < 1"):
         TOL_CALLS[name](case, tol)
     assert calls == []
 
