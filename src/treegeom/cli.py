@@ -41,6 +41,7 @@ from .tensor import (
     check_tol,
     load_tensor,
     save_tensor,
+    write_file,
 )
 from .trees import (
     balanced_binary_tree,
@@ -97,10 +98,20 @@ def _print(text):
         os.close(devnull)
 
 
+def _render(report, args):
+    """A report's text: small tables with ``--human``, indented JSON
+    otherwise."""
+    if args.human:
+        return _render_human(report)
+    return json.dumps(report, indent=2)
+
+
 def _emit(report, args):
-    text = _render_human(report) if args.human else json.dumps(report, indent=2)
+    """Print a report, or with ``--out`` write it, newline-terminated and
+    UTF-8 encoded, to that file in place (:func:`tensor.write_file`)."""
+    text = _render(report, args)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_file(args.out, [(text + "\n").encode()])
     else:
         _print(text)
 
@@ -244,12 +255,14 @@ def _generation_command_bytes(tree, r, shape):
     """Estimated peak bytes of a ``generate`` run, read off the shape and
     the rank profile: 16 MiB for the buffers of the BLAS and
     the interpreter plus, in doubles, the network's parameters and
-    ``16 * N``.  The largest of the ``N``-sized stages is writing a JSON
-    tensor: the tensor, the list of numbers it is printed from (4 per
-    entry), the text and its encoded bytes (about 3 each).  The others are
-    smaller: contracting the network (no node's basis exceeds ``N``, and
-    each contraction step copies its input once) and one unfolding at a
-    time with the copy its SVD works on."""
+    ``16 * N``.  The ``N``-sized stages are contracting the network (no
+    node's basis exceeds ``N``, and each contraction step copies its input
+    once) and one unfolding at a time with the copy its SVD works on.
+    Writing the tensor adds no ``N``-sized copy: a binary file is written
+    from the array itself, and a JSON file one piece of at most 65536
+    entries at a time, the piece's list of numbers (4 doubles per entry),
+    its text and the text's encoded bytes (about 3 each), 5 MiB at
+    most."""
     entries = 16 * prod(shape) + _network_parameter_count(tree, r, shape)
     return 2 ** 24 + 8 * entries
 
@@ -345,7 +358,7 @@ def cmd_generate(args):
         doc.update(written=str(out), shape=list(shape), verified=True)
         code = EXIT_OK
     # --out names the tensor file, so the report always goes to stdout
-    _print(_render_human(doc) if args.human else json.dumps(doc, indent=2))
+    _print(_render(doc, args))
     return code
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 import operator
+import os
+import stat
 import struct
 from functools import lru_cache
 from math import prod
@@ -310,32 +312,74 @@ _kept_index = lru_cache(maxsize=256)(_build_index)
 
 
 # entries per piece of a JSON tensor's data list: each piece is one list of
-# Python floats and its text, a few MB at most, instead of the whole tensor
-# held as both
+# Python floats, its text and the text's bytes, a few MB at most, instead of
+# the whole tensor held as all three
 _JSON_CHUNK = 65536
+
+
+def write_file(path, chunks):
+    """Write the byte chunks ``chunks`` (any buffers) to ``path`` in place:
+    the file is opened for writing, created if missing, but not truncated
+    to zero; every chunk is written in turn from offset 0, a short write
+    resumed where it stopped, and a regular file is then cut to the bytes
+    written, also when a chunk raises.  The result is the bytes of a
+    truncating write, in the same inode, and an interrupted write leaves
+    exactly what was written.  A device, a pipe or ``/dev/null`` is written
+    and never cut.
+
+    Truncating an existing file to zero frees its blocks, and the file
+    system starts writing the new ones back when the file is closed; in
+    place, neither happens.  So after a power loss before the kernel writes
+    the file back, a rewritten file can hold its old bytes cut to the new
+    length.  Nothing is synced: durability is not promised."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    written = 0
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk).cast("B")
+            while view:
+                n = os.write(fd, view)
+                written += n
+                view = view[n:]
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def save_tensor(path, v):
     """Write a tensor; JSON if the suffix is .json, binary otherwise.
 
     The JSON text is the bytes of ``json.dumps({"shape": ..., "data":
-    ...})``, written a chunk of entries at a time."""
+    ...})``, encoded and written a chunk of entries at a time; the binary
+    payload is written from the array itself, with no copy when it is
+    already little-endian and contiguous.  Either is written in place
+    through :func:`write_file`."""
     v = check_tensor(v)
-    path = Path(path)
-    if path.suffix == ".json":
-        flat = v.ravel()
-        with path.open("w", encoding="utf-8") as f:
-            f.write(f'{{"shape": {json.dumps(list(v.shape))}, "data": [')
-            for start in range(0, flat.size, _JSON_CHUNK):
-                if start:
-                    f.write(", ")
-                f.write(json.dumps(flat[start:start + _JSON_CHUNK].tolist())
-                        [1:-1])
-            f.write("]}")
+    if Path(path).suffix == ".json":
+        write_file(path, _json_chunks(v))
     else:
         d = v.ndim
         header = struct.pack("<Q", d) + struct.pack(f"<{d}Q", *v.shape)
-        path.write_bytes(header + v.astype("<f8").tobytes(order="C"))
+        write_file(path, (header, np.ascontiguousarray(v, dtype="<f8")))
+
+
+def _json_chunks(v):
+    """The UTF-8 text of a JSON tensor, one piece of entries at a time."""
+    flat = v.ravel()
+    yield f'{{"shape": {json.dumps(list(v.shape))}, "data": ['.encode()
+    for start in range(0, flat.size, _JSON_CHUNK):
+        if start:
+            yield b", "
+        piece = flat[start:start + _JSON_CHUNK].tolist()
+        yield json.dumps(piece)[1:-1].encode()
+    yield b"]}"
+
+
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _tensor_from_json(text):
@@ -351,9 +395,9 @@ def _tensor_from_json(text):
     if (not isinstance(shape, list) or not shape
             or any(type(n) is not int or n < 1 for n in shape)):
         raise ParseError(f"invalid tensor shape {shape!r}")
-    if not isinstance(data, list) or any(
-        type(x) not in (int, float) for x in data
-    ):
+    # one type per entry, gathered in C: only ints and floats are numbers
+    if (not isinstance(data, list)
+            or not set(map(type, data)) <= _NUMBER_TYPES):
         raise ParseError("tensor data must be a flat list of numbers")
     if len(data) != prod(shape):
         raise ParseError(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +155,9 @@ def _with_first(entries, key, value, where):
 DEEP_NESTED = [[[1], [[2], [3]]], [4]]
 MALFORMED = {
     "tensor-data-strings": ("tensor", {"shape": [1, 2], "data": ["a", 1]}),
+    "tensor-data-bool": ("tensor", {"shape": [2], "data": [True, 1.0]}),
+    "tensor-data-null": ("tensor", {"shape": [2], "data": [1.0, None]}),
+    "tensor-data-object": ("tensor", {"shape": [2], "data": [{"a": 1}, 1.0]}),
     "tensor-data-ragged": ("tensor", {"shape": [2], "data": [[1.0, 2.0],
                                                              [3.0]]}),
     "tensor-data-not-list": ("tensor", {"shape": [2], "data": 5}),
@@ -787,6 +791,82 @@ class TestBrokenPipe:
         codes, open_fds = json.loads(done.stderr.splitlines()[-1])
         assert codes == [0] * 4
         assert open_fds == [open_fds[0]] * 4
+
+
+class TestFileOutput:
+    """Reports and tensors are written in place: an existing file, longer
+    or not, ends up with the bytes of a fresh write, in the same inode and
+    with its permissions; a device or a symlink is written through."""
+
+    def commands(self, workspace, out):
+        common = ["--tree", workspace["tree"], "--ranks", workspace["ranks"]]
+        return {
+            "report": ["analyze", "--tensor", workspace["tensor"],
+                       "--tree", workspace["tree"], "--out", str(out)],
+            "json tensor": ["generate", *common, "--shape", "2,2,2,3",
+                            "--seed", "5", "--out", str(out) + ".json"],
+            "bin tensor": ["generate", *common, "--shape", "2,2,2,3",
+                           "--seed", "5", "--out", str(out) + ".bin"],
+        }
+
+    @pytest.mark.parametrize("kind", ["report", "json tensor", "bin tensor"])
+    def test_longer_file_rewritten_as_a_fresh_one(self, workspace, capsys,
+                                                  kind):
+        fresh = self.commands(workspace, workspace["dir"] / "fresh")[kind]
+        old = self.commands(workspace, workspace["dir"] / "old")[kind]
+        fresh_path, old_path = Path(fresh[-1]), Path(old[-1])
+        old_path.write_bytes(b"\xff" * 65536)
+        old_path.chmod(0o640)
+        before = os.stat(old_path)
+        assert run(fresh) == 0 and run(old) == 0
+        assert old_path.read_bytes() == fresh_path.read_bytes()
+        after = os.stat(old_path)
+        assert (after.st_ino, after.st_mode) == (before.st_ino,
+                                                 before.st_mode)
+
+    def test_report_file_is_the_stdout_report(self, workspace, capsys):
+        out = workspace["dir"] / "report.json"
+        out.write_bytes(b"junk " * 4096)
+        args = self.commands(workspace, out)["report"]
+        assert run(args) == 0 and run(args[:-2]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="needs /dev/null")
+    @pytest.mark.parametrize("kind", ["report", "bin tensor"])
+    def test_dev_null(self, workspace, capsys, kind):
+        args = self.commands(workspace, "/dev/null")[kind]
+        args[-1] = "/dev/null"
+        assert run(args) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs symlinks")
+    def test_symlink_stays_a_symlink(self, workspace, capsys):
+        target = workspace["dir"] / "target.json"
+        target.write_bytes(b"x" * 65536)
+        link = workspace["dir"] / "link.json"
+        link.symlink_to(target)
+        args = self.commands(workspace, link)["report"]
+        assert run(args) == 0 and run(args[:-2]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == capsys.readouterr().out
+
+    def test_no_target_opened_with_truncation(self, workspace, capsys,
+                                              monkeypatch):
+        opened = {}
+        real_open = os.open
+
+        def recording_open(path, flags, *rest, **kw):
+            opened[os.fspath(path)] = flags
+            return real_open(path, flags, *rest, **kw)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        for args in self.commands(workspace,
+                                  workspace["dir"] / "out").values():
+            assert run(args) == 0
+            flags = opened[args[-1]]
+            assert flags & os.O_WRONLY and flags & os.O_CREAT
+            assert not flags & os.O_TRUNC
 
 
 class TestMisc:

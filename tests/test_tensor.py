@@ -374,6 +374,48 @@ class TestTensorIO:
         assert np.array_equal(tg.load_tensor(p), v)
 
 
+class TestWriteFile:
+    def test_raising_chunk_source_leaves_the_bytes_written(self, tmp_path):
+        from treegeom.tensor import write_file
+
+        def chunks():
+            yield b"abc"
+            yield bytearray(b"def")
+            raise RuntimeError("source failed")
+
+        p = tmp_path / "out.txt"
+        p.write_bytes(b"x" * 4096)
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_file(p, chunks())
+        assert p.read_bytes() == b"abcdef"
+
+    @pytest.mark.parametrize("suffix", [".json", ".bin"])
+    def test_short_writes_are_resumed(self, tmp_path, rng, monkeypatch,
+                                      suffix):
+        # every os.write takes at most 5 bytes: the file is still the one
+        # a whole write makes
+        import os
+
+        v = rng.standard_normal((3, 4, 5))
+        whole = tmp_path / f"whole{suffix}"
+        tg.save_tensor(whole, v)
+        real_write = os.write
+        monkeypatch.setattr(os, "write",
+                            lambda fd, data: real_write(fd, data[:5]))
+        short = tmp_path / f"short{suffix}"
+        tg.save_tensor(short, v)
+        monkeypatch.undo()
+        assert short.read_bytes() == whole.read_bytes()
+
+    def test_binary_of_strided_and_byte_swapped_arrays(self, tmp_path):
+        v = np.arange(24.0).reshape(2, 3, 4).transpose(2, 0, 1)[::2]
+        p, q = tmp_path / "a.bin", tmp_path / "b.bin"
+        tg.save_tensor(p, v)
+        tg.save_tensor(q, v.astype(">f8"))
+        assert p.read_bytes() == q.read_bytes()
+        assert np.array_equal(tg.load_tensor(p), v)
+
+
 def test_normalize_modes_sorts_and_dedups():
     assert normalize_modes([3, 1, 3], 4) == (1, 3)
     assert complement_modes((1, 3), 4) == (2, 4)
